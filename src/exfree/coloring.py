@@ -172,7 +172,8 @@ def is_k_colorable(
             return ColorOutcome(NO, None, b.used)
         assignment.update(colors)
     witness = tuple(assignment[v] for v in range(g.n))
-    assert verify_proper(g, witness, k)
+    if not verify_proper(g, witness, k):
+        raise RuntimeError(f"coloring search returned an improper {k}-coloring")
     return ColorOutcome(YES, witness, b.used)
 
 

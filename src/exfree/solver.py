@@ -29,7 +29,7 @@ from .counting import (
     exists_injective_hom,
 )
 from .errors import BudgetExceededError, InfeasibleError
-from .graphs import Graph, bits, remove_vertex
+from .graphs import Graph, bits, remove_vertex, turan
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph, hk: int | None, h_dir):
                 cand = (reb.best_count, reb.best_edges)
                 if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
                     best = cand
-    except (BudgetExceededError, ValueError):
+    except BudgetExceededError:
         pass
     return best
 
@@ -270,12 +270,28 @@ def _solve_bnb(
 ):
     """Branch-and-bound over edge decisions in ascending edge order.
 
-    Bound: the pattern count over included-plus-still-allowed edges, which is
-    monotone, so any subtree whose bound falls strictly below the incumbent is
-    dead. Equal-bound subtrees are still explored to keep exact lexicographic
-    tie-breaking. Pruning rules, individually toggleable:
+    Bound: the pattern count of the upper graph, which holds the included
+    edges plus the undecided edges still allowed. It is monotone, so a
+    subtree whose bound falls strictly below the incumbent is dead. Three
+    further devices make equal-bound subtrees cheap without changing the
+    result:
+      Turan cap: for a clique pattern K_m and a clique forbidden graph K_k
+        the bound is capped at the K_m count of the Turan graph T(n, k-1),
+        the most any K_k-free graph on n vertices has (Zykov 1949);
+      lex-prefix prune: when the bound equals the incumbent's count and the
+        incumbent's edge tuple is <= the included prefix, every leaf below
+        extends the prefix and so cannot be lexicographically smaller; the
+        subtree is dropped and the lex-least witness is kept exactly;
+      incremental bound: each frame carries its list of live (undecided,
+        still allowed) edges. Excluding an edge passes the list on as is;
+        including one re-tests only the surviving edges, since adding edges
+        can only forbid more. The upper graph is kept as one mask list;
+        for clique patterns its count is updated by the copies through each
+        edge that leaves it and restored on backtrack, other patterns are
+        recounted on it at every node.
+    Pruning rules, individually toggleable:
       forbid: refuse to include an edge completing a copy of h (and drop such
-        edges from the bound);
+        edges from the upper graph);
       neighborhood: when h has an edge whose removal lowers its chromatic
         number, refuse edges that put a copy of h-minus-critical-vertex inside
         either endpoint's neighborhood.
@@ -287,8 +303,13 @@ def _solve_bnb(
         raise BudgetExceededError(
             f"branch-and-bound engine limited to {budgets.bnb_edges} edges, got {M}"
         )
+    n = g.n
     hk = _clique_order(h)
     h_dir = None if hk else _directed_edges(h)
+    clique_m = t.m if t.kind == "clique" else None
+    cap = None
+    if clique_m is not None and hk is not None:
+        cap = count_pattern(turan(n, hk - 1), t)
 
     h_crit: Graph | None = None
     if rule_neighborhood:
@@ -299,8 +320,39 @@ def _solve_bnb(
 
     seed_count, seed_edges = _feasible_seed(g, t, h, hk, h_dir)
     state = {"best": seed_count, "edges": tuple(sorted(seed_edges)), "nodes": 0}
-    adj = [0] * g.n
+    adj = [0] * n
     included: list[tuple[int, int]] = []
+    root_live = [
+        j for j, (a, b) in enumerate(edges)
+        if not (rule_forbid and _creates_copy(adj, n, h, a, b, hk, h_dir))
+    ]
+    # upper graph: the included edges plus the live ones
+    up = [0] * n
+    for j in root_live:
+        a, b = edges[j]
+        up[a] |= 1 << b
+        up[b] |= 1 << a
+    up_count = count_pattern_masks(up, n, t)
+
+    def drop(j: int) -> int:
+        """Take live edge j out of the upper graph; return the copies lost."""
+        nonlocal up_count
+        a, b = edges[j]
+        lost = 0
+        if clique_m is not None and clique_m >= 2:
+            lost = cliques_in_mask(up, up[a] & up[b], clique_m - 2)
+            up_count -= lost
+        up[a] &= ~(1 << b)
+        up[b] &= ~(1 << a)
+        return lost
+
+    def restore(dropped: list[int], lost: int) -> None:
+        nonlocal up_count
+        for j in dropped:
+            a, b = edges[j]
+            up[a] |= 1 << b
+            up[b] |= 1 << a
+        up_count += lost
 
     def neighborhood_ok(u: int, v: int) -> bool:
         # tentatively add (u,v); neighborhoods of u and v must stay h_crit-free
@@ -324,45 +376,47 @@ def _solve_bnb(
         adj[v] &= ~(1 << u)
         return not bad
 
-    def dfs(idx: int):
+    def dfs(idx: int, live: list[int]):
         state["nodes"] += 1
-        # bound over included plus allowed undecided edges
-        adj_u = list(adj)
-        for j in range(idx, M):
-            a, b = edges[j]
-            if rule_forbid and _creates_copy(adj, g.n, h, a, b, hk, h_dir):
-                continue
-            adj_u[a] |= 1 << b
-            adj_u[b] |= 1 << a
-        bound = count_pattern_masks(adj_u, g.n, t)
+        bound = up_count if clique_m is not None else count_pattern_masks(up, n, t)
+        if cap is not None and bound > cap:
+            bound = cap
         if bound < state["best"]:
             return
+        if bound == state["best"] and state["edges"] <= tuple(included):
+            return
         if idx == M:
-            if not rule_forbid and _contains_masks(adj, g.n, h, hk):
+            if not rule_forbid and _contains_masks(adj, n, h, hk):
                 return
-            cand = tuple(included)
-            if bound > state["best"] or (
-                bound == state["best"] and (state["edges"] is None or cand < state["edges"])
-            ):
-                state["best"], state["edges"] = bound, cand
+            state["best"], state["edges"] = bound, tuple(included)
             return
         u, v = edges[idx]
-        allowed = True
-        if rule_forbid and _creates_copy(adj, g.n, h, u, v, hk, h_dir):
-            allowed = False
-        if allowed and h_crit is not None and not neighborhood_ok(u, v):
-            allowed = False
-        if allowed:
+        is_live = bool(live) and live[0] == idx
+        rest = live[1:] if is_live else live
+        if is_live and (h_crit is None or neighborhood_ok(u, v)):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             included.append((u, v))
-            dfs(idx + 1)
+            keep, killed = rest, []
+            if rule_forbid:
+                keep = []
+                for j in rest:
+                    a, b = edges[j]
+                    (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep).append(j)
+            lost = sum(drop(j) for j in killed)
+            dfs(idx + 1, keep)
+            restore(killed, lost)
             included.pop()
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        dfs(idx + 1)
+        if is_live:
+            lost = drop(idx)
+            dfs(idx + 1, rest)
+            restore([idx], lost)
+        else:
+            dfs(idx + 1, rest)
 
-    dfs(0)
+    dfs(0, root_live)
     return state["best"], state["edges"], state["nodes"]
 
 
@@ -408,7 +462,8 @@ def max_hfree_subgraph(
     elapsed = time.perf_counter() - started
 
     recount = count_pattern(Graph.from_edges(g.n, best_edges), t)
-    assert recount == best, "witness recount mismatch"
+    if recount != best:
+        raise RuntimeError(f"witness recount mismatch: search gave {best}, witness has {recount}")
     return SolveResult(best, tuple(best_edges), proof, SolveStats(nodes, elapsed, proof))
 
 
@@ -713,7 +768,10 @@ def rebuild(
 
     final = multipartite_subgraph(g, part)
     count = count_pattern(final, t)
-    assert count == core_count + sum(gains), "rebuild count decomposition mismatch"
+    if count != core_count + sum(gains):
+        raise RuntimeError(
+            f"rebuild count decomposition mismatch: {count} != {core_count} + {sum(gains)}"
+        )
 
     if chi_h != k and contains(final, h):
         notes.append("result contains the forbidden graph (chromatic mismatch)")

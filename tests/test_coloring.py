@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exfree import coloring
 from exfree.coloring import (
     NO,
     UNKNOWN,
@@ -46,6 +47,12 @@ def test_verify_proper_rejects():
     assert not verify_proper(cycle(4), (0, 0, 0, 0), 2)
     assert not verify_proper(cycle(4), (0, 1, 0), 2)  # wrong length
     assert not verify_proper(cycle(4), (0, 2, 0, 2), 2)  # color out of range
+
+
+def test_improper_witness_raises(monkeypatch):
+    monkeypatch.setattr(coloring, "verify_proper", lambda g, colors, k=None: False)
+    with pytest.raises(RuntimeError, match="improper"):
+        is_k_colorable(cycle(4), 2)
 
 
 def test_chromatic_numbers():
