@@ -219,57 +219,33 @@ def cmd_rebuild(args) -> int:
     return 0
 
 
-_FORMULA_ARGS = {
-    "aes-threshold": ["k"],
-    "es-threshold": ["k"],
-    "predict-clique": ["n", "k", "m"],
-    "predict-blowup": ["n", "m", "t"],
-    "partition-lower-clique": ["n", "k", "m", "eps"],
-    "partition-lower-blowup": ["n", "m", "t", "eps", "c"],
-    "removal-clique": ["n", "k", "m"],
-    "removal-blowup": ["n", "m", "t"],
-    "removal-mixed": ["n", "k", "m", "t"],
-    "sparse-bound": ["n", "d", "m", "t"],
-    "f-maximizer": ["n", "m", "t"],
+# name -> (required arguments in call order, formula, output labels); a
+# formula with two labels returns a pair
+_FORMULAS = {
+    "aes-threshold": (("k",), aes_threshold, ("threshold",)),
+    "es-threshold": (("k",), es_threshold, ("threshold",)),
+    "predict-clique": (("n", "k", "m"), predict_ex_clique, ("prediction",)),
+    "predict-blowup": (("n", "m", "t"), predict_ex_blowup, ("prediction",)),
+    "partition-lower-clique": (("n", "k", "m", "eps"), partition_lower_clique, ("lower-bound",)),
+    "partition-lower-blowup": (
+        ("n", "m", "t", "eps", "c"), partition_lower_blowup, ("lower-bound",)
+    ),
+    "removal-clique": (("n", "k", "m"), removal_bound_clique, ("bound", "delta")),
+    "removal-blowup": (
+        ("n", "m", "t"), removal_bound_blowup, ("bound", "ratio-to-extremal-scale")
+    ),
+    "removal-mixed": (("n", "k", "m", "t"), removal_bound_mixed, ("bound",)),
+    "sparse-bound": (("n", "d", "m", "t"), sparse_copy_bound, ("bound",)),
+    "f-maximizer": (("n", "m", "t"), f_maximizer, ("argmax",)),
 }
 
 
 def cmd_formula(args) -> int:
-    name = args.name
-    _require(args, f"formula {name}", _FORMULA_ARGS[name])
-    if name == "aes-threshold":
-        _print_frac("threshold", aes_threshold(args.k))
-    elif name == "es-threshold":
-        _print_frac("threshold", es_threshold(args.k))
-    elif name == "predict-clique":
-        _print_frac("prediction", predict_ex_clique(args.n, args.k, args.m))
-    elif name == "predict-blowup":
-        _print_frac("prediction", predict_ex_blowup(args.n, args.m, args.t))
-    elif name == "partition-lower-clique":
-        _print_frac(
-            "lower-bound", partition_lower_clique(args.n, args.k, args.m, args.eps)
-        )
-    elif name == "partition-lower-blowup":
-        _print_frac(
-            "lower-bound",
-            partition_lower_blowup(args.n, args.m, args.t, args.eps, args.c),
-        )
-    elif name == "removal-clique":
-        bound, delta = removal_bound_clique(args.n, args.k, args.m)
-        _print_frac("bound", bound)
-        _print_frac("delta", delta)
-    elif name == "removal-blowup":
-        bound, ratio = removal_bound_blowup(args.n, args.m, args.t)
-        _print_frac("bound", bound)
-        _print_frac("ratio-to-extremal-scale", ratio)
-    elif name == "removal-mixed":
-        _print_frac("bound", removal_bound_mixed(args.n, args.k, args.m, args.t))
-    elif name == "sparse-bound":
-        _print_frac("bound", sparse_copy_bound(args.n, args.d, args.m, args.t))
-    elif name == "f-maximizer":
-        _print_frac("argmax", f_maximizer(args.n, args.m, args.t))
-    else:
-        raise ValueError(f"unknown formula {name!r}")
+    names, formula, labels = _FORMULAS[args.name]
+    _require(args, f"formula {args.name}", names)
+    values = formula(*(getattr(args, a) for a in names))
+    for label, value in zip(labels, values if len(labels) > 1 else (values,)):
+        _print_frac(label, value)
     return 0
 
 
@@ -385,6 +361,10 @@ def cmd_scan(args) -> int:
 def cmd_replay(args) -> int:
     records = harness.load_records(args.record)
     if args.index is not None:
+        if not -len(records) <= args.index < len(records):
+            raise ValueError(
+                f"--index {args.index} is out of range: {args.record} holds {len(records)} record(s)"
+            )
         records = [records[args.index]]
     status = 0
     for rec in records:
@@ -472,22 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rebuild)
 
     p = sub.add_parser("formula", help="closed-form thresholds, predictions, bounds")
-    p.add_argument(
-        "name",
-        choices=[
-            "aes-threshold",
-            "es-threshold",
-            "predict-clique",
-            "predict-blowup",
-            "partition-lower-clique",
-            "partition-lower-blowup",
-            "removal-clique",
-            "removal-blowup",
-            "removal-mixed",
-            "sparse-bound",
-            "f-maximizer",
-        ],
-    )
+    p.add_argument("name", choices=list(_FORMULAS))
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--t", type=int)

@@ -238,59 +238,62 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
 # generic injective homomorphisms
 
 
-def _hom_order(p: Graph) -> list[int]:
-    """Vertex order for backtracking: greedy max-degree start, then always a
-    vertex with the most already-ordered neighbors (ties by degree, then id)."""
-    if p.n == 0:
-        return []
+@lru_cache(maxsize=256)
+def _hom_plan(p: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Backtracking plan for pattern p, built once per pattern graph.
+
+    The vertex order starts at a vertex of maximum degree and then always
+    takes a vertex with the most already-ordered neighbors (ties by degree,
+    then lowest id). Returns the order, each position's earlier-neighbor
+    positions, and the pattern degree at each position.
+    """
+    order: list[int] = []
+    placed = 0
     remaining = set(range(p.n))
-    order = [max(remaining, key=lambda v: (p.degree(v), -v))]
-    remaining.remove(order[0])
     while remaining:
-        placed = 0
-        for v in order:
-            placed |= 1 << v
-        nxt = max(
-            remaining,
-            key=lambda v: ((p.adj[v] & placed).bit_count(), p.degree(v), -v),
-        )
+        nxt = max(remaining, key=lambda v: ((p.adj[v] & placed).bit_count(), p.degree(v), -v))
         order.append(nxt)
         remaining.remove(nxt)
-    return order
+        placed |= 1 << nxt
+    pos = {v: i for i, v in enumerate(order)}
+    back = tuple(
+        tuple(pos[u] for u in bits(p.adj[v]) if pos[u] < i) for i, v in enumerate(order)
+    )
+    return tuple(order), back, tuple(p.degree(v) for v in order)
 
 
-def _count_injective_homs(p: Graph, host_adj, host_n: int, *, pin: dict | None = None) -> int:
-    """Number of injective maps V(p) -> host preserving every edge of p.
+def _count_injective_homs(
+    p: Graph, host_adj, host_n: int, *, pin: dict | None = None, limit: int | None = None
+) -> int:
+    """Number of injective maps V(p) -> host preserving every edge of p,
+    counting stops once it reaches limit (existence is limit=1).
 
     pin maps pattern vertices to fixed host vertices (used for edge-rooted
-    counts). Non-edges of the pattern impose nothing.
+    tests). Non-edges of the pattern impose nothing.
     """
     if p.n > host_n:
         return 0
-    order = _hom_order(p)
-    back = []  # per position: list of (earlier position, ) neighbors
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        back.append([pos[u] for u in bits(p.adj[v]) if pos[u] < i])
+    order, back, pat_deg = _hom_plan(p)
+    pinned = [pin.get(v) for v in order] if pin else [None] * p.n
     host_full = (1 << host_n) - 1
     host_deg = [host_adj[v].bit_count() for v in range(host_n)]
-    pat_deg = [p.degree(v) for v in order]
     image = [0] * p.n
     total = 0
 
-    def rec(i: int, used: int):
+    def rec(i: int, used: int) -> bool:
+        """Extend the partial map at position i; True once limit is reached."""
         nonlocal total
         if i == p.n:
             total += 1
-            return
+            return total == limit
         cand = host_full & ~used
         for j in back[i]:
             cand &= host_adj[image[j]]
-        pinned = pin.get(order[i]) if pin else None
-        if pinned is not None:
-            if not (cand >> pinned) & 1:
-                return
-            cand = 1 << pinned
+        fixed = pinned[i]
+        if fixed is not None:
+            if not (cand >> fixed) & 1:
+                return False
+            cand = 1 << fixed
         need = pat_deg[i]
         while cand:
             v = (cand & -cand).bit_length() - 1
@@ -298,7 +301,9 @@ def _count_injective_homs(p: Graph, host_adj, host_n: int, *, pin: dict | None =
             if host_deg[v] < need:
                 continue
             image[i] = v
-            rec(i + 1, used | (1 << v))
+            if rec(i + 1, used | (1 << v)):
+                return True
+        return False
 
     rec(0, 0)
     return total
@@ -351,39 +356,7 @@ def count_pattern_masks(adj, n: int, t: Pattern) -> int:
 
 def exists_injective_hom(p: Graph, host_adj, host_n: int, pin: dict | None = None) -> bool:
     """Early-exit embedding test on raw masks; pin fixes pattern->host vertices."""
-    if p.n > host_n:
-        return False
-    order = _hom_order(p)
-    pos = {v: i for i, v in enumerate(order)}
-    back = [[pos[u] for u in bits(p.adj[v]) if pos[u] < i] for i, v in enumerate(order)]
-    host_full = (1 << host_n) - 1
-    host_deg = [host_adj[v].bit_count() for v in range(host_n)]
-    pat_deg = [p.degree(v) for v in order]
-    image = [0] * p.n
-
-    def rec(i: int, used: int) -> bool:
-        if i == p.n:
-            return True
-        cand = host_full & ~used
-        for j in back[i]:
-            cand &= host_adj[image[j]]
-        pinned = pin.get(order[i]) if pin else None
-        if pinned is not None:
-            if not (cand >> pinned) & 1:
-                return False
-            cand = 1 << pinned
-        need = pat_deg[i]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if host_deg[v] < need:
-                continue
-            image[i] = v
-            if rec(i + 1, used | (1 << v)):
-                return True
-        return False
-
-    return rec(0, 0)
+    return _count_injective_homs(p, host_adj, host_n, pin=pin, limit=1) > 0
 
 
 def contains(g: Graph, h: Graph) -> bool:

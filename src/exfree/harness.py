@@ -47,6 +47,9 @@ RECORD_VERSION = 1
 HOLDS = "holds"
 FAILS = "fails"
 
+# the keys of a record line, as to_json_line writes them
+_RECORD_FIELDS = ("version", "experiment_id", "kind", "spec", "results", "verdicts", "timings")
+
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -91,16 +94,19 @@ class ExperimentRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "ExperimentRecord":
+        """Parse one record line; ValueError if it is not a record this
+        version of the package can replay."""
         d = json.loads(line)
-        return cls(
-            experiment_id=d["experiment_id"],
-            kind=d["kind"],
-            spec=d["spec"],
-            results=d["results"],
-            verdicts=d["verdicts"],
-            timings=d["timings"],
-            version=d["version"],
-        )
+        if not isinstance(d, dict):
+            raise ValueError("record line is not a JSON object")
+        missing = [f for f in _RECORD_FIELDS if f not in d]
+        if missing:
+            raise ValueError(f"record lacks field(s) {', '.join(missing)}")
+        if d["version"] != RECORD_VERSION:
+            raise ValueError(
+                f"record version {d['version']!r} is not supported (expected {RECORD_VERSION})"
+            )
+        return cls(**{f: d[f] for f in _RECORD_FIELDS})
 
     def comparable(self) -> str:
         """Canonical serialization of everything replay must reproduce
@@ -126,12 +132,16 @@ def append_record(path: str, record: ExperimentRecord) -> None:
 
 
 def load_records(path: str) -> list[ExperimentRecord]:
+    """Every record in a JSON-lines file; ValueError names the first bad line."""
     out = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(ExperimentRecord.from_json_line(line))
+                try:
+                    out.append(ExperimentRecord.from_json_line(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {number}: {exc}") from exc
     return out
 
 

@@ -167,172 +167,62 @@ def _contains_masks(adj, n: int, h: Graph, hk: int | None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact engines
+# the edge-decision search
 
 
-def _solve_exhaustive(g: Graph, t: Pattern, h: Graph, budgets: Budgets, collect_ties: bool):
-    """Feasibility-pruned complete enumeration of h-free spanning edge subsets.
+def _edge_budget(what: str, m: int, limit: int) -> None:
+    if m > limit:
+        raise BudgetExceededError(f"{what} limited to {limit} edges, got {m}")
 
-    Clique patterns carry their count incrementally (new copies through each
-    added edge); other patterns are recounted at the leaves.
+
+def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
+            rule_forbid: bool = True, h_crit: Graph | None = None) -> int:
+    """Depth-first search over include/exclude decisions on g's edges in
+    ascending order, include first. Returns the number of nodes entered.
+
+    Each frame carries its live edges: the undecided edges that may still be
+    included. With rule_forbid an edge stops being live once including it
+    would complete a copy of h; excluding an edge passes the list on as is,
+    and including one re-tests only the survivors, since adding edges can
+    only forbid more. Without rule_forbid every undecided edge is live and
+    the leaves may contain h. With h_crit set (the neighborhood rule) a live
+    edge is only included when neither endpoint's neighborhood then holds a
+    copy of h_crit.
+
+    The upper graph is the included edges plus the live ones. Its pattern
+    count bounds the count of every leaf below, and at a leaf it is the
+    leaf's own count. For clique patterns that count is kept up to date from
+    the copies through each edge that leaves the upper graph and restored on
+    backtrack; other patterns are recounted on it when asked.
+
+    keep(upper, included) decides at every node whether to enter it, where
+    upper() gives the upper graph's count and included is the list of
+    included edges. leaf(upper, included, adj) sees every leaf entered, with
+    adj the included edges' adjacency masks. t may be None when neither hook
+    asks for counts.
     """
     edges = g.edges()
     M = len(edges)
-    if M > budgets.exhaustive_edges:
-        raise BudgetExceededError(
-            f"exhaustive engine limited to {budgets.exhaustive_edges} edges, got {M}"
-        )
-    hk = _clique_order(h)
-    h_dir = None if hk else _directed_edges(h)
-    clique_m = t.m if t.kind == "clique" else None
-    adj = [0] * g.n
-    included: list[tuple[int, int]] = []
-    state = {"best": -1, "edges": None, "nodes": 0}
-    ties: list[tuple[tuple[int, int], ...]] = []
-    if clique_m == 0:
-        base = 1
-    elif clique_m == 1:
-        base = g.n
-    else:
-        base = 0
-
-    def leaf(cur: int):
-        cnt = cur if clique_m is not None else count_pattern_masks(adj, g.n, t)
-        cand = tuple(included)
-        if cnt > state["best"]:
-            state["best"], state["edges"] = cnt, cand
-            if collect_ties:
-                ties.clear()
-                ties.append(cand)
-        elif cnt == state["best"]:
-            if collect_ties:
-                ties.append(cand)
-            if cand < state["edges"]:
-                state["edges"] = cand
-        return
-
-    def dfs(idx: int, cur: int):
-        state["nodes"] += 1
-        if idx == M:
-            leaf(cur)
-            return
-        u, v = edges[idx]
-        # include first when feasible
-        if not _creates_copy(adj, g.n, h, u, v, hk, h_dir):
-            if clique_m is None or clique_m <= 1:
-                delta = 0
-            else:
-                delta = cliques_in_mask(adj, adj[u] & adj[v], clique_m - 2)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            included.append((u, v))
-            dfs(idx + 1, cur + delta)
-            included.pop()
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        dfs(idx + 1, cur)
-
-    dfs(0, base)
-    return state["best"], state["edges"], state["nodes"], sorted(ties)
-
-
-def _feasible_seed(g: Graph, t: Pattern, h: Graph, hk: int | None, h_dir):
-    """Cheap feasible starting points: greedy edge packing, plus the
-    peel-and-repartition heuristic when the forbidden graph has chi >= 3."""
-    adj = [0] * g.n
-    included = []
-    for u, v in g.edges():
-        if not _creates_copy(adj, g.n, h, u, v, hk, h_dir):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            included.append((u, v))
-    best = (count_pattern_masks(adj, g.n, t), tuple(included))
-    try:
-        chi = chromatic_number(h).chromatic_number
-        if chi >= 3:
-            reb = rebuild(g, chi, t, h)
-            if not contains(Graph.from_edges(g.n, reb.best_edges), h):
-                cand = (reb.best_count, reb.best_edges)
-                if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                    best = cand
-    except BudgetExceededError:
-        pass
-    return best
-
-
-def _solve_bnb(
-    g: Graph,
-    t: Pattern,
-    h: Graph,
-    budgets: Budgets,
-    rule_forbid: bool,
-    rule_neighborhood: bool,
-):
-    """Branch-and-bound over edge decisions in ascending edge order.
-
-    Bound: the pattern count of the upper graph, which holds the included
-    edges plus the undecided edges still allowed. It is monotone, so a
-    subtree whose bound falls strictly below the incumbent is dead. Three
-    further devices make equal-bound subtrees cheap without changing the
-    result:
-      Turan cap: for a clique pattern K_m and a clique forbidden graph K_k
-        the bound is capped at the K_m count of the Turan graph T(n, k-1),
-        the most any K_k-free graph on n vertices has (Zykov 1949);
-      lex-prefix prune: when the bound equals the incumbent's count and the
-        incumbent's edge tuple is <= the included prefix, every leaf below
-        extends the prefix and so cannot be lexicographically smaller; the
-        subtree is dropped and the lex-least witness is kept exactly;
-      incremental bound: each frame carries its list of live (undecided,
-        still allowed) edges. Excluding an edge passes the list on as is;
-        including one re-tests only the surviving edges, since adding edges
-        can only forbid more. The upper graph is kept as one mask list;
-        for clique patterns its count is updated by the copies through each
-        edge that leaves it and restored on backtrack, other patterns are
-        recounted on it at every node.
-    Pruning rules, individually toggleable:
-      forbid: refuse to include an edge completing a copy of h (and drop such
-        edges from the upper graph);
-      neighborhood: when h has an edge whose removal lowers its chromatic
-        number, refuse edges that put a copy of h-minus-critical-vertex inside
-        either endpoint's neighborhood.
-    With forbid off, leaves are verified h-free explicitly.
-    """
-    edges = g.edges()
-    M = len(edges)
-    if M > budgets.bnb_edges:
-        raise BudgetExceededError(
-            f"branch-and-bound engine limited to {budgets.bnb_edges} edges, got {M}"
-        )
     n = g.n
     hk = _clique_order(h)
     h_dir = None if hk else _directed_edges(h)
-    clique_m = t.m if t.kind == "clique" else None
-    cap = None
-    if clique_m is not None and hk is not None:
-        cap = count_pattern(turan(n, hk - 1), t)
-
-    h_crit: Graph | None = None
-    if rule_neighborhood:
-        critical, _ = is_edge_critical(h)
-        if critical:
-            cv = critical_vertex(h)
-            h_crit, _ = remove_vertex(h, cv)
-
-    seed_count, seed_edges = _feasible_seed(g, t, h, hk, h_dir)
-    state = {"best": seed_count, "edges": tuple(sorted(seed_edges)), "nodes": 0}
+    clique_m = t.m if t is not None and t.kind == "clique" else None
     adj = [0] * n
     included: list[tuple[int, int]] = []
     root_live = [
         j for j, (a, b) in enumerate(edges)
         if not (rule_forbid and _creates_copy(adj, n, h, a, b, hk, h_dir))
     ]
-    # upper graph: the included edges plus the live ones
     up = [0] * n
     for j in root_live:
         a, b = edges[j]
         up[a] |= 1 << b
         up[b] |= 1 << a
-    up_count = count_pattern_masks(up, n, t)
+    up_count = count_pattern_masks(up, n, t) if clique_m is not None else 0
+    nodes = 0
+
+    def upper() -> int:
+        return up_count if clique_m is not None else count_pattern_masks(up, n, t)
 
     def drop(j: int) -> int:
         """Take live edge j out of the upper graph; return the copies lost."""
@@ -377,18 +267,12 @@ def _solve_bnb(
         return not bad
 
     def dfs(idx: int, live: list[int]):
-        state["nodes"] += 1
-        bound = up_count if clique_m is not None else count_pattern_masks(up, n, t)
-        if cap is not None and bound > cap:
-            bound = cap
-        if bound < state["best"]:
-            return
-        if bound == state["best"] and state["edges"] <= tuple(included):
+        nonlocal nodes
+        nodes += 1
+        if not keep(upper, included):
             return
         if idx == M:
-            if not rule_forbid and _contains_masks(adj, n, h, hk):
-                return
-            state["best"], state["edges"] = bound, tuple(included)
+            leaf(upper, included, adj)
             return
         u, v = edges[idx]
         is_live = bool(live) and live[0] == idx
@@ -397,14 +281,14 @@ def _solve_bnb(
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             included.append((u, v))
-            keep, killed = rest, []
+            keep_live, killed = rest, []
             if rule_forbid:
-                keep = []
+                keep_live = []
                 for j in rest:
                     a, b = edges[j]
-                    (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep).append(j)
+                    (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep_live).append(j)
             lost = sum(drop(j) for j in killed)
-            dfs(idx + 1, keep)
+            dfs(idx + 1, keep_live)
             restore(killed, lost)
             included.pop()
             adj[u] &= ~(1 << v)
@@ -417,7 +301,101 @@ def _solve_bnb(
             dfs(idx + 1, rest)
 
     dfs(0, root_live)
-    return state["best"], state["edges"], state["nodes"]
+    return nodes
+
+
+def _enter_all(upper, included) -> bool:
+    return True
+
+
+def _feasible_seed(g: Graph, t: Pattern, h: Graph):
+    """Cheap feasible starting points: greedy edge packing, plus the
+    peel-and-repartition heuristic when the forbidden graph has chi >= 3."""
+    hk = _clique_order(h)
+    h_dir = None if hk else _directed_edges(h)
+    adj = [0] * g.n
+    included = []
+    for u, v in g.edges():
+        if not _creates_copy(adj, g.n, h, u, v, hk, h_dir):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            included.append((u, v))
+    best = (count_pattern_masks(adj, g.n, t), tuple(included))
+    try:
+        chi = chromatic_number(h).chromatic_number
+        if chi >= 3:
+            reb = rebuild(g, chi, t, h)
+            if not contains(Graph.from_edges(g.n, reb.best_edges), h):
+                cand = (reb.best_count, reb.best_edges)
+                if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                    best = cand
+    except BudgetExceededError:
+        pass
+    return best
+
+
+def _solve(
+    g: Graph,
+    t: Pattern,
+    h: Graph,
+    bounded: bool,
+    rule_forbid: bool = True,
+    rule_neighborhood: bool = False,
+):
+    """The lex-least count-maximal h-free edge set: (count, edges, nodes).
+
+    Unbounded (the exhaustive engine) every h-free edge subset is a leaf.
+    Bounded (branch-and-bound) the search starts from a feasible seed and
+    skips a subtree whose bound, the upper graph's count, falls strictly
+    below the incumbent. Two further devices make equal-bound subtrees
+    cheap without changing the result:
+      Turan cap: for a clique pattern K_m and a clique forbidden graph K_k
+        the bound is capped at the K_m count of the Turan graph T(n, k-1),
+        the most any K_k-free graph on n vertices has (Zykov 1949);
+      lex-prefix prune: when the bound equals the incumbent's count and the
+        incumbent's edge tuple is <= the included prefix, every leaf below
+        extends the prefix and so cannot be lexicographically smaller; the
+        subtree is dropped and the lex-least witness is kept exactly.
+    Pruning rules, individually toggleable (branch-and-bound only):
+      forbid: refuse to include an edge completing a copy of h (and drop such
+        edges from the upper graph);
+      neighborhood: when h has an edge whose removal lowers its chromatic
+        number, refuse edges that put a copy of h-minus-critical-vertex inside
+        either endpoint's neighborhood.
+    With forbid off, leaves are verified h-free explicitly.
+    """
+    hk = _clique_order(h)
+    best = [-1, None]
+    if bounded:
+        seed_count, seed_edges = _feasible_seed(g, t, h)
+        best = [seed_count, tuple(sorted(seed_edges))]
+        cap = None
+        if t.kind == "clique" and hk is not None:
+            cap = count_pattern(turan(g.n, hk - 1), t)
+
+        def keep(upper, included) -> bool:
+            bound = upper()
+            if cap is not None and bound > cap:
+                bound = cap
+            return bound > best[0] or (bound == best[0] and tuple(included) < best[1])
+    else:
+        keep = _enter_all
+
+    h_crit: Graph | None = None
+    if rule_neighborhood:
+        critical, _ = is_edge_critical(h)
+        if critical:
+            h_crit, _ = remove_vertex(h, critical_vertex(h))
+
+    def leaf(upper, included, adj) -> None:
+        if not rule_forbid and _contains_masks(adj, g.n, h, hk):
+            return
+        count, cand = upper(), tuple(included)
+        if count > best[0] or (count == best[0] and cand < best[1]):
+            best[0], best[1] = count, cand
+
+    nodes = _search(g, t, h, keep, leaf, rule_forbid=rule_forbid, h_crit=h_crit)
+    return best[0], best[1], nodes
 
 
 def max_hfree_subgraph(
@@ -452,11 +430,11 @@ def max_hfree_subgraph(
     if engine == "auto":
         engine = "exhaustive" if M <= budgets.auto_exhaustive_max else "branch-and-bound"
     if engine == "exhaustive":
-        best, best_edges, nodes, _ = _solve_exhaustive(g, t, h, budgets, collect_ties=False)
-        proof = "exhaustive"
+        _edge_budget("exhaustive engine", M, budgets.exhaustive_edges)
+        best, best_edges, nodes = _solve(g, t, h, bounded=False)
     elif engine == "branch-and-bound":
-        best, best_edges, nodes = _solve_bnb(g, t, h, budgets, rule_forbid, rule_neighborhood)
-        proof = "branch-and-bound"
+        _edge_budget("branch-and-bound engine", M, budgets.bnb_edges)
+        best, best_edges, nodes = _solve(g, t, h, True, rule_forbid, rule_neighborhood)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     elapsed = time.perf_counter() - started
@@ -464,7 +442,7 @@ def max_hfree_subgraph(
     recount = count_pattern(Graph.from_edges(g.n, best_edges), t)
     if recount != best:
         raise RuntimeError(f"witness recount mismatch: search gave {best}, witness has {recount}")
-    return SolveResult(best, tuple(best_edges), proof, SolveStats(nodes, elapsed, proof))
+    return SolveResult(best, tuple(best_edges), engine, SolveStats(nodes, elapsed, engine))
 
 
 def enumerate_maximal_hfree(
@@ -477,56 +455,48 @@ def enumerate_maximal_hfree(
     """
     if h.edge_count() == 0:
         raise InfeasibleError("forbidden graph has no edges: every subgraph contains it")
-    M = g.edge_count()
-    if M > budgets.ties_edges:
-        raise BudgetExceededError(
-            f"maximal enumeration limited to {budgets.ties_edges} edges, got {M}"
-        )
+    _edge_budget("maximal enumeration", g.edge_count(), budgets.ties_edges)
     edges = g.edges()
     hk = _clique_order(h)
     h_dir = None if hk else _directed_edges(h)
-    adj = [0] * g.n
-    included: list[tuple[int, int]] = []
-    in_set: set[tuple[int, int]] = set()
     out: list[tuple[tuple[int, int], ...]] = []
 
-    def dfs(idx: int):
-        if idx == M:
-            for a, b in edges:
-                if (a, b) not in in_set and not _creates_copy(adj, g.n, h, a, b, hk, h_dir):
-                    return  # extendable, hence not maximal
+    def leaf(upper, included, adj) -> None:
+        if all((adj[a] >> b) & 1 or _creates_copy(adj, g.n, h, a, b, hk, h_dir)
+               for a, b in edges):
             out.append(tuple(included))
-            return
-        u, v = edges[idx]
-        if not _creates_copy(adj, g.n, h, u, v, hk, h_dir):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            included.append((u, v))
-            in_set.add((u, v))
-            dfs(idx + 1)
-            in_set.remove((u, v))
-            included.pop()
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-        dfs(idx + 1)
 
-    dfs(0)
+    _search(g, None, h, _enter_all, leaf)
     return sorted(out)
 
 
 def enumerate_optima(
     g: Graph, t: Pattern, h: Graph, *, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
-    """All count-maximal h-free edge subsets (lex-sorted); small hosts only."""
+    """All count-maximal h-free edge subsets (lex-sorted); small hosts only.
+
+    The search skips a subtree only when its bound falls strictly below the
+    best count found so far, so every optimum is reached as a leaf.
+    """
     if h.edge_count() == 0:
         raise InfeasibleError("forbidden graph has no edges: every subgraph contains it")
-    if g.edge_count() > budgets.ties_edges:
-        raise BudgetExceededError(
-            f"tie enumeration limited to {budgets.ties_edges} edges, got {g.edge_count()}"
-        )
-    tie_budgets = Budgets(exhaustive_edges=max(budgets.exhaustive_edges, budgets.ties_edges))
-    best, _, _, ties = _solve_exhaustive(g, t, h, tie_budgets, collect_ties=True)
-    return best, ties
+    _edge_budget("tie enumeration", g.edge_count(), budgets.ties_edges)
+    best = -1
+    ties: list[tuple[tuple[int, int], ...]] = []
+
+    def keep(upper, included) -> bool:
+        return upper() >= best
+
+    def leaf(upper, included, adj) -> None:
+        nonlocal best
+        count = upper()
+        if count > best:
+            best = count
+            ties.clear()
+        ties.append(tuple(included))
+
+    _search(g, t, h, keep, leaf)
+    return best, sorted(ties)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,40 @@ def max_hfree_brute(g: Graph, pattern: Graph, h: Graph) -> tuple[int, tuple]:
     return best, best_edges
 
 
+def _hfree_subsets(g: Graph, h: Graph) -> dict[int, tuple]:
+    """Every h-free edge subset of g: bitmask over g.edges() -> edge tuple."""
+    edges = g.edges()
+    out = {}
+    for bits in range(1 << len(edges)):
+        subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
+        if not contains_brute(Graph.from_edges(g.n, subset), h):
+            out[bits] = subset
+    return out
+
+
+def optima_brute(g: Graph, pattern: Graph, h: Graph) -> tuple[int, list[tuple]]:
+    """(best count, every h-free edge set reaching it, sorted) by exhausting
+    all edge subsets."""
+    counts = {
+        subset: copies_brute(Graph.from_edges(g.n, subset), pattern)
+        for subset in _hfree_subsets(g, h).values()
+    }
+    best = max(counts.values())
+    return best, sorted(s for s, c in counts.items() if c == best)
+
+
+def maximal_hfree_brute(g: Graph, h: Graph) -> list[tuple]:
+    """Every h-free edge set to which no further host edge can be added
+    without creating a copy of h, sorted."""
+    free = _hfree_subsets(g, h)
+    full = (1 << len(g.edges())) - 1
+    return sorted(
+        subset for bits, subset in free.items()
+        if all((bits | 1 << i) not in free
+               for i in range(full.bit_length()) if not bits >> i & 1)
+    )
+
+
 def colorable_brute(g: Graph, k: int) -> bool:
     if g.n == 0:
         return True

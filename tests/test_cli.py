@@ -272,3 +272,33 @@ def test_missing_required_verify_argument():
     )
     assert code == 1
     assert "gamma" in err
+
+
+def test_replay_rejects_bad_records_and_indices(tmp_path):
+    recfile, one = tmp_path / "runs.jsonl", tmp_path / "one.jsonl"
+    recfile.write_text('{"version":1}\n')
+    code, out, err = run("replay", "--record", str(recfile))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "lacks field(s) experiment_id" in err
+
+    code, _, _ = run(
+        "verify", "--claim", "dichotomy", "--graph", "gen:complete:4",
+        "--forbid", "gen:complete:3", "--pattern", "K2", "--k", "3",
+        "--gamma", "1/2", "--out", str(one),
+    )
+    assert code == 0
+    code, out, err = run("replay", "--record", str(one), "--index", "5")
+    assert (code, out) == (1, "")
+    assert err == f"error: --index 5 is out of range: {one} holds 1 record(s)\n"
+
+    blob = json.loads(one.read_text())
+    blob["version"] = 7
+    recfile.write_text(json.dumps(blob) + "\n")
+    code, out, err = run("replay", "--record", str(recfile))
+    assert (code, out) == (1, "")
+    assert "record version 7 is not supported" in err
+
+    # version-1 records still replay
+    code, out, _ = run("replay", "--record", str(one), "--index", "0")
+    assert code == 0
+    assert out.endswith("dichotomy: match\n")

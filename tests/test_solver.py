@@ -29,7 +29,7 @@ from exfree import (
     turan,
 )
 
-from oracles import max_hfree_brute, random_graph
+from oracles import max_hfree_brute, maximal_hfree_brute, optima_brute, random_graph
 
 K2 = Pattern.clique(2)
 K3 = Pattern.clique(3)
@@ -147,6 +147,24 @@ def test_bnb_matches_oracle_on_general_forbidden_graphs():
                 rule_forbid=forbid, rule_neighborhood=nbhd,
             )
             assert (res.best_count, res.best_edges) == want, (case, forbid, nbhd)
+
+
+def test_enumerations_match_oracles_on_general_forbidden_graphs():
+    # every optimum and every maximal h-free set, against the brute-force
+    # oracles, on seeded hosts of 4 to 6 vertices with at most 9 edges
+    rng = random.Random(2018)
+    pairs = [(p, q) for q in ORACLE_FORBIDDEN for p in ORACLE_PATTERNS]
+    for trial in range(2 * len(pairs)):
+        pname, hname = pairs[trial % len(pairs)]
+        t, h = ORACLE_PATTERNS[pname], ORACLE_FORBIDDEN[hname]
+        n = rng.randint(4, 6)
+        all_pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(all_pairs, min(len(all_pairs), rng.randint(5, 9))))
+        case = (trial, pname, hname, g.edges())
+        best, ties = enumerate_optima(g, t, h)
+        assert (best, ties) == optima_brute(g, t.realize(), h), case
+        assert ties[0] == max_hfree_subgraph(g, t, h).best_edges, case
+        assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
 
 
 def test_bnb_proves_clique_optima_near_the_root():
