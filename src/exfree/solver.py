@@ -1,11 +1,15 @@
 """Extremal subgraph search: maximize pattern copies subject to a forbidden graph.
 
-Exact answers come from two engines over spanning edge subsets of the host —
-a feasibility-pruned exhaustive enumeration and a branch-and-bound with a
-monotone counting bound — which must agree with each other. The heuristic
-route peels low-degree vertices, solves a balanced-partition core, and
-re-inserts the peeled vertices greedily; it gives lower bounds (never claims
-optimality) but is cheap and structurally informative.
+Exact answers come from one depth-first search over include/exclude
+decisions on the host's edges, run in four settings: branch-and-bound with a
+monotone counting bound, the exhaustive engine (the trivial bound, pruning
+only edges that would complete a forbidden copy), tie enumeration (pruning
+only subtrees that cannot reach the best count) and maximal-set enumeration.
+Their independent check is the brute-force oracles of the test suite, not a
+second copy of the search. The heuristic route peels low-degree vertices,
+solves a balanced-partition core, and re-inserts the peeled vertices
+greedily; it gives lower bounds (never claims optimality) but is cheap and
+structurally informative.
 
 Ties between count-maximal edge sets are always broken toward the
 lexicographically least sorted edge tuple, so results are reproducible.
@@ -29,7 +33,7 @@ from .counting import (
     exists_injective_hom,
 )
 from .errors import BudgetExceededError, InfeasibleError
-from .graphs import Graph, bits, remove_vertex, turan
+from .graphs import Graph, bits, induced_subgraph, remove_vertex, turan
 
 
 @dataclass(frozen=True)
@@ -160,12 +164,6 @@ def _creates_copy(adj, n: int, h: Graph, u: int, v: int, hk: int | None, h_dir) 
     return False
 
 
-def _contains_masks(adj, n: int, h: Graph, hk: int | None) -> bool:
-    if hk is not None:
-        return exists_clique_in_mask(adj, (1 << n) - 1, hk)
-    return exists_injective_hom(h, adj, n)
-
-
 # ---------------------------------------------------------------------------
 # the edge-decision search
 
@@ -178,28 +176,23 @@ def _edge_budget(what: str, m: int, limit: int) -> None:
 def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
             rule_forbid: bool = True, h_crit: Graph | None = None) -> int:
     """Depth-first search over include/exclude decisions on g's edges in
-    ascending order, include first. Returns the number of nodes entered.
+    ascending order, include first; returns the number of nodes entered.
 
-    Each frame carries its live edges: the undecided edges that may still be
-    included. With rule_forbid an edge stops being live once including it
-    would complete a copy of h; excluding an edge passes the list on as is,
-    and including one re-tests only the survivors, since adding edges can
-    only forbid more. Without rule_forbid every undecided edge is live and
-    the leaves may contain h. With h_crit set (the neighborhood rule) a live
-    edge is only included when neither endpoint's neighborhood then holds a
-    copy of h_crit.
+    keep(upper, included) decides at each node whether to enter it: included
+    is the list of included edges and upper() the pattern count of the upper
+    graph (the included edges plus the live ones), which bounds every leaf
+    below and is the leaf's own count at a leaf. leaf(upper, included, adj)
+    sees each leaf entered, adj being the included edges' masks. t may be
+    None when neither hook counts.
 
-    The upper graph is the included edges plus the live ones. Its pattern
-    count bounds the count of every leaf below, and at a leaf it is the
-    leaf's own count. For clique patterns that count is kept up to date from
-    the copies through each edge that leaves the upper graph and restored on
-    backtrack; other patterns are recounted on it when asked.
-
-    keep(upper, included) decides at every node whether to enter it, where
-    upper() gives the upper graph's count and included is the list of
-    included edges. leaf(upper, included, adj) sees every leaf entered, with
-    adj the included edges' adjacency masks. t may be None when neither hook
-    asks for counts.
+    Live edges are the undecided edges that may still be included; each
+    frame carries their list. With rule_forbid an edge stops being live once
+    it would complete a copy of h, and including an edge re-tests only the
+    survivors, since adding edges only forbids more. With h_crit, a live edge
+    is included only when neither endpoint's neighborhood then holds a copy
+    of h_crit. For clique patterns the upper count is updated from the
+    copies through each edge that leaves the upper graph and restored on
+    backtrack; other patterns are recounted when asked.
     """
     edges = g.edges()
     M = len(edges)
@@ -248,23 +241,11 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
         # tentatively add (u,v); neighborhoods of u and v must stay h_crit-free
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        bad = False
-        for w in (u, v):
-            nb = adj[w]
-            sub_vertices = bits(nb)
-            if len(sub_vertices) >= h_crit.n:
-                idx = {old: i for i, old in enumerate(sub_vertices)}
-                sub_adj = [0] * len(sub_vertices)
-                for i, old in enumerate(sub_vertices):
-                    row = adj[old] & nb
-                    for x in bits(row):
-                        sub_adj[i] |= 1 << idx[x]
-                if exists_injective_hom(h_crit, sub_adj, len(sub_vertices)):
-                    bad = True
-                    break
+        now = Graph(n, tuple(adj))
+        ok = not any(contains(induced_subgraph(now, bits(adj[w]))[0], h_crit) for w in (u, v))
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        return not bad
+        return ok
 
     def dfs(idx: int, live: list[int]):
         nonlocal nodes
@@ -388,7 +369,7 @@ def _solve(
             h_crit, _ = remove_vertex(h, critical_vertex(h))
 
     def leaf(upper, included, adj) -> None:
-        if not rule_forbid and _contains_masks(adj, g.n, h, hk):
+        if not rule_forbid and contains(Graph(g.n, tuple(adj)), h):
             return
         count, cand = upper(), tuple(included)
         if count > best[0] or (count == best[0] and cand < best[1]):
