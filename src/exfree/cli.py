@@ -13,8 +13,9 @@ subcommands can additionally append their machine-readable record (one JSON
 line, versioned schema) to a file given with --out; `replay` re-executes such
 records and verifies they reproduce field-for-field.
 
-Exit status: 0 success, 1 bad input, 2 a size budget stopped the exact
-machinery (result unknown; partial output may still be printed).
+Exit status: 0 success, 1 bad input (including a record or output file that
+cannot be read or written), 2 a size budget stopped the exact machinery
+(result unknown; partial output may still be printed).
 """
 
 from __future__ import annotations
@@ -515,7 +516,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, PatternSyntaxError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,11 +99,10 @@ def maximal_hfree_brute(g: Graph, h: Graph) -> list[tuple]:
     """Every h-free edge set to which no further host edge can be added
     without creating a copy of h, sorted."""
     free = _hfree_subsets(g, h)
-    full = (1 << len(g.edges())) - 1
+    m = len(g.edges())
     return sorted(
         subset for bits, subset in free.items()
-        if all((bits | 1 << i) not in free
-               for i in range(full.bit_length()) if not bits >> i & 1)
+        if all((bits | 1 << i) not in free for i in range(m) if not bits >> i & 1)
     )
 
 

@@ -276,6 +276,10 @@ def test_missing_required_verify_argument():
 
 def test_replay_rejects_bad_records_and_indices(tmp_path):
     recfile, one = tmp_path / "runs.jsonl", tmp_path / "one.jsonl"
+    code, out, err = run("replay", "--record", str(recfile))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "No such file" in err
+
     recfile.write_text('{"version":1}\n')
     code, out, err = run("replay", "--record", str(recfile))
     assert (code, out) == (1, "")
