@@ -9,10 +9,14 @@ parse and never emitted.
 
 from __future__ import annotations
 
+import re
+
 from .errors import GraphFormatError
 from .graphs import Graph
 
 _HEADER = ">>graph6<<"
+_INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
+_SIXBITS = {63 + v: format(v, "06b") for v in range(64)}  # for str.translate
 
 
 def _encode_n(n: int) -> str:
@@ -30,9 +34,9 @@ def _encode_n(n: int) -> str:
 def _decode_n(text: str) -> tuple[int, str]:
     if not text:
         raise GraphFormatError("empty graph6 string")
-    for ch in text:
-        if not 63 <= ord(ch) <= 126:
-            raise GraphFormatError(f"invalid graph6 character {ch!r}")
+    bad = _INVALID.search(text)
+    if bad:
+        raise GraphFormatError(f"invalid graph6 character {bad.group()!r}")
     if text[0] != chr(126):
         return ord(text[0]) - 63, text[1:]
     if len(text) >= 2 and text[1] != chr(126):
@@ -82,29 +86,13 @@ def from_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(body)} characters, expected {expected_chars} for n={n}"
         )
-    adj = [0] * n
-    bit_index = 0
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise GraphFormatError(f"invalid graph6 character {ch!r}")
-        for k in range(5, -1, -1):
-            if bit_index >= nbits:
-                if (val >> k) & 1:
-                    raise GraphFormatError("nonzero padding bits in graph6 body")
-                continue
-            if (val >> k) & 1:
-                i, j = _bit_position(bit_index)
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit_index += 1
-    return Graph(n, tuple(adj))
-
-
-def _bit_position(index: int) -> tuple[int, int]:
-    """Map a flat upper-triangle bit index (column order) to (row, column)."""
-    j = 1
-    while index >= j:
-        index -= j
-        j += 1
-    return index, j
+    bitstr = body.translate(_SIXBITS)
+    if "1" in bitstr[nbits:]:
+        raise GraphFormatError("nonzero padding bits in graph6 body")
+    # Column j holds rows 0..j-1. Padded with zeros to n characters, the
+    # columns read across by zip(*cols) give each vertex's later neighbors,
+    # so a vertex's row is its column or-ed with its transposed row.
+    zeros = "0" * n
+    cols = [bitstr[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)]
+    later = ("".join(row) for row in zip(*cols))
+    return Graph(n, tuple(int(c[::-1], 2) | int(r[::-1], 2) for c, r in zip(cols, later)))

@@ -61,10 +61,24 @@ class Graph:
                 raise GraphFormatError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
             if (row >> v) & 1:
                 raise GraphFormatError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not (self.adj[u] >> v) & 1:
+        # Walking the neighbors costs a Python step per edge end; comparing
+        # the rows with their transpose costs n*n character steps in C plus a
+        # fixed set-up. Dense graphs take the bulk comparison, and the walk
+        # runs only when it fails or the graph is small or sparse.
+        adj, n = self.adj, self.n
+        if sum(map(int.bit_count, adj)) > n * n // 12 + 25:
+            # rows[c] is vertex n-1-c's row written high bit first, and so is
+            # column c of the rows stacked in this order when adj is symmetric
+            rows = [format(row, f"0{n}b") for row in reversed(adj)]
+            if [*map("".join, zip(*rows))] == rows:
+                return
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not (adj[u] >> v) & 1:
                     raise GraphFormatError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -246,13 +260,25 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _relabel(g: Graph, keep: list[int]) -> tuple[Graph, tuple[int, ...]]:
-    index = {old: new for new, old in enumerate(keep)}
-    adj = [0] * len(keep)
+    """Induced subgraph on the ascending ids in keep, renumbered 0..len-1.
+
+    Each run of consecutive kept ids moves as one block of bits, so a row
+    costs one shift-and-mask per run (two when a single vertex is deleted).
+    """
+    runs: list[list[int]] = []  # [first old id, width, first new id]
     for new, old in enumerate(keep):
+        if runs and runs[-1][0] + runs[-1][1] == old:
+            runs[-1][1] += 1
+        else:
+            runs.append([old, 1, new])
+    blocks = [(start, (1 << width) - 1, at) for start, width, at in runs]
+    adj = []
+    for old in keep:
         row = g.adj[old]
-        for w in bits(row):
-            if w in index:
-                adj[new] |= 1 << index[w]
+        packed = 0
+        for start, mask, at in blocks:
+            packed |= ((row >> start) & mask) << at
+        adj.append(packed)
     return Graph(len(keep), tuple(adj)), tuple(keep)
 
 

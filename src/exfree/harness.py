@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .coloring import NO, UNKNOWN, YES, chromatic_number, is_edge_critical, is_k_colorable
@@ -634,16 +635,22 @@ def replay(record: ExperimentRecord, *, threads: int = 1) -> tuple[bool, Experim
     return fresh.comparable() == record.comparable(), fresh
 
 
-def _budgets_from(spec: dict[str, Any]) -> Budgets:
-    return Budgets(**spec["budgets"])
-
-
 def _rerun(record: ExperimentRecord, threads: int) -> ExperimentRecord:
-    kind = record.kind
-    spec = record.spec
-    budgets = _budgets_from(spec)
+    try:
+        run = _rerun_call(record.kind, record.spec, threads)
+    except KeyError as exc:
+        raise ValueError(f"record {record.experiment_id} spec lacks field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"record {record.experiment_id} spec is malformed: {exc}") from exc
+    return run()
+
+
+def _rerun_call(kind: str, spec: dict[str, Any], threads: int) -> Callable[[], ExperimentRecord]:
+    """The call that re-runs a record, its arguments read from the spec."""
+    budgets = Budgets(**spec["budgets"])
     if kind == "extremal-colorable":
-        return verify_extremal_colorable(
+        return partial(
+            verify_extremal_colorable,
             from_graph6(spec["host"]),
             from_graph6(spec["forbidden"]),
             parse_pattern(spec["pattern"]),
@@ -653,7 +660,8 @@ def _rerun(record: ExperimentRecord, threads: int) -> ExperimentRecord:
             engine=spec["engine"],
         )
     if kind == "near-colorable":
-        return verify_near_colorable(
+        return partial(
+            verify_near_colorable,
             from_graph6(spec["host"]),
             from_graph6(spec["forbidden"]),
             parse_pattern(spec["pattern"]),
@@ -662,7 +670,8 @@ def _rerun(record: ExperimentRecord, threads: int) -> ExperimentRecord:
             engine=spec["engine"],
         )
     if kind == "prediction-table":
-        return compare_prediction(
+        return partial(
+            compare_prediction,
             spec["n_range"],
             spec["k"],
             spec["m"],
@@ -672,7 +681,8 @@ def _rerun(record: ExperimentRecord, threads: int) -> ExperimentRecord:
             threads=threads,
         )
     if kind == "threshold-scan":
-        return threshold_scan(
+        return partial(
+            threshold_scan,
             from_graph6(spec["forbidden"]),
             parse_pattern(spec["pattern"]),
             spec["k"],
@@ -684,7 +694,8 @@ def _rerun(record: ExperimentRecord, threads: int) -> ExperimentRecord:
             threads=threads,
         )
     if kind == "dichotomy":
-        return verify_dichotomy(
+        return partial(
+            verify_dichotomy,
             from_graph6(spec["host"]),
             spec["k"],
             parse_pattern(spec["pattern"]),

@@ -499,7 +499,9 @@ def max_partite(
     growth strings with vertex 0 pinned to part 0 (canonical part labels kill
     the relabeling symmetry); first-found maximum is the lexicographically
     least assignment. Local-search mode does seeded single-vertex-move hill
-    climbing with restarts.
+    climbing with restarts. A move of v changes a clique count only by the
+    cliques through v, so clique patterns score each move by that delta on a
+    cross adjacency kept up to date; other patterns recount the partition.
     """
     if k < 1:
         raise ValueError("max_partite needs k >= 1")
@@ -537,24 +539,44 @@ def max_partite(
     rng = random.Random(seed)
     if n == 0:
         return Partition.of(k, {}), 0
+    clique = t.kind == "clique"
     best_assign: list[int] | None = None
     best_count = -1
     for _ in range(budgets.ls_restarts):
         assign = [rng.randrange(k) for _ in range(n)]
-        cur = count_pattern_masks(_cross_adj(g, assign, k), n, t)
+        cross = _cross_adj(g, assign, k)
+        cur = count_pattern_masks(cross, n, t)
+        if clique:
+            part_mask = [0] * k
+            for v, p in enumerate(assign):
+                part_mask[p] |= 1 << v
         for _ in range(budgets.ls_moves_per_vertex * n):
             v = rng.randrange(n)
             orig = assign[v]
             move_best = (cur, orig)
+            if clique:
+                # a move changes only the cliques through v: the (m-1)-cliques
+                # of the cross graph among v's neighbors outside its part
+                kept = cur - cliques_in_mask(cross, cross[v], t.m - 1)
             for c in range(k):
                 if c == orig:
                     continue
-                assign[v] = c
-                cand = count_pattern_masks(_cross_adj(g, assign, k), n, t)
+                if clique:
+                    cand = kept + cliques_in_mask(cross, g.adj[v] & ~part_mask[c], t.m - 1)
+                else:
+                    assign[v] = c
+                    cand = count_pattern_masks(_cross_adj(g, assign, k), n, t)
                 if cand > move_best[0]:
                     move_best = (cand, c)
-            assign[v] = move_best[1]
-            cur = move_best[0]
+            cur, c = move_best
+            assign[v] = c
+            if clique and c != orig:
+                bit = 1 << v
+                for u in bits(g.adj[v] & (part_mask[orig] | part_mask[c])):
+                    cross[u] ^= bit
+                part_mask[orig] ^= bit
+                part_mask[c] |= bit
+                cross[v] = g.adj[v] & ~part_mask[c]
         if cur > best_count:
             best_count = cur
             best_assign = list(assign)

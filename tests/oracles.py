@@ -3,11 +3,16 @@
 Everything here is deliberately naive — itertools over subsets, permutations,
 and colorings — and shares no logic with the package's optimized paths, so an
 agreement between the two is meaningful evidence. Keep these slow and
-obvious; they are the ground truth the fast code is measured against.
+obvious; they are the ground truth the fast code is measured against. The
+one exception is local_search_recount, which counts with the package's
+counter so that it can run the full local-search schedule.
 """
 
+import random
 from itertools import combinations, permutations, product
 
+from exfree.counting import count_pattern_masks
+from exfree.errors import GraphFormatError
 from exfree.graphs import Graph
 
 
@@ -147,3 +152,107 @@ def is_bipartite_bfs(g: Graph) -> bool:
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def from_graph6_brute(text: str) -> Graph:
+    """graph6 decoder that walks the body bit by bit, mapping each flat
+    upper-triangle index to its (row, column) by subtraction. Quadratic in
+    the body length; raises GraphFormatError with the package's messages."""
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<"):]
+    text = text.strip()
+    if not text:
+        raise GraphFormatError("empty graph6 string")
+    for ch in text:
+        if not 63 <= ord(ch) <= 126:
+            raise GraphFormatError(f"invalid graph6 character {ch!r}")
+    if text[0] != chr(126):
+        n, body = ord(text[0]) - 63, text[1:]
+    else:
+        width = 3 if len(text) >= 2 and text[1] != chr(126) else 6
+        start = 1 if width == 3 else 2
+        if len(text) < start + width:
+            raise GraphFormatError("truncated graph6 vertex count")
+        n = 0
+        for ch in text[start:start + width]:
+            n = (n << 6) | (ord(ch) - 63)
+        body = text[start + width:]
+    nbits = n * (n - 1) // 2
+    expected_chars = (nbits + 5) // 6
+    if len(body) != expected_chars:
+        raise GraphFormatError(
+            f"graph6 body has {len(body)} characters, expected {expected_chars} for n={n}"
+        )
+    adj = [0] * n
+    bit_index = 0
+    for ch in body:
+        val = ord(ch) - 63
+        for k in range(5, -1, -1):
+            if bit_index >= nbits:
+                if (val >> k) & 1:
+                    raise GraphFormatError("nonzero padding bits in graph6 body")
+                continue
+            if (val >> k) & 1:
+                i, j = _bit_position(bit_index)
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            bit_index += 1
+    return Graph(n, tuple(adj))
+
+
+def _bit_position(index: int) -> tuple[int, int]:
+    """Map a flat upper-triangle bit index (column order) to (row, column)."""
+    j = 1
+    while index >= j:
+        index -= j
+        j += 1
+    return index, j
+
+
+def relabel_brute(g: Graph, keep) -> Graph:
+    """Induced subgraph on the sorted ids in keep, renumbered 0..len-1,
+    built edge by edge."""
+    keep = sorted(keep)
+    return Graph.from_edges(
+        len(keep),
+        [(a, b) for a in range(len(keep)) for b in range(a + 1, len(keep))
+         if g.has_edge(keep[a], keep[b])],
+    )
+
+
+def local_search_recount(g: Graph, k: int, t, seed: int, restarts: int, moves_per_vertex: int):
+    """Seeded single-vertex-move hill climbing that recounts the whole
+    partition for every candidate move, drawing from the RNG in the same
+    order as max_partite's local search. Counts come from the package's
+    count_pattern_masks, which test_counting checks against copies_brute.
+    Returns (part of each vertex, relabelled by first occurrence; count)."""
+    def cross_count(assign):
+        part_mask = [0] * k
+        for v, p in enumerate(assign):
+            part_mask[p] |= 1 << v
+        return count_pattern_masks([g.adj[v] & ~part_mask[assign[v]] for v in range(g.n)], g.n, t)
+
+    rng = random.Random(seed)
+    if g.n == 0:
+        return (), 0
+    best_assign, best_count = None, -1
+    for _ in range(restarts):
+        assign = [rng.randrange(k) for _ in range(g.n)]
+        cur = cross_count(assign)
+        for _ in range(moves_per_vertex * g.n):
+            v = rng.randrange(g.n)
+            orig = assign[v]
+            move_best = (cur, orig)
+            for c in range(k):
+                if c == orig:
+                    continue
+                assign[v] = c
+                cand = cross_count(assign)
+                if cand > move_best[0]:
+                    move_best = (cand, c)
+            assign[v] = move_best[1]
+            cur = move_best[0]
+        if cur > best_count:
+            best_count, best_assign = cur, list(assign)
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(p, len(labels)) for p in best_assign), best_count

@@ -302,6 +302,17 @@ def test_replay_rejects_bad_records_and_indices(tmp_path):
     assert (code, out) == (1, "")
     assert "record version 7 is not supported" in err
 
+    # every top-level field present, but the spec damaged
+    for spec, message in (
+        ({}, "spec lacks field 'budgets'"),
+        ({**json.loads(one.read_text())["spec"], "host": 5}, "spec is malformed"),
+        ({"budgets": {"no_such_budget": 1}}, "spec is malformed"),
+    ):
+        recfile.write_text(json.dumps({**json.loads(one.read_text()), "spec": spec}) + "\n")
+        code, out, err = run("replay", "--record", str(recfile))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: record ") and message in err
+
     # version-1 records still replay
     code, out, _ = run("replay", "--record", str(one), "--index", "0")
     assert code == 0

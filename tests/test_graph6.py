@@ -9,7 +9,24 @@ from hypothesis import strategies as st
 
 from exfree.errors import GraphFormatError
 from exfree.graph6 import from_graph6, to_graph6
-from exfree.graphs import Graph, complete, cycle, empty
+from exfree.graphs import Graph, complete, cycle, empty, gnp
+from oracles import from_graph6_brute, random_graph
+
+# every malformed form the decoder must reject: (text, message)
+MALFORMED = [
+    ("", "empty graph6 string"),
+    (">>graph6<<  ", "empty graph6 string"),
+    ("B" + chr(20), "invalid graph6 character '\\x14'"),  # below the graph6 range
+    ("Bw" + chr(127), "invalid graph6 character '\\x7f'"),  # above it
+    ("B", "graph6 body has 0 characters, expected 1 for n=3"),  # truncated body
+    ("Bww", "graph6 body has 2 characters, expected 1 for n=3"),  # trailing garbage
+    ("B" + chr(63 + 0b000001), "nonzero padding bits in graph6 body"),
+    ("B" + chr(63 + 0b000100), "nonzero padding bits in graph6 body"),  # the first one
+    ("~", "truncated graph6 vertex count"),
+    ("~?@", "truncated graph6 vertex count"),  # 4-character form cut short
+    ("~~?????", "truncated graph6 vertex count"),  # 8-character form cut short
+    ("~?@A", "graph6 body has 0 characters, expected 358 for n=66"),
+]
 
 
 def test_known_encodings():
@@ -36,16 +53,30 @@ def test_large_n_header():
 
 
 def test_strictness():
-    with pytest.raises(GraphFormatError):
-        from_graph6("")
-    with pytest.raises(GraphFormatError):
-        from_graph6("B" + chr(20))  # character below the graph6 range
-    with pytest.raises(GraphFormatError):
-        from_graph6("B")  # truncated body
-    with pytest.raises(GraphFormatError):
-        from_graph6("Bww")  # trailing garbage
-    with pytest.raises(GraphFormatError):
-        from_graph6("B" + chr(63 + 0b000001))  # nonzero padding bits
+    for text, message in MALFORMED:
+        for decode in (from_graph6, from_graph6_brute):
+            with pytest.raises(GraphFormatError) as info:
+                decode(text)
+            assert str(info.value) == message, (decode.__name__, text)
+
+
+def test_column_decoder_matches_bit_walk():
+    rng = random.Random(6)
+    for n in (0, 1, 2, 5, 62, 63, 64, 100, 260):
+        for p in (0, 0.3, 0.5, 1):
+            g = random_graph(rng, n, p)
+            text = to_graph6(g)
+            assert from_graph6(text) == from_graph6_brute(text) == g
+    # the 8-character size header, which only hosts past 258047 vertices need
+    # when encoding, is still accepted on small graphs
+    for text in ("~~?????@", "~~?????Bw", ">>graph6<<~~?????Bw"):
+        assert from_graph6(text) == from_graph6_brute(text)
+    assert from_graph6("~~?????Bw") == complete(3)
+
+
+def test_round_trip_large_host():
+    g = gnp(1000, 0.5, 1)
+    assert from_graph6(to_graph6(g)) == g
 
 
 def _to_nx(g: Graph) -> nx.Graph:

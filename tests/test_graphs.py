@@ -29,6 +29,7 @@ from exfree.graphs import (
     subgraph_from_edges,
     turan,
 )
+from oracles import random_graph, relabel_brute
 
 
 def test_from_edges_and_accessors():
@@ -51,6 +52,36 @@ def test_validation_rejects_bad_graphs():
         Graph(2, (0b10, 0b00))  # asymmetric adjacency
     with pytest.raises(GraphFormatError):
         Graph(1, (0b10,))  # bit outside vertex range
+
+
+def _first_asymmetric_pair(adj):
+    """The (u, v) with u in N(v) but v not in N(u), least v first, then u."""
+    for v in range(len(adj)):
+        for u in range(len(adj)):
+            if adj[v] >> u & 1 and not adj[u] >> v & 1:
+                return u, v
+    return None
+
+
+def test_asymmetric_adjacency_names_the_first_pair():
+    rng = random.Random(11)
+    checked = 0
+    # the dense hosts take the bulk row/column comparison, the sparse ones
+    # go straight to the neighbor walk
+    for n, p in ((5, 0.5), (9, 1.0), (30, 0.2), (64, 0.9), (70, 0.5), (130, 0.8)):
+        for _ in range(4):
+            adj = list(random_graph(rng, n, p).adj)
+            for _ in range(rng.randrange(1, 4)):
+                u, v = rng.sample(range(n), 2)
+                adj[u] ^= 1 << v
+            pair = _first_asymmetric_pair(adj)
+            if pair is None:
+                continue  # the flips cancelled out
+            with pytest.raises(GraphFormatError) as info:
+                Graph(n, tuple(adj))
+            assert str(info.value) == f"asymmetric adjacency between {pair[0]} and {pair[1]}"
+            checked += 1
+    assert checked >= 20
 
 
 def test_duplicate_edges_collapse():
@@ -133,6 +164,19 @@ def test_induced_subgraph_remap():
     sub, remap = induced_subgraph(g, [1, 3, 4])
     assert sub.n == 3 and sub.edge_count() == 3
     assert remap == (1, 3, 4)
+
+
+def test_remove_vertex_and_induced_subgraph_match_brute_relabel():
+    rng = random.Random(12)
+    for n in (0, 1, 9, 70):
+        g = random_graph(rng, n, 0.5)
+        for v in rng.sample(range(n), min(n, 5)):
+            keep = [u for u in range(n) if u != v]
+            assert remove_vertex(g, v) == (relabel_brute(g, keep), tuple(keep))
+        for size in {0, n // 3, n // 2, n}:
+            keep = rng.sample(range(n), size)
+            sub, remap = induced_subgraph(g, keep + keep[:2])  # duplicates collapse
+            assert (sub, remap) == (relabel_brute(g, keep), tuple(sorted(keep)))
 
 
 def test_subgraph_from_edges_validates():

@@ -29,7 +29,13 @@ from exfree import (
     turan,
 )
 
-from oracles import max_hfree_brute, maximal_hfree_brute, optima_brute, random_graph
+from oracles import (
+    local_search_recount,
+    max_hfree_brute,
+    maximal_hfree_brute,
+    optima_brute,
+    random_graph,
+)
 
 K2 = Pattern.clique(2)
 K3 = Pattern.clique(3)
@@ -272,6 +278,28 @@ def test_max_partite_local_search_never_beats_exact():
         assert ls <= exact
     # and it finds the optimum on a clean instance
     assert max_partite(complete(6), 3, K3, mode="local-search", seed=1)[1] == 8
+
+
+def test_local_search_matches_full_recount_oracle():
+    # clique patterns score moves by their delta, K2(2) recounts; both must
+    # take the same moves as recounting every candidate partition. K2(2)
+    # hosts stop at 16 vertices, where the two full recounts stay fast.
+    short = Budgets(ls_restarts=3, ls_moves_per_vertex=4)
+    rng = random.Random(31)
+    for t, top in ((K2, 30), (K3, 30), (Pattern.clique(4), 30), (Pattern.blowup(2, 2), 16)):
+        for k in (2, 3):
+            for seed in (0, 1, 2):
+                g = random_graph(rng, rng.randrange(8, top + 1), rng.choice((0.4, 0.6, 0.8)))
+                part, count = max_partite(g, k, t, "local-search", seed=seed, budgets=short)
+                assert (tuple(p for _, p in part.assignment), count) == local_search_recount(
+                    g, k, t, seed, short.ls_restarts, short.ls_moves_per_vertex
+                )
+    # the default schedule on a small host
+    g = random_graph(rng, 9, 0.7)
+    part, count = max_partite(g, 3, K3, "local-search", seed=4)
+    assert (tuple(p for _, p in part.assignment), count) == local_search_recount(
+        g, 3, K3, 4, Budgets().ls_restarts, Budgets().ls_moves_per_vertex
+    )
 
 
 def test_peel_keeps_dense_hosts_intact():
