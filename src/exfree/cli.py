@@ -309,7 +309,6 @@ def cmd_verify(args) -> int:
             args.m,
             args.t,
             _graph(args.forbid),
-            threads=args.threads,
         )
         print("n exact prediction ratio")
         for row in record.results["rows"]:
@@ -346,7 +345,6 @@ def cmd_scan(args) -> int:
         args.fractions,
         args.trials,
         args.seed,
-        threads=args.threads,
     )
     print("fraction floor passing failing unknown rate")
     for row in record.results["fractions"]:
@@ -369,7 +367,7 @@ def cmd_replay(args) -> int:
         records = [records[args.index]]
     status = 0
     for rec in records:
-        same, fresh = harness.replay(rec, threads=args.threads)
+        same, fresh = harness.replay(rec)
         print(f"{rec.experiment_id} {rec.kind}: {'match' if same else 'MISMATCH'}")
         if not same:
             status = 1
@@ -378,6 +376,10 @@ def cmd_replay(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+# older command lines pass --threads; every run is single-threaded
+_THREADS_HELP = "accepted and ignored: runs use one thread"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction)
     p.add_argument("--gamma", type=_fraction)
     p.add_argument("--engine", default="auto")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", help="append the record (JSON line) to this file")
     p.set_defaults(func=cmd_verify)
 
@@ -492,14 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_fraction_list, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", help="append the record (JSON line) to this file")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("replay", help="re-run persisted records and diff")
     p.add_argument("--record", required=True, help="file of JSON-line records")
     p.add_argument("--index", type=int, help="replay only this record (0-based)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_replay)
 
     return parser

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -36,11 +35,13 @@ from .rng import trial_seed
 from .solver import (
     DEFAULT_BUDGETS,
     Budgets,
+    check_witness,
     enumerate_maximal_hfree,
     enumerate_optima,
     max_hfree_subgraph,
     max_partite,
     rebuild,
+    resolve_engine,
 )
 
 RECORD_VERSION = 1
@@ -146,19 +147,6 @@ def load_records(path: str) -> list[ExperimentRecord]:
     return out
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Order-preserving map; results land in slots by input index, so the
-    output is identical for any worker count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    out = [None] * len(items)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        for fut in futures:
-            out[futures[fut]] = fut.result()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shared solve-and-color bundle
 
@@ -166,51 +154,53 @@ def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 def _solve_and_color(
     g: Graph, h: Graph, t: Pattern, k: int, budgets: Budgets, engine: str = "auto"
 ) -> dict[str, Any]:
-    """Exact solve, witness colorability, and (when in budget) the tie sweep.
+    """Exact optimum, witness colorability and, when the host fits the tie
+    budget, colorability of every optimum.
+
+    A host within the tie budget is searched once: enumerate_optima gives the
+    optimum and every optimal edge set, and the first of them, the lex-least,
+    is the witness max_hfree_subgraph returns. proof still names the engine
+    that engine and budgets resolve to, so a solve past that engine's budget
+    is unknown on either path. Each optimum is colored once, witness first.
 
     Returns a JSON-safe dict. On budget exhaustion the dict carries
     status="unknown" plus the reason instead of numbers.
     """
+    ties_checked = g.edge_count() <= budgets.ties_edges
     try:
-        res = max_hfree_subgraph(g, t, h, "exact", engine=engine, budgets=budgets)
+        if ties_checked:
+            proof = resolve_engine(g, h, engine, budgets)
+            optimum, optima = enumerate_optima(g, t, h, budgets=budgets)
+            check_witness(g, t, optimum, optima[0])
+        else:
+            res = max_hfree_subgraph(g, t, h, "exact", engine=engine, budgets=budgets)
+            optimum, proof, optima = res.best_count, res.proof, [res.best_edges]
     except BudgetExceededError as exc:
         return {"status": "unknown", "reason": str(exc)}
-    witness = Graph.from_edges(g.n, res.best_edges)
-    outcome = is_k_colorable(witness, k - 1, canonical=True)
+    witness = optima[0]
+    outcome = is_k_colorable(Graph.from_edges(g.n, witness), k - 1, canonical=True)
     colorable = outcome.status == YES
-
-    ties_checked = False
-    num_optima = None
-    all_colorable = None
-    bad_edges = None
-    if g.edge_count() <= budgets.ties_edges:
-        ties_checked = True
-        _, optima = enumerate_optima(g, t, h, budgets=budgets)
-        num_optima = len(optima)
-        all_colorable = True
-        for edge_set in optima:
+    bad_edges = None if colorable else witness
+    if colorable and ties_checked:
+        for edge_set in optima[1:]:
             tie_graph = Graph.from_edges(g.n, edge_set)
             if is_k_colorable(tie_graph, k - 1, canonical=True).status != YES:
-                all_colorable = False
                 bad_edges = edge_set
                 break
 
-    if not colorable:
-        bad_edges = res.best_edges
-
     bundle: dict[str, Any] = {
         "status": "ok",
-        "optimum": res.best_count,
-        "proof": res.proof,
-        "witness": _graph_payload(res.best_edges, g.n),
+        "optimum": optimum,
+        "proof": proof,
+        "witness": _graph_payload(witness, g.n),
         "witness_colorable": colorable,
         "witness_coloring": list(outcome.witness) if colorable else None,
         "ties_checked": ties_checked,
-        "num_optima": num_optima,
-        "all_optima_colorable": all_colorable,
+        "num_optima": len(optima) if ties_checked else None,
+        "all_optima_colorable": bad_edges is None if ties_checked else None,
     }
     if bad_edges is not None:
-        bundle["counterexample"] = _counterexample(g.n, bad_edges, res.best_count, k - 1)
+        bundle["counterexample"] = _counterexample(g.n, bad_edges, optimum, k - 1)
     return bundle
 
 
@@ -374,7 +364,6 @@ def compare_prediction(
     h: Graph,
     *,
     budgets: Budgets = DEFAULT_BUDGETS,
-    threads: int = 1,
 ) -> ExperimentRecord:
     """Exact extremal counts on complete hosts against the closed-form
     prediction — clique-shaped patterns when t == 1, blow-ups otherwise.
@@ -417,7 +406,7 @@ def compare_prediction(
         )
         return out
 
-    rows = _parallel_map(row, ns, threads)
+    rows = [row(n) for n in ns]
     all_ok = all(r["status"] == "ok" for r in rows)
     results = {"rows": rows}
     verdicts = {"table-complete": HOLDS if all_ok else UNKNOWN}
@@ -435,7 +424,6 @@ def threshold_scan(
     seed: int,
     *,
     budgets: Budgets = DEFAULT_BUDGETS,
-    threads: int = 1,
 ) -> ExperimentRecord:
     """Colorability pass rates of exact optima over random hosts with a
     minimum-degree floor swept across degree fractions.
@@ -444,9 +432,9 @@ def threshold_scan(
     least min(ceil(phi*n), n-1); each host's exact extremal h-free subgraph is
     tested for (k-1)-colorability (all optima when ties fit the budget, else
     the canonical witness). Per-trial seeds derive from (seed, global trial
-    index), so the scan is reproducible trial-for-trial regardless of thread
-    count. Trials that exceed budgets are verdict "unknown" and excluded from
-    the rate, with their count reported alongside.
+    index), so the scan is reproducible trial-for-trial. Trials that exceed
+    budgets are verdict "unknown" and excluded from the rate, with their
+    count reported alongside.
     """
     started = time.perf_counter()
     if trials < 1:
@@ -481,9 +469,7 @@ def threshold_scan(
             unique[g.adj] = len(unique_graphs)
             unique_graphs.append(g)
 
-    bundles = _parallel_map(
-        lambda g: _solve_and_color(g, h, t, k, budgets), unique_graphs, threads
-    )
+    bundles = [_solve_and_color(g, h, t, k, budgets) for g in unique_graphs]
 
     fraction_rows: list[dict[str, Any]] = []
     cursor = 0
@@ -628,16 +614,16 @@ def verify_dichotomy(
 # replay and failure validation
 
 
-def replay(record: ExperimentRecord, *, threads: int = 1) -> tuple[bool, ExperimentRecord]:
+def replay(record: ExperimentRecord) -> tuple[bool, ExperimentRecord]:
     """Re-run a record's spec and report whether the reproducible fields
     (spec, results, verdicts) came back identical. Timings never count."""
-    fresh = _rerun(record, threads)
+    fresh = _rerun(record)
     return fresh.comparable() == record.comparable(), fresh
 
 
-def _rerun(record: ExperimentRecord, threads: int) -> ExperimentRecord:
+def _rerun(record: ExperimentRecord) -> ExperimentRecord:
     try:
-        run = _rerun_call(record.kind, record.spec, threads)
+        run = _rerun_call(record.kind, record.spec)
     except KeyError as exc:
         raise ValueError(f"record {record.experiment_id} spec lacks field {exc}") from exc
     except (TypeError, AttributeError) as exc:
@@ -645,7 +631,13 @@ def _rerun(record: ExperimentRecord, threads: int) -> ExperimentRecord:
     return run()
 
 
-def _rerun_call(kind: str, spec: dict[str, Any], threads: int) -> Callable[[], ExperimentRecord]:
+def _spec_int(value: Any, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _rerun_call(kind: str, spec: dict[str, Any]) -> Callable[[], ExperimentRecord]:
     """The call that re-runs a record, its arguments read from the spec."""
     budgets = Budgets(**spec["budgets"])
     if kind == "extremal-colorable":
@@ -654,7 +646,7 @@ def _rerun_call(kind: str, spec: dict[str, Any], threads: int) -> Callable[[], E
             from_graph6(spec["host"]),
             from_graph6(spec["forbidden"]),
             parse_pattern(spec["pattern"]),
-            spec["k"],
+            _spec_int(spec["k"], "k"),
             eps=spec["eps"],
             budgets=budgets,
             engine=spec["engine"],
@@ -665,39 +657,37 @@ def _rerun_call(kind: str, spec: dict[str, Any], threads: int) -> Callable[[], E
             from_graph6(spec["host"]),
             from_graph6(spec["forbidden"]),
             parse_pattern(spec["pattern"]),
-            spec["k"],
+            _spec_int(spec["k"], "k"),
             budgets=budgets,
             engine=spec["engine"],
         )
     if kind == "prediction-table":
         return partial(
             compare_prediction,
-            spec["n_range"],
-            spec["k"],
-            spec["m"],
-            spec["t"],
+            [_spec_int(n, "n_range entry") for n in spec["n_range"]],
+            _spec_int(spec["k"], "k"),
+            _spec_int(spec["m"], "m"),
+            _spec_int(spec["t"], "t"),
             from_graph6(spec["forbidden"]),
             budgets=budgets,
-            threads=threads,
         )
     if kind == "threshold-scan":
         return partial(
             threshold_scan,
             from_graph6(spec["forbidden"]),
             parse_pattern(spec["pattern"]),
-            spec["k"],
-            spec["n"],
+            _spec_int(spec["k"], "k"),
+            _spec_int(spec["n"], "n"),
             spec["fractions"],
-            spec["trials"],
-            spec["seed"],
+            _spec_int(spec["trials"], "trials"),
+            _spec_int(spec["seed"], "seed"),
             budgets=budgets,
-            threads=threads,
         )
     if kind == "dichotomy":
         return partial(
             verify_dichotomy,
             from_graph6(spec["host"]),
-            spec["k"],
+            _spec_int(spec["k"], "k"),
             parse_pattern(spec["pattern"]),
             spec["gamma"],
             budgets=budgets,

@@ -379,6 +379,41 @@ def _solve(
     return best[0], best[1], nodes
 
 
+def _require_forbidden_edges(h: Graph) -> None:
+    if h.edge_count() == 0:
+        raise InfeasibleError("forbidden graph has no edges: every subgraph contains it")
+
+
+def resolve_engine(g: Graph, h: Graph, engine: str, budgets: Budgets) -> str:
+    """The exact engine an exact solve of g runs: "exhaustive" or
+    "branch-and-bound", the name a result's proof carries.
+
+    Engine "auto" picks the exhaustive engine up to budgets'
+    auto_exhaustive_max host edges. Raises InfeasibleError for an edgeless
+    h, then BudgetExceededError past the engine's edge budget and ValueError
+    for an unknown engine name.
+    """
+    _require_forbidden_edges(h)
+    M = g.edge_count()
+    if engine == "auto":
+        engine = "exhaustive" if M <= budgets.auto_exhaustive_max else "branch-and-bound"
+    if engine == "exhaustive":
+        _edge_budget("exhaustive engine", M, budgets.exhaustive_edges)
+    elif engine == "branch-and-bound":
+        _edge_budget("branch-and-bound engine", M, budgets.bnb_edges)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    return engine
+
+
+def check_witness(g: Graph, t: Pattern, count: int, edges) -> None:
+    """RuntimeError unless the edge set, as a spanning subgraph of g, has
+    exactly count copies of t."""
+    recount = count_pattern(Graph.from_edges(g.n, edges), t)
+    if recount != count:
+        raise RuntimeError(f"witness recount mismatch: search gave {count}, witness has {recount}")
+
+
 def max_hfree_subgraph(
     g: Graph,
     t: Pattern,
@@ -393,12 +428,12 @@ def max_hfree_subgraph(
 ) -> SolveResult:
     """Maximize copies of the pattern over h-free spanning subgraphs of g.
 
-    mode "exact" proves optimality (engine "auto" enumerates when the host is
-    small and branches-and-bounds otherwise); mode "heuristic" runs the
-    peel/partition/reinsert pipeline and only claims a lower bound.
+    mode "exact" proves optimality with the engine resolve_engine names
+    (engine "auto" enumerates when the host is small and branches-and-bounds
+    otherwise); mode "heuristic" runs the peel/partition/reinsert pipeline
+    and only claims a lower bound.
     """
-    if h.edge_count() == 0:
-        raise InfeasibleError("forbidden graph has no edges: every subgraph contains it")
+    _require_forbidden_edges(h)
     if mode == "heuristic":
         k = chromatic_number(h).chromatic_number
         reb = rebuild(g, k, t, h, seed=seed, budgets=budgets)
@@ -406,23 +441,15 @@ def max_hfree_subgraph(
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    M = g.edge_count()
     started = time.perf_counter()
-    if engine == "auto":
-        engine = "exhaustive" if M <= budgets.auto_exhaustive_max else "branch-and-bound"
+    engine = resolve_engine(g, h, engine, budgets)
     if engine == "exhaustive":
-        _edge_budget("exhaustive engine", M, budgets.exhaustive_edges)
         best, best_edges, nodes = _solve(g, t, h, bounded=False)
-    elif engine == "branch-and-bound":
-        _edge_budget("branch-and-bound engine", M, budgets.bnb_edges)
-        best, best_edges, nodes = _solve(g, t, h, True, rule_forbid, rule_neighborhood)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        best, best_edges, nodes = _solve(g, t, h, True, rule_forbid, rule_neighborhood)
     elapsed = time.perf_counter() - started
 
-    recount = count_pattern(Graph.from_edges(g.n, best_edges), t)
-    if recount != best:
-        raise RuntimeError(f"witness recount mismatch: search gave {best}, witness has {recount}")
+    check_witness(g, t, best, best_edges)
     return SolveResult(best, tuple(best_edges), engine, SolveStats(nodes, elapsed, engine))
 
 
@@ -434,8 +461,7 @@ def enumerate_maximal_hfree(
     Maximal means no further host edge can be added without creating a copy
     of h. Small hosts only (same edge budget as tie enumeration).
     """
-    if h.edge_count() == 0:
-        raise InfeasibleError("forbidden graph has no edges: every subgraph contains it")
+    _require_forbidden_edges(h)
     _edge_budget("maximal enumeration", g.edge_count(), budgets.ties_edges)
     edges = g.edges()
     hk = _clique_order(h)
@@ -459,8 +485,7 @@ def enumerate_optima(
     The search skips a subtree only when its bound falls strictly below the
     best count found so far, so every optimum is reached as a leaf.
     """
-    if h.edge_count() == 0:
-        raise InfeasibleError("forbidden graph has no edges: every subgraph contains it")
+    _require_forbidden_edges(h)
     _edge_budget("tie enumeration", g.edge_count(), budgets.ties_edges)
     best = -1
     ties: list[tuple[tuple[int, int], ...]] = []
@@ -687,11 +712,15 @@ def reinsert(g: Graph, part: Partition, v: int, t: Pattern) -> tuple[Partition, 
 
 
 @dataclass(frozen=True)
-class RebuildResult(SolveResult):
-    partition: Partition = None
-    core_count: int = 0
-    gains: tuple[int, ...] = ()
-    trace: PeelTrace = None
+class RebuildResult:
+    best_count: int
+    best_edges: tuple[tuple[int, int], ...]
+    stats: SolveStats
+    notes: tuple[str, ...]
+    partition: Partition
+    core_count: int  # the core partition's count; core_count + sum(gains) == best_count
+    gains: tuple[int, ...]  # one per reinserted vertex, in reinsertion order
+    trace: PeelTrace
 
 
 def rebuild(
@@ -753,7 +782,6 @@ def rebuild(
     return RebuildResult(
         best_count=count,
         best_edges=tuple(final.edges()),
-        proof="heuristic",
         stats=SolveStats(nodes=len(trace.steps), elapsed_s=elapsed, engine=engine),
         notes=tuple(notes),
         partition=part,

@@ -3,17 +3,22 @@
 Everything here is deliberately naive — itertools over subsets, permutations,
 and colorings — and shares no logic with the package's optimized paths, so an
 agreement between the two is meaningful evidence. Keep these slow and
-obvious; they are the ground truth the fast code is measured against. The
-one exception is local_search_recount, which counts with the package's
-counter so that it can run the full local-search schedule.
+obvious; they are the ground truth the fast code is measured against. Two
+exceptions reuse package code on purpose: local_search_recount counts with
+the package's counter so that it can run the full local-search schedule, and
+solve_and_color_two_searches is the experiment harness's earlier solve-then-
+enumerate bundle, built on the package's exact solver and tie enumeration.
 """
 
 import random
 from itertools import combinations, permutations, product
 
+from exfree.coloring import YES, is_k_colorable
 from exfree.counting import count_pattern_masks
-from exfree.errors import GraphFormatError
+from exfree.errors import BudgetExceededError, GraphFormatError
 from exfree.graphs import Graph
+from exfree.harness import _counterexample, _graph_payload
+from exfree.solver import enumerate_optima, max_hfree_subgraph
 
 
 def copies_brute(g: Graph, pattern: Graph) -> int:
@@ -256,3 +261,50 @@ def local_search_recount(g: Graph, k: int, t, seed: int, restarts: int, moves_pe
             best_count, best_assign = cur, list(assign)
     labels: dict[int, int] = {}
     return tuple(labels.setdefault(p, len(labels)) for p in best_assign), best_count
+
+
+def solve_and_color_two_searches(g: Graph, h: Graph, t, k: int, budgets, engine: str = "auto"):
+    """The harness bundle as two searches: an exact solve for the optimum
+    and witness, then, within the tie budget, enumerate_optima for every
+    optimum, the witness among them colored a second time."""
+    try:
+        res = max_hfree_subgraph(g, t, h, "exact", engine=engine, budgets=budgets)
+    except BudgetExceededError as exc:
+        return {"status": "unknown", "reason": str(exc)}
+    witness = Graph.from_edges(g.n, res.best_edges)
+    outcome = is_k_colorable(witness, k - 1, canonical=True)
+    colorable = outcome.status == YES
+
+    ties_checked = False
+    num_optima = None
+    all_colorable = None
+    bad_edges = None
+    if g.edge_count() <= budgets.ties_edges:
+        ties_checked = True
+        _, optima = enumerate_optima(g, t, h, budgets=budgets)
+        num_optima = len(optima)
+        all_colorable = True
+        for edge_set in optima:
+            tie_graph = Graph.from_edges(g.n, edge_set)
+            if is_k_colorable(tie_graph, k - 1, canonical=True).status != YES:
+                all_colorable = False
+                bad_edges = edge_set
+                break
+
+    if not colorable:
+        bad_edges = res.best_edges
+
+    bundle = {
+        "status": "ok",
+        "optimum": res.best_count,
+        "proof": res.proof,
+        "witness": _graph_payload(res.best_edges, g.n),
+        "witness_colorable": colorable,
+        "witness_coloring": list(outcome.witness) if colorable else None,
+        "ties_checked": ties_checked,
+        "num_optima": num_optima,
+        "all_optima_colorable": all_colorable,
+    }
+    if bad_edges is not None:
+        bundle["counterexample"] = _counterexample(g.n, bad_edges, res.best_count, k - 1)
+    return bundle

@@ -307,6 +307,7 @@ def test_replay_rejects_bad_records_and_indices(tmp_path):
         ({}, "spec lacks field 'budgets'"),
         ({**json.loads(one.read_text())["spec"], "host": 5}, "spec is malformed"),
         ({"budgets": {"no_such_budget": 1}}, "spec is malformed"),
+        ({**json.loads(one.read_text())["spec"], "k": "3"}, "spec is malformed: k must be"),
     ):
         recfile.write_text(json.dumps({**json.loads(one.read_text()), "spec": spec}) + "\n")
         code, out, err = run("replay", "--record", str(recfile))

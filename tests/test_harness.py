@@ -3,20 +3,25 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
 from exfree import (
+    Budgets,
     ExperimentRecord,
     Graph,
+    InfeasibleError,
     Pattern,
     append_record,
     compare_prediction,
     complete,
     cycle,
     empty,
+    harness,
     load_records,
     replay,
+    solver,
     threshold_scan,
     validate_failure,
     verify_dichotomy,
@@ -24,6 +29,7 @@ from exfree import (
     verify_near_colorable,
 )
 from exfree.solver import DEFAULT_BUDGETS
+from oracles import solve_and_color_two_searches
 
 K2 = Pattern.clique(2)
 TRIANGLE = complete(3)
@@ -184,14 +190,6 @@ def test_threshold_scan_rejects_bad_fractions():
         threshold_scan(TRIANGLE, K2, 3, 5, [0], trials=0, seed=0)
 
 
-def test_replay_is_thread_count_invariant():
-    rec = threshold_scan(TRIANGLE, K2, 3, 5, [0, "1/2"], trials=6, seed=11)
-    for threads in (1, 8):
-        ok, fresh = replay(rec, threads=threads)
-        assert ok
-        assert fresh.comparable() == rec.comparable()
-
-
 def test_replay_covers_every_record_kind():
     records = [
         verify_extremal_colorable(complete(5), TRIANGLE, K2, 3),
@@ -256,3 +254,71 @@ def test_timings_excluded_from_comparable():
     slowed = tamper(rec, slow_it_down)
     assert slowed.comparable() == rec.comparable()
     assert slowed.to_json_line() != rec.to_json_line()
+
+
+# chromatic number 3 each, so k = 3 and the bundle tests 2-colorability
+BUNDLE_FORBIDDEN = {
+    "K3": TRIANGLE,
+    "C5": cycle(5),
+    "K4-e": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "pendant-triangle": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+}
+BUNDLE_PATTERNS = {"K2": K2, "K3": Pattern.clique(3), "K2(2)": Pattern.blowup(2, 2)}
+ENGINES = ("auto", "exhaustive", "branch-and-bound")
+
+
+def _host(rng, n_lo: int, edges_lo: int, edges_hi: int) -> Graph:
+    n = rng.randint(n_lo, 7)
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, rng.sample(pairs, rng.randint(edges_lo, min(edges_hi, len(pairs)))))
+
+
+def test_single_search_bundle_matches_two_searches():
+    # the bundle searches a host within the tie budget (16 edges) once; it
+    # must equal the solve-then-enumerate bundle on both sides of that
+    # budget, with every engine, under a budget that stops the exhaustive
+    # engine, and for an unknown engine name
+    rng = random.Random(2026)
+    bands = ((4, 5, 14), (6, 15, 16), (7, 17, 20))  # (least n, edge range)
+    # every forbidden graph and pattern at most 14 edges, one host per
+    # forbidden graph above; the engine rotates independently of the pattern
+    cases = [(hname, pname, 0, ENGINES[(i + i // 3) % 3]) for i, (hname, pname)
+             in enumerate(itertools.product(BUNDLE_FORBIDDEN, BUNDLE_PATTERNS))]
+    cases += [(hname, list(BUNDLE_PATTERNS)[(i + band) % 3], band, ENGINES[(i + band) % 3])
+              for band in (1, 2) for i, hname in enumerate(BUNDLE_FORBIDDEN)]
+    # the exhaustive engine on 17-20 edges takes up to 40 s per host here, so
+    # outside the 15-16 band it runs under this budget, which stops it past
+    # 8 edges on both sides
+    tight = Budgets(exhaustive_edges=8)
+    seen = dict.fromkeys(("ties", "no-ties", "unknown-ties", "unknown-no-ties", "counterexample"), 0)
+    for hname, pname, band, engine in cases:
+        h, t = BUNDLE_FORBIDDEN[hname], BUNDLE_PATTERNS[pname]
+        g = _host(rng, *bands[band])
+        budgets = tight if engine == "exhaustive" and band != 1 else DEFAULT_BUDGETS
+        label = (hname, pname, g.n, g.edge_count(), engine, budgets)
+        expected = solve_and_color_two_searches(g, h, t, 3, budgets, engine)
+        assert harness._solve_and_color(g, h, t, 3, budgets, engine) == expected, label
+        path = "ties" if g.edge_count() <= budgets.ties_edges else "no-ties"
+        if expected["status"] == "ok":
+            seen[path] += 1
+            seen["counterexample"] += "counterexample" in expected
+        else:
+            seen["unknown-" + path] += 1
+        for bundle in (solve_and_color_two_searches, harness._solve_and_color):
+            with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+                bundle(g, h, t, 3, budgets, "bogus")
+    # both paths, the unknown branch on each and non-colorable witnesses
+    # are all exercised
+    assert all(seen.values()), seen
+    # an edgeless forbidden graph is reported ahead of the engine name
+    for bundle in (solve_and_color_two_searches, harness._solve_and_color):
+        with pytest.raises(InfeasibleError):
+            bundle(complete(4), empty(2), K2, 3, DEFAULT_BUDGETS, "bogus")
+
+
+def test_tie_path_witness_recount_mismatch_raises(monkeypatch):
+    # twin of test_solver's recount test, for a host searched by tie
+    # enumeration alone
+    monkeypatch.setattr(solver, "count_pattern", lambda g, t: -1)
+    with pytest.raises(RuntimeError, match="witness recount mismatch"):
+        verify_extremal_colorable(complete(4), TRIANGLE, K2, 3, engine="exhaustive")
