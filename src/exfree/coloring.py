@@ -88,38 +88,45 @@ def _components(g: Graph) -> list[list[int]]:
 
 
 def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonical: bool):
-    """Color one connected component; returns (status, {vertex: color})."""
-    order_pool = comp
+    """Color one connected component; returns (status, {vertex: color}).
+
+    Both searches keep an explicit stack of open vertices, each with the
+    colors still to try, so a long component cannot exhaust the
+    interpreter's recursion limit. Every vertex opened spends one budget
+    node, in the order a recursive depth-first search would open it.
+    """
     colors: dict[int, int] = {}
+
+    def free_colors(v: int, top: int):
+        used_nb = {colors[u] for u in bits(g.adj[v]) if u in colors}
+        return iter([c for c in range(top) if c not in used_nb])
+
+    if not budget.spend():
+        return UNKNOWN, colors
 
     if canonical:
         # fixed ascending vertex order, colors tried ascending: the first
         # solution found is the lexicographically least proper coloring
-        def rec_canon(i: int):
+        stack = [free_colors(comp[0], k)]
+        while stack:
+            v = comp[len(stack) - 1]
+            c = next(stack[-1], None)
+            if c is None:
+                stack.pop()
+                colors.pop(v, None)
+                continue
+            colors[v] = c
             if not budget.spend():
-                return UNKNOWN
-            if i == len(order_pool):
-                return YES
-            v = order_pool[i]
-            used_nb = {colors[u] for u in bits(g.adj[v]) if u in colors}
-            for c in range(k):
-                if c in used_nb:
-                    continue
-                colors[v] = c
-                res = rec_canon(i + 1)
-                if res != NO:
-                    return res
-                del colors[v]
-            return NO
-
-        return rec_canon(0), colors
+                return UNKNOWN, colors
+            if len(stack) == len(comp):
+                return YES, colors
+            stack.append(free_colors(comp[len(stack)], k))
+        return NO, colors
 
     # saturation-degree ordering with symmetry breaking on fresh colors
-    def rec(remaining: set[int], max_used: int):
-        if not budget.spend():
-            return UNKNOWN
-        if not remaining:
-            return YES
+    remaining = set(comp)
+
+    def open_vertex(max_used: int):
         v = max(
             remaining,
             key=lambda w: (
@@ -128,24 +135,26 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
                 -w,
             ),
         )
-        used_nb = {colors[u] for u in bits(g.adj[v]) if u in colors}
         remaining.remove(v)
         # trying one fresh color is enough: higher fresh colors are symmetric
-        for c in range(min(k, max_used + 1)):
-            if c in used_nb:
-                continue
-            colors[v] = c
-            res = rec(remaining, max(max_used, c + 1))
-            if res != NO:
-                remaining.add(v)
-                if res == UNKNOWN:
-                    del colors[v]
-                return res
-            del colors[v]
-        remaining.add(v)
-        return NO
+        return v, free_colors(v, min(k, max_used + 1)), max_used
 
-    return rec(set(comp), 0), colors
+    stack = [open_vertex(0)]
+    while stack:
+        v, tries, max_used = stack[-1]
+        c = next(tries, None)
+        if c is None:
+            stack.pop()
+            colors.pop(v, None)
+            remaining.add(v)
+            continue
+        colors[v] = c
+        if not budget.spend():
+            return UNKNOWN, colors
+        if not remaining:
+            return YES, colors
+        stack.append(open_vertex(max(max_used, c + 1)))
+    return NO, colors
 
 
 def is_k_colorable(

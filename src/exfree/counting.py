@@ -7,6 +7,11 @@ are allowed. All counts are exact Python ints.
 
 Cliques and blow-ups have specialized bitset counters; everything else goes
 through a generic injective-homomorphism backtracker divided by |Aut(T)|.
+None of them visits copies one leaf at a time at the last level: the clique
+counter adds the edges inside its candidates once two vertices are left,
+the blow-up counter adds C(|candidates|, t) for its last class, and the
+backtracker adds the number of candidates for the last vertex of its plan,
+all of whose pattern neighbors are placed by then.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .errors import BudgetExceededError, PatternSyntaxError
 from .graphs import Graph, bits, blowup, complete, coned_blowup, remove_vertex
@@ -150,6 +155,13 @@ def _count_cliques_masks(adj, cand: int, m: int) -> int:
     if m == 1:
         return cand.bit_count()
     total = 0
+    if m == 2:
+        # edges inside cand, each counted once at its lower end
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            total += (cand & adj[v]).bit_count()
+        return total
     while cand:
         if cand.bit_count() < m:
             break
@@ -216,6 +228,10 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
     """
     if m == 0:
         return 1
+    if m == 1:
+        # the last class is any t-set of cand; the loop below would reach
+        # each one once, at its minimum vertex
+        return comb(cand.bit_count(), t)
     total = 0
     while cand:
         if cand.bit_count() < m * t:
@@ -269,23 +285,25 @@ def _count_injective_homs(
     counting stops once it reaches limit (existence is limit=1).
 
     pin maps pattern vertices to fixed host vertices (used for edge-rooted
-    tests). Non-edges of the pattern impose nothing.
+    tests). Non-edges of the pattern impose nothing. The last plan position
+    is counted in closed form: every pattern neighbor of its vertex is
+    already placed, so each remaining candidate completes one map.
     """
     if p.n > host_n:
         return 0
+    if p.n == 0:
+        return 1
     order, back, pat_deg = _hom_plan(p)
     pinned = [pin.get(v) for v in order] if pin else [None] * p.n
     host_full = (1 << host_n) - 1
     host_deg = [host_adj[v].bit_count() for v in range(host_n)]
     image = [0] * p.n
+    last = p.n - 1
     total = 0
 
     def rec(i: int, used: int) -> bool:
         """Extend the partial map at position i; True once limit is reached."""
         nonlocal total
-        if i == p.n:
-            total += 1
-            return total == limit
         cand = host_full & ~used
         for j in back[i]:
             cand &= host_adj[image[j]]
@@ -294,6 +312,10 @@ def _count_injective_homs(
             if not (cand >> fixed) & 1:
                 return False
             cand = 1 << fixed
+        if i == last:
+            # each candidate already meets pat_deg[last] distinct images
+            total += cand.bit_count()
+            return limit is not None and total >= limit
         need = pat_deg[i]
         while cand:
             v = (cand & -cand).bit_length() - 1
@@ -306,7 +328,7 @@ def _count_injective_homs(
         return False
 
     rec(0, 0)
-    return total
+    return total if limit is None else min(total, limit)
 
 
 @lru_cache(maxsize=256)

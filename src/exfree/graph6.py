@@ -17,6 +17,7 @@ from .graphs import Graph
 _HEADER = ">>graph6<<"
 _INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _SIXBITS = {63 + v: format(v, "06b") for v in range(64)}  # for str.translate
+_SIXCHARS = {format(v, "06b"): chr(63 + v) for v in range(64)}
 
 
 def _encode_n(n: int) -> str:
@@ -55,22 +56,12 @@ def _decode_n(text: str) -> tuple[int, str]:
 
 
 def to_graph6(g: Graph) -> str:
-    out = [_encode_n(g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    # column j is rows 0..j-1 of vertex j's row, lowest row first
+    adj = g.adj
+    bitstr = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
+    bitstr += "0" * (-len(bitstr) % 6)
+    body = [_SIXCHARS[bitstr[i : i + 6]] for i in range(0, len(bitstr), 6)]
+    return _encode_n(g.n) + "".join(body)
 
 
 def from_graph6(text: str) -> Graph:

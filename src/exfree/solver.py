@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coloring import chromatic_number, critical_vertex, is_edge_critical
 from .counting import (
@@ -142,16 +143,32 @@ def _clique_order(h: Graph) -> int | None:
     return None
 
 
-def _directed_edges(h: Graph) -> list[tuple[int, int]]:
-    out = []
+@lru_cache(maxsize=256)
+def _directed_edges(h: Graph) -> tuple[tuple[int, int], ...]:
+    """One directed edge of h per orbit of Aut(h) on directed edges.
+
+    (a, b) and (a2, b2) share an orbit when some injective edge-preserving
+    self-map of h sends a to a2 and b to b2; on a finite graph such a map is
+    an automorphism. Each orbit keeps its first edge in h.edges() order,
+    both directions of an edge taken in turn.
+    """
+    reps: list[tuple[int, int]] = []
     for u, v in h.edges():
-        out.append((u, v))
-        out.append((v, u))
-    return out
+        for a2, b2 in ((u, v), (v, u)):
+            if not any(exists_injective_hom(h, h.adj, h.n, pin={a: a2, b: b2}) for a, b in reps):
+                reps.append((a2, b2))
+    return tuple(reps)
 
 
 def _creates_copy(adj, n: int, h: Graph, u: int, v: int, hk: int | None, h_dir) -> bool:
-    """Would adding edge (u, v) complete a copy of h through that edge?"""
+    """Would adding edge (u, v) complete a copy of h through that edge?
+
+    For a non-clique h, h_dir holds one directed edge (a, b) per orbit of
+    Aut(h) on directed edges, and each is pinned to (u, v) in turn. A copy
+    that maps some edge onto (u, v) can be composed with an automorphism
+    that moves that edge to its orbit's representative, so one pin per
+    orbit finds every copy the all-edges loop would.
+    """
     if hk is not None:
         common = adj[u] & adj[v]
         return exists_clique_in_mask(adj, common, hk - 2)

@@ -3,18 +3,23 @@
 Everything here is deliberately naive — itertools over subsets, permutations,
 and colorings — and shares no logic with the package's optimized paths, so an
 agreement between the two is meaningful evidence. Keep these slow and
-obvious; they are the ground truth the fast code is measured against. Two
+obvious; they are the ground truth the fast code is measured against. Some
 exceptions reuse package code on purpose: local_search_recount counts with
-the package's counter so that it can run the full local-search schedule, and
+the package's counter so that it can run the full local-search schedule,
 solve_and_color_two_searches is the experiment harness's earlier solve-then-
-enumerate bundle, built on the package's exact solver and tie enumeration.
+enumerate bundle, built on the package's exact solver and tie enumeration,
+and three are earlier versions of rewritten kernels kept as references:
+count_injective_homs_leafwise (the embedding backtracker that counts one
+leaf at a time, on the package's plan), creates_copy_all_edges (the forbid
+test that pins every directed edge of h) and color_component_recursive (the
+recursive coloring searches, on the package's budget counter).
 """
 
 import random
 from itertools import combinations, permutations, product
 
-from exfree.coloring import YES, is_k_colorable
-from exfree.counting import count_pattern_masks
+from exfree.coloring import NO, UNKNOWN, YES, is_k_colorable
+from exfree.counting import _hom_plan, count_pattern_masks, exists_injective_hom
 from exfree.errors import BudgetExceededError, GraphFormatError
 from exfree.graphs import Graph
 from exfree.harness import _counterexample, _graph_payload
@@ -64,6 +69,20 @@ def automorphisms_brute(g: Graph) -> int:
         if {frozenset((perm[a], perm[b])) for a, b in edges} == edges:
             count += 1
     return count
+
+
+def directed_edge_orbits_brute(g: Graph) -> list[set]:
+    """Orbits of the automorphism group on directed edges, found by trying
+    every vertex permutation."""
+    edges = {frozenset(e) for e in g.edges()}
+    auts = [perm for perm in permutations(range(g.n))
+            if {frozenset((perm[a], perm[b])) for a, b in edges} == edges]
+    orbits = []
+    for u, v in g.edges():
+        for a, b in ((u, v), (v, u)):
+            if not any((a, b) in orbit for orbit in orbits):
+                orbits.append({(perm[a], perm[b]) for perm in auts})
+    return orbits
 
 
 def max_hfree_brute(g: Graph, pattern: Graph, h: Graph) -> tuple[int, tuple]:
@@ -308,3 +327,143 @@ def solve_and_color_two_searches(g: Graph, h: Graph, t, k: int, budgets, engine:
     if bad_edges is not None:
         bundle["counterexample"] = _counterexample(g.n, bad_edges, res.best_count, k - 1)
     return bundle
+
+
+def to_graph6_brute(g: Graph) -> str:
+    """graph6 encoder that packs the upper triangle one bit at a time, in
+    column order, into 6-bit groups."""
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    elif n <= 258047:
+        out = [chr(126)] + [chr(((n >> s) & 63) + 63) for s in (12, 6, 0)]
+    else:
+        out = [chr(126)] * 2 + [chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)]
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        col = g.adj[j]
+        for i in range(j):
+            acc = (acc << 1) | ((col >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                nbits = 0
+    if nbits:
+        acc <<= 6 - nbits
+        out.append(chr(acc + 63))
+    return "".join(out)
+
+
+def count_injective_homs_leafwise(p: Graph, host_adj, host_n: int, *, pin=None, limit=None) -> int:
+    """Injective edge-preserving maps from p into the host, found by
+    recursing to every leaf of the backtracking plan and counting leaves
+    one at a time; stops once the count reaches limit."""
+    if p.n > host_n:
+        return 0
+    order, back, pat_deg = _hom_plan(p)
+    pinned = [pin.get(v) for v in order] if pin else [None] * p.n
+    host_full = (1 << host_n) - 1
+    host_deg = [host_adj[v].bit_count() for v in range(host_n)]
+    image = [0] * p.n
+    total = 0
+
+    def rec(i: int, used: int) -> bool:
+        nonlocal total
+        if i == p.n:
+            total += 1
+            return total == limit
+        cand = host_full & ~used
+        for j in back[i]:
+            cand &= host_adj[image[j]]
+        fixed = pinned[i]
+        if fixed is not None:
+            if not (cand >> fixed) & 1:
+                return False
+            cand = 1 << fixed
+        need = pat_deg[i]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if host_deg[v] < need:
+                continue
+            image[i] = v
+            if rec(i + 1, used | (1 << v)):
+                return True
+        return False
+
+    rec(0, 0)
+    return total
+
+
+def creates_copy_all_edges(adj, n: int, h: Graph, u: int, v: int) -> bool:
+    """Would adding (u, v) complete a copy of h? Pins both directions of
+    every edge of h to (u, v) in turn."""
+    adj2 = list(adj)
+    adj2[u] |= 1 << v
+    adj2[v] |= 1 << u
+    for a, b in h.edges():
+        for x, y in ((a, b), (b, a)):
+            if exists_injective_hom(h, adj2, n, pin={x: u, y: v}):
+                return True
+    return False
+
+
+def color_component_recursive(g: Graph, comp: list[int], k: int, budget, canonical: bool):
+    """The coloring searches as recursive functions, one call per opened
+    vertex; returns (status, {vertex: color}) and spends budget nodes like
+    coloring._color_component."""
+    order_pool = comp
+    colors: dict[int, int] = {}
+
+    if canonical:
+        def rec_canon(i: int):
+            if not budget.spend():
+                return UNKNOWN
+            if i == len(order_pool):
+                return YES
+            v = order_pool[i]
+            used_nb = {colors[u] for u in g.neighbors(v) if u in colors}
+            for c in range(k):
+                if c in used_nb:
+                    continue
+                colors[v] = c
+                res = rec_canon(i + 1)
+                if res != NO:
+                    return res
+                del colors[v]
+            return NO
+
+        return rec_canon(0), colors
+
+    def rec(remaining: set[int], max_used: int):
+        if not budget.spend():
+            return UNKNOWN
+        if not remaining:
+            return YES
+        v = max(
+            remaining,
+            key=lambda w: (
+                len({colors[u] for u in g.neighbors(w) if u in colors}),
+                g.degree(w),
+                -w,
+            ),
+        )
+        used_nb = {colors[u] for u in g.neighbors(v) if u in colors}
+        remaining.remove(v)
+        for c in range(min(k, max_used + 1)):
+            if c in used_nb:
+                continue
+            colors[v] = c
+            res = rec(remaining, max(max_used, c + 1))
+            if res != NO:
+                remaining.add(v)
+                if res == UNKNOWN:
+                    del colors[v]
+                return res
+            del colors[v]
+        remaining.add(v)
+        return NO
+
+    return rec(set(comp), 0), colors

@@ -74,6 +74,15 @@ def test_color_modes_and_missing_flag():
     assert "--colors" in err
 
 
+def test_color_long_cycle_at_default_recursion_limit():
+    import sys
+
+    assert sys.getrecursionlimit() <= 1000
+    code, out, err = run("color", "--graph", "gen:cycle:3000", "--colors", "2")
+    assert (code, err) == (0, "")
+    assert out == "yes\ncoloring: " + " ".join(str(v % 2) for v in range(3000)) + "\n"
+
+
 def test_solve_reports_count_proof_witness():
     code, out, _ = run(
         "solve", "--graph", "gen:complete:6", "--pattern", "K2",

@@ -21,7 +21,7 @@ from exfree.coloring import (
 from exfree.errors import BudgetExceededError
 from exfree.graphs import Graph, blowup, complete, cycle, empty, turan
 
-from oracles import chromatic_brute, colorable_brute, random_graph
+from oracles import chromatic_brute, color_component_recursive, colorable_brute, random_graph
 
 
 def test_basic_colorability():
@@ -151,3 +151,28 @@ def test_components_handled_independently():
         g = Graph.from_edges(10, edges)
         expect = max(chromatic_brute(a), chromatic_brute(b), 1 if g.n else 0)
         assert chromatic_number(g).chromatic_number == expect
+
+
+def test_iterative_search_matches_recursive_oracle(monkeypatch):
+    # same status, witness and node count as the recursive searches, budget
+    # misses included, for both vertex orders
+    rng = random.Random(31)
+    cases = [(random_graph(rng, rng.randrange(0, 10), rng.choice((0.2, 0.4, 0.6))), k)
+             for _ in range(40) for k in (1, 2, 3, 4)]
+    args = [(g, k, budget, canonical) for g, k in cases
+            for budget in (None, 5, 50) for canonical in (False, True)]
+    new = [is_k_colorable(g, k, budget=b, canonical=c) for g, k, b, c in args]
+    monkeypatch.setattr(coloring, "_color_component", color_component_recursive)
+    old = [is_k_colorable(g, k, budget=b, canonical=c) for g, k, b, c in args]
+    assert new == old
+    statuses = {out.status for out in new}
+    assert statuses == {YES, NO, UNKNOWN}
+
+
+def test_long_cycle_colors_without_recursion():
+    out = is_k_colorable(cycle(3000), 2, canonical=True)
+    assert out.status == YES
+    assert out.witness == tuple(v % 2 for v in range(3000))
+    # the saturation-degree search rescans every open vertex per step, so its
+    # deep case is kept just past the default recursion limit
+    assert is_k_colorable(cycle(1101), 2).status == NO

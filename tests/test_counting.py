@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from exfree.counting import (
     Pattern,
+    _count_injective_homs,
     contains,
     copies_through_vertex,
     count_cliques,
@@ -21,7 +22,13 @@ from exfree.errors import BudgetExceededError, PatternSyntaxError
 from exfree.graph6 import to_graph6
 from exfree.graphs import Graph, blowup, complete, coned_blowup, cycle, empty, turan
 
-from oracles import automorphisms_brute, contains_brute, copies_brute, random_graph
+from oracles import (
+    automorphisms_brute,
+    contains_brute,
+    copies_brute,
+    count_injective_homs_leafwise,
+    random_graph,
+)
 
 
 def test_count_cliques_base_cases():
@@ -203,6 +210,44 @@ def test_count_injective_homs_equals_count_times_aut():
         p = Pattern.blowup(2, 2)
         homs = count_injective_homs(g, p.realize())
         assert homs == count_pattern(g, p) * p.aut_count()
+
+
+def test_closed_form_last_level_matches_leafwise_oracle():
+    # hosts of 0-12 vertices, patterns of 0-5, limits None/1/3, no pin, one
+    # pinned vertex and two, pins reaching one past the last host vertex
+    rng = random.Random(23)
+    cases = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randrange(0, 13), rng.choice((0.2, 0.5, 0.8, 1.0)))
+        pn = rng.randrange(0, 6)
+        p = random_graph(rng, pn, rng.choice((0.3, 0.6, 1.0)))
+        pins = [None]
+        if pn >= 1:
+            pins.append({rng.randrange(pn): rng.randrange(g.n + 1)})
+        if pn >= 2:
+            a, b = rng.sample(range(pn), 2)
+            pins.append({a: rng.randrange(g.n + 1), b: rng.randrange(g.n + 1)})
+        for pin in pins:
+            for limit in (None, 1, 3):
+                want = count_injective_homs_leafwise(p, g.adj, g.n, pin=pin, limit=limit)
+                got = _count_injective_homs(p, g.adj, g.n, pin=pin, limit=limit)
+                assert got == want, (p.edges(), g.n, g.edges(), pin, limit)
+                cases += 1
+    assert cases > 3000
+
+
+def test_blowup_counts_match_brute_force():
+    # every m in 1-3 and t in 1-3 on seeded hosts of at most 9 vertices
+    rng = random.Random(29)
+    for m in (1, 2, 3):
+        for t in (1, 2, 3):
+            pat = Pattern.blowup(m, t)
+            for n in sorted({max(0, m * t - 1), m * t, min(9, m * t + 2)}):
+                for p in (0.6, 0.9):
+                    g = random_graph(rng, n, p)
+                    want = copies_brute(g, pat.realize())
+                    assert count_pattern(g, pat) == want, (m, t, g.edges())
+    assert count_pattern(complete(9), Pattern.blowup(3, 3)) == 280  # 9!/(3!^3 3!)
 
 
 @st.composite

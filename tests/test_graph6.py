@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from exfree.errors import GraphFormatError
 from exfree.graph6 import from_graph6, to_graph6
 from exfree.graphs import Graph, complete, cycle, empty, gnp
-from oracles import from_graph6_brute, random_graph
+from oracles import from_graph6_brute, random_graph, to_graph6_brute
 
 # every malformed form the decoder must reject: (text, message)
 MALFORMED = [
@@ -74,8 +74,17 @@ def test_column_decoder_matches_bit_walk():
     assert from_graph6("~~?????Bw") == complete(3)
 
 
+def test_column_encoder_matches_bit_packer():
+    rng = random.Random(7)
+    for n in (0, 1, 2, 5, 62, 63, 64, 100, 260):
+        for p in (0, 0.3, 0.5, 1):
+            g = random_graph(rng, n, p)
+            assert to_graph6(g) == to_graph6_brute(g), (n, p)
+
+
 def test_round_trip_large_host():
     g = gnp(1000, 0.5, 1)
+    assert to_graph6(g) == to_graph6_brute(g)
     assert from_graph6(to_graph6(g)) == g
 
 

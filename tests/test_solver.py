@@ -30,6 +30,8 @@ from exfree import (
 )
 
 from oracles import (
+    creates_copy_all_edges,
+    directed_edge_orbits_brute,
     local_search_recount,
     max_hfree_brute,
     maximal_hfree_brute,
@@ -113,7 +115,9 @@ def test_engines_agree_across_pruning_toggles():
 
 
 # forbidden graphs beyond cliques: C4, C5, K4 minus an edge, the pendant
-# triangle (a triangle with one extra leaf edge), plus K3 and K4
+# triangle (a triangle with one extra leaf edge), K3 and K4, and the wheel W4
+# (a 4-cycle with a hub joined to all of it; its three edge orbits differ in
+# size)
 ORACLE_FORBIDDEN = {
     "C4": cycle(4),
     "C5": cycle(5),
@@ -121,6 +125,7 @@ ORACLE_FORBIDDEN = {
     "pendant-triangle": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
     "K3": complete(3),
     "K4": complete(4),
+    "W4": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]),
 }
 # P3 is the path on three vertices
 ORACLE_PATTERNS = {
@@ -129,6 +134,20 @@ ORACLE_PATTERNS = {
     "K2(2)": Pattern.blowup(2, 2),
     "P3": Pattern.arbitrary(Graph.from_edges(3, [(0, 1), (1, 2)])),
 }
+
+
+def _oracle_host(rng, hname: str) -> Graph:
+    """A seeded host of 4 to 6 vertices with at most 9 edges. Hosts this
+    sparse seldom hold a wheel, so a W4 host is W4 relabelled at random
+    plus one of its two missing edges."""
+    if hname == "W4":
+        perm = rng.sample(range(5), 5)
+        edges = {tuple(sorted((perm[a], perm[b]))) for a, b in ORACLE_FORBIDDEN["W4"].edges()}
+        rest = [e for e in itertools.combinations(range(5), 2) if e not in edges]
+        return Graph.from_edges(5, sorted(edges) + [rng.choice(rest)])
+    n = rng.randint(4, 6)
+    all_pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, rng.sample(all_pairs, min(len(all_pairs), rng.randint(5, 9))))
 
 
 def test_bnb_matches_oracle_on_general_forbidden_graphs():
@@ -140,9 +159,7 @@ def test_bnb_matches_oracle_on_general_forbidden_graphs():
     for trial in range(2 * len(pairs)):
         pname, hname = pairs[trial % len(pairs)]
         t, h = ORACLE_PATTERNS[pname], ORACLE_FORBIDDEN[hname]
-        n = rng.randint(4, 6)
-        all_pairs = list(itertools.combinations(range(n), 2))
-        g = Graph.from_edges(n, rng.sample(all_pairs, min(len(all_pairs), rng.randint(5, 9))))
+        g = _oracle_host(rng, hname)
         want = max_hfree_brute(g, t.realize(), h)
         case = (trial, pname, hname, g.edges())
         res = max_hfree_subgraph(g, t, h, engine="exhaustive")
@@ -163,14 +180,53 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs():
     for trial in range(2 * len(pairs)):
         pname, hname = pairs[trial % len(pairs)]
         t, h = ORACLE_PATTERNS[pname], ORACLE_FORBIDDEN[hname]
-        n = rng.randint(4, 6)
-        all_pairs = list(itertools.combinations(range(n), 2))
-        g = Graph.from_edges(n, rng.sample(all_pairs, min(len(all_pairs), rng.randint(5, 9))))
+        g = _oracle_host(rng, hname)
         case = (trial, pname, hname, g.edges())
         best, ties = enumerate_optima(g, t, h)
         assert (best, ties) == optima_brute(g, t.realize(), h), case
         assert ties[0] == max_hfree_subgraph(g, t, h).best_edges, case
         assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
+
+
+EDGE_ORBIT_GRAPHS = {
+    "C4": (cycle(4), 1),
+    "C5": (cycle(5), 1),
+    "K4-e": (ORACLE_FORBIDDEN["K4-e"], 3),
+    "pendant-triangle": (ORACLE_FORBIDDEN["pendant-triangle"], 5),
+    "P4": (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 3),
+    "W4": (ORACLE_FORBIDDEN["W4"], 3),
+    "K2,3": (Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), 2),
+}
+
+
+def test_directed_edges_meet_each_orbit_once():
+    for name, (h, orbit_count) in EDGE_ORBIT_GRAPHS.items():
+        reps = solver._directed_edges(h)
+        orbits = directed_edge_orbits_brute(h)
+        assert len(orbits) == orbit_count, name
+        assert [sum(rep in orbit for rep in reps) for orbit in orbits] == [1] * orbit_count, name
+        assert len(reps) == orbit_count, name
+
+
+def test_creates_copy_matches_all_edges_loop():
+    # one pin per edge orbit against both directions of every edge, on
+    # seeded hosts of 5 to 8 vertices, every non-edge tried
+    rng = random.Random(2019)
+    forbidden = [h for h, _ in EDGE_ORBIT_GRAPHS.values()]
+    hits = misses = 0
+    for trial in range(60):
+        h = forbidden[trial % len(forbidden)]
+        g = random_graph(rng, rng.randint(5, 8), rng.choice((0.4, 0.6, 0.8)))
+        adj = list(g.adj)
+        h_dir = solver._directed_edges(h)
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.has_edge(u, v):
+                continue
+            want = creates_copy_all_edges(adj, g.n, h, u, v)
+            assert solver._creates_copy(adj, g.n, h, u, v, None, h_dir) == want, (trial, u, v)
+            hits += want
+            misses += not want
+    assert hits > 50 and misses > 50
 
 
 def test_bnb_proves_clique_optima_near_the_root():
