@@ -13,9 +13,9 @@ subcommands can additionally append their machine-readable record (one JSON
 line, versioned schema) to a file given with --out; `replay` re-executes such
 records and verifies they reproduce field-for-field.
 
-Exit status: 0 success, 1 bad input (including a record or output file that
-cannot be read or written), 2 a size budget stopped the exact machinery
-(result unknown; partial output may still be printed).
+Exit status: 0 success, 1 bad input (including a usage error and a record or
+output file that cannot be read or written), 2 a size budget stopped the
+exact machinery (result unknown; partial output may still be printed).
 """
 
 from __future__ import annotations
@@ -153,15 +153,7 @@ def cmd_solve(args) -> int:
     h = _graph(args.forbid)
     budgets = _budgets(args)
     res = max_hfree_subgraph(
-        g,
-        t,
-        h,
-        args.mode,
-        engine=args.engine,
-        budgets=budgets,
-        rule_forbid=not args.no_rule_forbid,
-        rule_neighborhood=args.rule_neighborhood,
-        seed=args.seed,
+        g, t, h, args.mode, engine=args.engine, budgets=budgets, seed=args.seed
     )
     print(f"count: {res.best_count}")
     print(f"proof: {res.proof}")
@@ -261,13 +253,6 @@ def cmd_verify(args) -> int:
     claim = args.claim
     if claim == "extremal-colorable":
         _require(args, claim, ["graph", "forbid", "k"])
-    elif claim == "near-colorable":
-        _require(args, claim, ["graph", "forbid", "k"])
-    elif claim == "prediction":
-        _require(args, claim, ["forbid", "k", "m", "n-min", "n-max"])
-    elif claim == "dichotomy":
-        _require(args, claim, ["graph", "k", "gamma"])
-    if claim == "extremal-colorable":
         record = harness.verify_extremal_colorable(
             _graph(args.graph),
             _graph(args.forbid),
@@ -291,6 +276,7 @@ def cmd_verify(args) -> int:
         if hyp is not None:
             print(f"hypothesis-met: {'yes' if hyp else 'no'}")
     elif claim == "near-colorable":
+        _require(args, claim, ["graph", "forbid", "k"])
         record = harness.verify_near_colorable(
             _graph(args.graph),
             _graph(args.forbid),
@@ -303,6 +289,7 @@ def cmd_verify(args) -> int:
             print(f"deletions: {record.results['deletions']}")
             print(f"deletion-ratio: {record.results['deletion_ratio_to_n2']}")
     elif claim == "prediction":
+        _require(args, claim, ["forbid", "k", "m", "n-min", "n-max"])
         record = harness.compare_prediction(
             range(args.n_min, args.n_max + 1),
             args.k,
@@ -317,6 +304,7 @@ def cmd_verify(args) -> int:
             else:
                 print(f"{row['n']} unknown {row['prediction']} -")
     elif claim == "dichotomy":
+        _require(args, claim, ["graph", "k", "gamma"])
         record = harness.verify_dichotomy(
             _graph(args.graph), args.k, parse_pattern(args.pattern), args.gamma
         )
@@ -382,8 +370,17 @@ def cmd_replay(args) -> int:
 _THREADS_HELP = "accepted and ignored: runs use one thread"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit status 1, the bad-input code, rather
+    than argparse's 2, which here means a budget-limited result."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exfree",
         description="Exact and heuristic extremal subgraph computations "
         "with verified experiment records.",
@@ -424,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ties", action="store_true", help="also enumerate all optima")
-    p.add_argument("--no-rule-forbid", action="store_true")
-    p.add_argument("--rule-neighborhood", action="store_true")
     p.add_argument("--exhaustive-edges", type=int)
     p.add_argument("--bnb-edges", type=int)
     p.add_argument("--ties-edges", type=int)

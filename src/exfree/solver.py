@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coloring import chromatic_number, critical_vertex, is_edge_critical
+from .coloring import chromatic_number
 from .counting import (
     Pattern,
     cliques_in_mask,
@@ -34,7 +34,7 @@ from .counting import (
     exists_injective_hom,
 )
 from .errors import BudgetExceededError, InfeasibleError
-from .graphs import Graph, bits, induced_subgraph, remove_vertex, turan
+from .graphs import Graph, bits, remove_vertex, turan
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,7 @@ def _edge_budget(what: str, m: int, limit: int) -> None:
         raise BudgetExceededError(f"{what} limited to {limit} edges, got {m}")
 
 
-def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
-            rule_forbid: bool = True, h_crit: Graph | None = None) -> int:
+def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     """Depth-first search over include/exclude decisions on g's edges in
     ascending order, include first; returns the number of nodes entered.
 
@@ -203,13 +202,12 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
     None when neither hook counts.
 
     Live edges are the undecided edges that may still be included; each
-    frame carries their list. With rule_forbid an edge stops being live once
-    it would complete a copy of h, and including an edge re-tests only the
-    survivors, since adding edges only forbids more. With h_crit, a live edge
-    is included only when neither endpoint's neighborhood then holds a copy
-    of h_crit. For clique patterns the upper count is updated from the
-    copies through each edge that leaves the upper graph and restored on
-    backtrack; other patterns are recounted when asked.
+    frame carries their list. The one pruning rule is forbid: an edge stops
+    being live once it would complete a copy of h, and including an edge
+    re-tests only the survivors, since adding edges only forbids more. So
+    every leaf is h-free. For clique patterns the upper count is updated
+    from the copies through each edge that leaves the upper graph and
+    restored on backtrack; other patterns are recounted when asked.
     """
     edges = g.edges()
     M = len(edges)
@@ -220,8 +218,7 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
     adj = [0] * n
     included: list[tuple[int, int]] = []
     root_live = [
-        j for j, (a, b) in enumerate(edges)
-        if not (rule_forbid and _creates_copy(adj, n, h, a, b, hk, h_dir))
+        j for j, (a, b) in enumerate(edges) if not _creates_copy(adj, n, h, a, b, hk, h_dir)
     ]
     up = [0] * n
     for j in root_live:
@@ -254,16 +251,6 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
             up[b] |= 1 << a
         up_count += lost
 
-    def neighborhood_ok(u: int, v: int) -> bool:
-        # tentatively add (u,v); neighborhoods of u and v must stay h_crit-free
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        now = Graph(n, tuple(adj))
-        ok = not any(contains(induced_subgraph(now, bits(adj[w]))[0], h_crit) for w in (u, v))
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return ok
-
     def dfs(idx: int, live: list[int]):
         nonlocal nodes
         nodes += 1
@@ -275,23 +262,20 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf, *,
         u, v = edges[idx]
         is_live = bool(live) and live[0] == idx
         rest = live[1:] if is_live else live
-        if is_live and (h_crit is None or neighborhood_ok(u, v)):
+        if is_live:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             included.append((u, v))
-            keep_live, killed = rest, []
-            if rule_forbid:
-                keep_live = []
-                for j in rest:
-                    a, b = edges[j]
-                    (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep_live).append(j)
+            keep_live, killed = [], []
+            for j in rest:
+                a, b = edges[j]
+                (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep_live).append(j)
             lost = sum(drop(j) for j in killed)
             dfs(idx + 1, keep_live)
             restore(killed, lost)
             included.pop()
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-        if is_live:
             lost = drop(idx)
             dfs(idx + 1, rest)
             restore([idx], lost)
@@ -332,14 +316,7 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph):
     return best
 
 
-def _solve(
-    g: Graph,
-    t: Pattern,
-    h: Graph,
-    bounded: bool,
-    rule_forbid: bool = True,
-    rule_neighborhood: bool = False,
-):
+def _solve(g: Graph, t: Pattern, h: Graph, bounded: bool):
     """The lex-least count-maximal h-free edge set: (count, edges, nodes).
 
     Unbounded (the exhaustive engine) every h-free edge subset is a leaf.
@@ -354,13 +331,8 @@ def _solve(
         incumbent's edge tuple is <= the included prefix, every leaf below
         extends the prefix and so cannot be lexicographically smaller; the
         subtree is dropped and the lex-least witness is kept exactly.
-    Pruning rules, individually toggleable (branch-and-bound only):
-      forbid: refuse to include an edge completing a copy of h (and drop such
-        edges from the upper graph);
-      neighborhood: when h has an edge whose removal lowers its chromatic
-        number, refuse edges that put a copy of h-minus-critical-vertex inside
-        either endpoint's neighborhood.
-    With forbid off, leaves are verified h-free explicitly.
+    Both settings prune with the search's one rule, forbid, so every leaf is
+    h-free without a further check.
     """
     hk = _clique_order(h)
     best = [-1, None]
@@ -379,20 +351,12 @@ def _solve(
     else:
         keep = _enter_all
 
-    h_crit: Graph | None = None
-    if rule_neighborhood:
-        critical, _ = is_edge_critical(h)
-        if critical:
-            h_crit, _ = remove_vertex(h, critical_vertex(h))
-
     def leaf(upper, included, adj) -> None:
-        if not rule_forbid and contains(Graph(g.n, tuple(adj)), h):
-            return
         count, cand = upper(), tuple(included)
         if count > best[0] or (count == best[0] and cand < best[1]):
             best[0], best[1] = count, cand
 
-    nodes = _search(g, t, h, keep, leaf, rule_forbid=rule_forbid, h_crit=h_crit)
+    nodes = _search(g, t, h, keep, leaf)
     return best[0], best[1], nodes
 
 
@@ -439,8 +403,6 @@ def max_hfree_subgraph(
     *,
     engine: str = "auto",
     budgets: Budgets = DEFAULT_BUDGETS,
-    rule_forbid: bool = True,
-    rule_neighborhood: bool = False,
     seed: int = 0,
 ) -> SolveResult:
     """Maximize copies of the pattern over h-free spanning subgraphs of g.
@@ -460,10 +422,7 @@ def max_hfree_subgraph(
 
     started = time.perf_counter()
     engine = resolve_engine(g, h, engine, budgets)
-    if engine == "exhaustive":
-        best, best_edges, nodes = _solve(g, t, h, bounded=False)
-    else:
-        best, best_edges, nodes = _solve(g, t, h, True, rule_forbid, rule_neighborhood)
+    best, best_edges, nodes = _solve(g, t, h, bounded=engine == "branch-and-bound")
     elapsed = time.perf_counter() - started
 
     check_witness(g, t, best, best_edges)

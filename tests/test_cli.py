@@ -158,6 +158,24 @@ def test_error_exit_codes_and_messages():
     assert "no edges" in err
 
 
+def test_usage_errors_exit_one():
+    # exit 2 means a budget-limited result, so a bad command line exits 1,
+    # an old one passing a removed pruning flag included
+    solve = ("solve", "--graph", "gen:complete:4", "--pattern", "K2", "--forbid", "gen:complete:3")
+    for argv, message in (
+        (solve + ("--rule-neighborhood",), "unrecognized arguments: --rule-neighborhood"),
+        (solve + ("--no-rule-forbid",), "unrecognized arguments: --no-rule-forbid"),
+        (("count", "--pattern", "K2"), "the following arguments are required: --graph"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage: exfree") and f"error: {message}" in err, argv
+    code, out, _ = run("--help")
+    assert code == 0
+    assert out.startswith("usage: exfree")
+
+
 def test_budget_exhaustion_exits_two():
     code, _, err = run(
         "solve", "--graph", "gen:complete:9", "--pattern", "K2",

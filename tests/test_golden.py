@@ -30,10 +30,6 @@ SOLVE = [
      "--engine", "branch-and-bound"),
     ("solve", "--graph", "gen:gnp:7:0.6:2", "--pattern", "K2", "--forbid", "gen:cycle:5",
      "--ties"),
-    ("solve", "--graph", "gen:complete:5", "--pattern", "K2", "--forbid", "gen:complete:3",
-     "--engine", "branch-and-bound", "--no-rule-forbid"),
-    ("solve", "--graph", "gen:gnp:7:0.6:1", "--pattern", "K2", "--forbid", "gen:cycle:5",
-     "--engine", "branch-and-bound", "--rule-neighborhood"),
     ("solve", "--graph", "gen:complete:6", "--pattern", "K2(2)", "--forbid", "gen:complete:3",
      "--ties"),
     ("solve", "--graph", "gen:gnp:7:0.6:1", "--pattern", P3, "--forbid", K4_MINUS_E, "--ties"),
@@ -83,8 +79,6 @@ STDOUT = [
     (0, '078dc384d19a9f680645c245de3721c078356242cc8ccfc59152902117fa97da'),  # solve --graph
     (0, '72fe9ff4ad65a778bb3c7afe27f23be2d69625c065265c24b23285b01d2d2909'),  # solve --graph
     (0, '42590b282c5c0284c2288ef2880f254f0ed4678129d8f0bb753475d189591811'),  # solve --graph
-    (0, '1529570764b10dfb45ef7e696858ad6fb12f9cf790050bd879f4d3ce6765809e'),  # solve --graph
-    (0, '7324aa018fb1b92e3f53038d4114458baf4536fc2bb38dcb18ded20582f9bd18'),  # solve --graph
     (0, '24d88686752ad900f37ec64a44927d51e8804267ba77d7a1c33d1e0312ad1d5e'),  # solve --graph
     (0, '30864bb9db5593dfa0e1dfbe410dc340d62180b1035b8860a76f699efc667e7c'),  # solve --graph
     (0, '38f55f7992d1558d4c203a9a3a863f870088bab70303c8c4c07204bded238cf8'),  # solve --graph

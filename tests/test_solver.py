@@ -96,7 +96,7 @@ def test_engines_agree_with_oracle_small():
             assert (res.best_count, res.best_edges) == want, (trial, engine)
 
 
-def test_engines_agree_across_pruning_toggles():
+def test_bnb_agrees_with_exhaustive_engine():
     rng = random.Random(1009)
     pairs = [(K2, complete(3)), (K3, complete(4)), (K2, complete(4)),
              (Pattern.blowup(2, 2), complete(3))]
@@ -105,13 +105,8 @@ def test_engines_agree_across_pruning_toggles():
         g = random_graph(rng, n, p=0.75)
         t, h = pairs[trial % len(pairs)]
         base = max_hfree_subgraph(g, t, h, engine="exhaustive")
-        for forbid, nbhd in itertools.product((True, False), repeat=2):
-            res = max_hfree_subgraph(
-                g, t, h, engine="branch-and-bound",
-                rule_forbid=forbid, rule_neighborhood=nbhd,
-            )
-            assert res.best_count == base.best_count, (trial, forbid, nbhd)
-            assert res.best_edges == base.best_edges, (trial, forbid, nbhd)
+        res = max_hfree_subgraph(g, t, h, engine="branch-and-bound")
+        assert (res.best_count, res.best_edges) == (base.best_count, base.best_edges), trial
 
 
 # forbidden graphs beyond cliques: C4, C5, K4 minus an edge, the pendant
@@ -151,9 +146,9 @@ def _oracle_host(rng, hname: str) -> Graph:
 
 
 def test_bnb_matches_oracle_on_general_forbidden_graphs():
-    # every pattern against every forbidden graph, all four rule toggles,
-    # on seeded hosts of 4 to 6 vertices with at most 9 edges (the oracle
-    # enumerates every edge subset)
+    # every pattern against every forbidden graph, both engines, on seeded
+    # hosts of 4 to 6 vertices with at most 9 edges (the oracle enumerates
+    # every edge subset)
     rng = random.Random(2017)
     pairs = [(p, q) for q in ORACLE_FORBIDDEN for p in ORACLE_PATTERNS]
     for trial in range(2 * len(pairs)):
@@ -162,14 +157,9 @@ def test_bnb_matches_oracle_on_general_forbidden_graphs():
         g = _oracle_host(rng, hname)
         want = max_hfree_brute(g, t.realize(), h)
         case = (trial, pname, hname, g.edges())
-        res = max_hfree_subgraph(g, t, h, engine="exhaustive")
-        assert (res.best_count, res.best_edges) == want, case
-        for forbid, nbhd in itertools.product((True, False), repeat=2):
-            res = max_hfree_subgraph(
-                g, t, h, engine="branch-and-bound",
-                rule_forbid=forbid, rule_neighborhood=nbhd,
-            )
-            assert (res.best_count, res.best_edges) == want, (case, forbid, nbhd)
+        for engine in ("exhaustive", "branch-and-bound"):
+            res = max_hfree_subgraph(g, t, h, engine=engine)
+            assert (res.best_count, res.best_edges) == want, (case, engine)
 
 
 def test_enumerations_match_oracles_on_general_forbidden_graphs():
