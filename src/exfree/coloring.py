@@ -8,6 +8,7 @@ node budget is a third outcome, reported as such and never collapsed into
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GraphFormatError
@@ -123,18 +124,37 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
             stack.append(free_colors(comp[len(stack)], k))
         return NO, colors
 
-    # saturation-degree ordering with symmetry breaking on fresh colors
+    # saturation-degree ordering with symmetry breaking on fresh colors: the
+    # next vertex is the open one of most colors among its colored
+    # neighbours, then of highest degree, then of lowest id. Each vertex
+    # keeps a count per neighbour color, updated as colors come and go, and
+    # a heap holds (-saturation, -degree, vertex) entries; an entry whose
+    # vertex is closed or whose saturation has changed is skipped when it
+    # surfaces, and every change pushes a fresh one.
     remaining = set(comp)
+    seen = {w: {} for w in comp}  # w -> {color: colored neighbours of w with it}
+    heap = [(0, -g.degree(w), w) for w in comp]
+    heapq.heapify(heap)
+
+    def recolor(v: int, c: int, step: int) -> None:
+        """Add (step 1) or take away (step -1) color c at v."""
+        for w in bits(g.adj[v]):
+            counts = seen[w]
+            was = len(counts)
+            left = counts.get(c, 0) + step
+            if left:
+                counts[c] = left
+            else:
+                del counts[c]
+            if w in remaining and len(counts) != was:
+                heapq.heappush(heap, (-len(counts), -g.degree(w), w))
 
     def open_vertex(max_used: int):
-        v = max(
-            remaining,
-            key=lambda w: (
-                len({colors[u] for u in bits(g.adj[w]) if u in colors}),
-                g.degree(w),
-                -w,
-            ),
-        )
+        while True:
+            sat, _, v = heap[0]
+            if v in remaining and -sat == len(seen[v]):
+                break
+            heapq.heappop(heap)
         remaining.remove(v)
         # trying one fresh color is enough: higher fresh colors are symmetric
         return v, free_colors(v, min(k, max_used + 1)), max_used
@@ -142,13 +162,16 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
     stack = [open_vertex(0)]
     while stack:
         v, tries, max_used = stack[-1]
+        if v in colors:
+            recolor(v, colors.pop(v), -1)
         c = next(tries, None)
         if c is None:
             stack.pop()
-            colors.pop(v, None)
             remaining.add(v)
+            heapq.heappush(heap, (-len(seen[v]), -g.degree(v), v))
             continue
         colors[v] = c
+        recolor(v, c, 1)
         if not budget.spend():
             return UNKNOWN, colors
         if not remaining:

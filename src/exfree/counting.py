@@ -195,6 +195,27 @@ def exists_clique_in_mask(adj, mask: int, size: int) -> bool:
     return False
 
 
+def find_clique_in_mask(adj, mask: int, size: int) -> tuple[int, ...] | None:
+    """The vertices of a clique of the given size inside mask, or None.
+
+    The search order is exists_clique_in_mask's: the clique found is the
+    first in lexicographic order of ascending vertex tuples.
+    """
+    if size <= 0:
+        return ()
+    if size == 1:
+        return ((mask & -mask).bit_length() - 1,) if mask else None
+    while mask:
+        if mask.bit_count() < size:
+            return None
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        rest = find_clique_in_mask(adj, mask & adj[v], size - 1)
+        if rest is not None:
+            return (v,) + rest
+    return None
+
+
 def max_clique_size(g: Graph) -> int:
     best = 0
     adj = g.adj

@@ -21,6 +21,8 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 from .coloring import chromatic_number
 from .counting import (
@@ -32,6 +34,7 @@ from .counting import (
     count_pattern_masks,
     exists_clique_in_mask,
     exists_injective_hom,
+    find_clique_in_mask,
 )
 from .errors import BudgetExceededError, InfeasibleError
 from .graphs import Graph, bits, remove_vertex, turan
@@ -55,9 +58,18 @@ DEFAULT_BUDGETS = Budgets()
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Search effort. The pruned_* counters split the subtrees an exact
+    search dropped by the first rule that sufficed: the upper graph's count,
+    the Turan cap, the packing bound, then the lex-prefix prune. They stay
+    out of stdout and of records."""
+
     nodes: int
     elapsed_s: float
     engine: str
+    pruned_count: int = 0
+    pruned_cap: int = 0
+    pruned_packing: int = 0
+    pruned_lex: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,19 +207,44 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     ascending order, include first; returns the number of nodes entered.
 
     keep(upper, included) decides at each node whether to enter it: included
-    is the list of included edges and upper() the pattern count of the upper
-    graph (the included edges plus the live ones), which bounds every leaf
-    below and is the leaf's own count at a leaf. leaf(upper, included, adj)
-    sees each leaf entered, adj being the included edges' masks. t may be
-    None when neither hook counts.
+    is the list of included edges and upper(floor) returns (bound, term):
+    bound is at least the pattern count of every leaf below the node (see
+    below) and, at a leaf, the leaf's own count; term names what set it,
+    "count", "cap" or "packing". leaf(upper, included, adj) sees each leaf
+    entered, adj being the included edges' masks. t may be None when
+    neither hook counts.
 
     Live edges are the undecided edges that may still be included; each
     frame carries their list. The one pruning rule is forbid: an edge stops
     being live once it would complete a copy of h, and including an edge
     re-tests only the survivors, since adding edges only forbids more. So
-    every leaf is h-free. For clique patterns the upper count is updated
-    from the copies through each edge that leaves the upper graph and
-    restored on backtrack; other patterns are recounted when asked.
+    every leaf is h-free. For a clique h = K_k, a live edge (a, b) that
+    including (u, v) kills lies in a K_k with u and v whose other edges are
+    all included: it is (u, w) with w in N(v), (v, w) with w in N(u), or has
+    both ends in N(u) & N(v), N being the included neighbourhoods. Edges
+    are decided in ascending order, so included edges precede (u, v) and
+    live ones follow it. That leaves the first and last kinds empty, and
+    only the live (w, v) with u < w < v and w in N(u) are re-tested.
+
+    upper(floor) is the pattern count of the upper graph U (the included
+    edges plus the live ones), which every leaf below lies inside. For a
+    clique pattern K_m and a clique h = K_k it is tightened twice, each term
+    tried only while the bound so far is at least floor, since a caller that
+    drops the node below floor needs no tighter value:
+      Turan cap: the K_m count of the Turan graph T(n, k-1), the most any
+        K_k-free graph on n vertices has (Zykov 1949);
+      packing bound, for 2 <= m < k: with nu edge-disjoint copies of K_k in
+        U, every leaf misses an edge of each copy and so the C(k-2, m-2)
+        copies of K_m inside that K_k through that edge; copies of K_m in
+        different edge-disjoint K_k share no edge, so the leaf has at most
+        c_m(U) - C(k-2, m-2) * nu copies of K_m.
+    The packing is kept from node to node and brought up to date only when
+    the bound is read: a copy that has lost an edge leaves it, its edges
+    are marked, and the marked edges still in U are tried as the start of
+    new copies. Every copy not yet in the packing uses a marked edge, so the
+    packing is maximal when read. For clique patterns the count of U is
+    updated from the copies through each edge that leaves U and restored on
+    backtrack; other patterns are recounted when asked.
     """
     edges = g.edges()
     M = len(edges)
@@ -215,6 +252,16 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     hk = _clique_order(h)
     h_dir = None if hk else _directed_edges(h)
     clique_m = t.m if t is not None and t.kind == "clique" else None
+    cap = None
+    loss = 0
+    if hk is not None:
+        eid = [[-1] * n for _ in range(n)]
+        for j, (a, b) in enumerate(edges):
+            eid[a][b] = eid[b][a] = j
+        if clique_m is not None:
+            cap = count_pattern_masks(turan(n, hk - 1).adj, n, t)
+            if 2 <= clique_m < hk:
+                loss = comb(hk - 2, clique_m - 2)
     adj = [0] * n
     included: list[tuple[int, int]] = []
     root_live = [
@@ -227,9 +274,68 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
         up[b] |= 1 << a
     up_count = count_pattern_masks(up, n, t) if clique_m is not None else 0
     nodes = 0
+    # the current node's live list and packing, the packing as last brought
+    # up to date on the path to the node: (copies, marked edges), each copy
+    # its edge-index mask, vertices and vertex mask
+    node_live, node_pack = root_live, None
 
-    def upper() -> int:
-        return up_count if clique_m is not None else count_pattern_masks(up, n, t)
+    def upper(floor: int) -> tuple[int, str]:
+        nonlocal node_pack
+        bound = up_count if clique_m is not None else count_pattern_masks(up, n, t)
+        # with no live edge left, U is the one leaf below and the count exact
+        if bound < floor or cap is None or not node_live:
+            return bound, "count"
+        term = "count"
+        if cap < bound:
+            bound, term = cap, "cap"
+        if bound >= floor and node_pack is not None:
+            node_pack = packing(node_pack)
+            packed = up_count - loss * len(node_pack[0])
+            if packed < bound:
+                bound, term = packed, "packing"
+        return bound, term
+
+    def packing(pack):
+        """pack brought up to date with U: each copy that has lost an edge
+        leaves it and marks its edges, then copies of K_k in U through
+        the marked edges join it."""
+        copies, marked = pack
+        kept = []
+        for copy in copies:
+            _, verts, vmask = copy
+            for x in verts:
+                if (up[x] | 1 << x) & vmask != vmask:
+                    marked |= copy[0]
+                    break
+            else:
+                kept.append(copy)
+        if not marked:
+            return pack
+        free = up[:]
+        for _, verts, vmask in kept:
+            for x in verts:
+                free[x] &= ~vmask
+        copies = kept
+        while marked:
+            j = (marked & -marked).bit_length() - 1
+            marked &= marked - 1
+            a, b = edges[j]
+            if not (free[a] >> b) & 1:
+                continue
+            rest = find_clique_in_mask(free, free[a] & free[b], hk - 2)
+            if rest is None:
+                continue
+            verts = (a, b) + rest
+            vmask = 0
+            for x in verts:
+                vmask |= 1 << x
+            copy = 0
+            for x, y in combinations(verts, 2):
+                copy |= 1 << eid[x][y]
+            for x in verts:
+                free[x] &= ~vmask
+            copies.append((copy, verts, vmask))
+        return tuple(copies), 0
 
     def drop(j: int) -> int:
         """Take live edge j out of the upper graph; return the copies lost."""
@@ -251,14 +357,16 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
             up[b] |= 1 << a
         up_count += lost
 
-    def dfs(idx: int, live: list[int]):
-        nonlocal nodes
+    def dfs(idx: int, live: list[int], pack):
+        nonlocal nodes, node_live, node_pack
         nodes += 1
+        node_live, node_pack = live, pack
         if not keep(upper, included):
             return
         if idx == M:
             leaf(upper, included, adj)
             return
+        pack = node_pack
         u, v = edges[idx]
         is_live = bool(live) and live[0] == idx
         rest = live[1:] if is_live else live
@@ -266,23 +374,41 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             included.append((u, v))
-            keep_live, killed = [], []
-            for j in rest:
-                a, b = edges[j]
-                (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep_live).append(j)
+            if hk is not None:
+                # live (w, v) with u < w < v and (u, w) included: the only
+                # edges a K_k through (u, v) can complete (see above)
+                killed = []
+                cand = adj[u] & up[v] & -(2 << u)
+                while cand:
+                    w = (cand & -cand).bit_length() - 1
+                    cand &= cand - 1
+                    if _creates_copy(adj, n, h, w, v, hk, h_dir):
+                        killed.append(eid[w][v])
+                keep_live = [j for j in rest if j not in killed] if killed else rest
+            else:
+                keep_live, killed = [], []
+                for j in rest:
+                    a, b = edges[j]
+                    (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep_live).append(j)
             lost = sum(drop(j) for j in killed)
-            dfs(idx + 1, keep_live)
+            dfs(idx + 1, keep_live, pack)
             restore(killed, lost)
             included.pop()
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             lost = drop(idx)
-            dfs(idx + 1, rest)
+            dfs(idx + 1, rest, pack)
             restore([idx], lost)
         else:
-            dfs(idx + 1, rest)
+            dfs(idx + 1, rest, pack)
 
-    dfs(0, root_live)
+    root_pack = None
+    if loss:
+        marked = 0
+        for j in root_live:
+            marked |= 1 << j
+        root_pack = ((), marked)
+    dfs(0, root_live, root_pack)
     return nodes
 
 
@@ -317,47 +443,48 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph):
 
 
 def _solve(g: Graph, t: Pattern, h: Graph, bounded: bool):
-    """The lex-least count-maximal h-free edge set: (count, edges, nodes).
+    """The lex-least count-maximal h-free edge set: (count, edges, counters).
 
     Unbounded (the exhaustive engine) every h-free edge subset is a leaf.
     Bounded (branch-and-bound) the search starts from a feasible seed and
-    skips a subtree whose bound, the upper graph's count, falls strictly
-    below the incumbent. Two further devices make equal-bound subtrees
-    cheap without changing the result:
-      Turan cap: for a clique pattern K_m and a clique forbidden graph K_k
-        the bound is capped at the K_m count of the Turan graph T(n, k-1),
-        the most any K_k-free graph on n vertices has (Zykov 1949);
-      lex-prefix prune: when the bound equals the incumbent's count and the
-        incumbent's edge tuple is <= the included prefix, every leaf below
-        extends the prefix and so cannot be lexicographically smaller; the
-        subtree is dropped and the lex-least witness is kept exactly.
-    Both settings prune with the search's one rule, forbid, so every leaf is
-    h-free without a further check.
+    skips a subtree whose bound falls strictly below the incumbent. The
+    bound is _search's upper: the upper graph's count, for clique patterns
+    under a clique forbidden graph capped by the Turan count and cut by the
+    edge-disjoint packing of forbidden cliques (see _search). The lex-prefix
+    prune makes equal-bound subtrees cheap without changing the result: when
+    the bound equals the incumbent's count and the incumbent's edge tuple is
+    <= the included prefix, every leaf below extends the prefix and so
+    cannot be lexicographically smaller; the subtree is dropped and the
+    lex-least witness is kept exactly. Both settings prune with the search's
+    one rule, forbid, so every leaf is h-free without a further check.
+
+    The counters are SolveStats' nodes and pruned_*; a subtree dropped with
+    its bound equal to the incumbent's count counts as a lex-prefix prune.
     """
-    hk = _clique_order(h)
     best = [-1, None]
+    counts = dict.fromkeys(("pruned_count", "pruned_cap", "pruned_packing", "pruned_lex"), 0)
     if bounded:
         seed_count, seed_edges = _feasible_seed(g, t, h)
         best = [seed_count, tuple(sorted(seed_edges))]
-        cap = None
-        if t.kind == "clique" and hk is not None:
-            cap = count_pattern(turan(g.n, hk - 1), t)
 
         def keep(upper, included) -> bool:
-            bound = upper()
-            if cap is not None and bound > cap:
-                bound = cap
-            return bound > best[0] or (bound == best[0] and tuple(included) < best[1])
+            lex_less = tuple(included) < best[1]
+            # without a lex-smaller prefix only a larger count is worth a visit
+            bound, term = upper(best[0] if lex_less else best[0] + 1)
+            if bound > best[0] or (bound == best[0] and lex_less):
+                return True
+            counts["pruned_lex" if bound == best[0] else "pruned_" + term] += 1
+            return False
     else:
         keep = _enter_all
 
     def leaf(upper, included, adj) -> None:
-        count, cand = upper(), tuple(included)
+        count, cand = upper(0)[0], tuple(included)
         if count > best[0] or (count == best[0] and cand < best[1]):
             best[0], best[1] = count, cand
 
-    nodes = _search(g, t, h, keep, leaf)
-    return best[0], best[1], nodes
+    counts["nodes"] = _search(g, t, h, keep, leaf)
+    return best[0], best[1], counts
 
 
 def _require_forbidden_edges(h: Graph) -> None:
@@ -422,11 +549,12 @@ def max_hfree_subgraph(
 
     started = time.perf_counter()
     engine = resolve_engine(g, h, engine, budgets)
-    best, best_edges, nodes = _solve(g, t, h, bounded=engine == "branch-and-bound")
+    best, best_edges, counts = _solve(g, t, h, bounded=engine == "branch-and-bound")
     elapsed = time.perf_counter() - started
 
     check_witness(g, t, best, best_edges)
-    return SolveResult(best, tuple(best_edges), engine, SolveStats(nodes, elapsed, engine))
+    stats = SolveStats(elapsed_s=elapsed, engine=engine, **counts)
+    return SolveResult(best, tuple(best_edges), engine, stats)
 
 
 def enumerate_maximal_hfree(
@@ -467,11 +595,11 @@ def enumerate_optima(
     ties: list[tuple[tuple[int, int], ...]] = []
 
     def keep(upper, included) -> bool:
-        return upper() >= best
+        return upper(best)[0] >= best
 
     def leaf(upper, included, adj) -> None:
         nonlocal best
-        count = upper()
+        count = upper(0)[0]
         if count > best:
             best = count
             ties.clear()

@@ -173,6 +173,9 @@ def test_long_cycle_colors_without_recursion():
     out = is_k_colorable(cycle(3000), 2, canonical=True)
     assert out.status == YES
     assert out.witness == tuple(v % 2 for v in range(3000))
-    # the saturation-degree search rescans every open vertex per step, so its
-    # deep case is kept just past the default recursion limit
     assert is_k_colorable(cycle(1101), 2).status == NO
+    # the saturation-degree search keeps saturations incrementally, so every
+    # forced step costs the vertex's degree, not a rescan of the open set
+    out = is_k_colorable(cycle(3001), 2)
+    assert (out.status, out.nodes) == (NO, 3001)
+    assert is_k_colorable(cycle(3001), 3).status == YES

@@ -178,6 +178,51 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs():
         assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
 
 
+def _clique_host(rng, k: int) -> Graph:
+    """A seeded host of k to k + 2 vertices and at most 11 edges holding a
+    planted K_k, so the forbidden clique has copies to pack."""
+    n = rng.randint(k, k + 2)
+    all_pairs = list(itertools.combinations(range(n), 2))
+    edges = set(itertools.combinations(sorted(rng.sample(range(n), k)), 2))
+    size = min(len(all_pairs), rng.randint(len(edges) + 1, 11))
+    edges.update(rng.sample([e for e in all_pairs if e not in edges], size - len(edges)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_packing_bound_matches_oracles_on_clique_forbids():
+    # K2 and K3 under forbidden K4 and K5, where the packing bound takes
+    # C(k-2, m-2) = 1, 2, 1 and 3 copies per packed K_k; hosts are dense
+    # enough to hold the forbidden clique
+    rng = random.Random(2020)
+    pairs = [(m, k) for k in (4, 5) for m in (2, 3)]
+    for trial in range(8 * len(pairs)):
+        m, k = pairs[trial % len(pairs)]
+        t, h = Pattern.clique(m), complete(k)
+        g = _clique_host(rng, k)
+        case = (trial, m, k, g.edges())
+        best, ties = optima_brute(g, t.realize(), h)
+        res = max_hfree_subgraph(g, t, h, engine="branch-and-bound")
+        assert (res.best_count, res.best_edges) == (best, ties[0]), case
+        assert enumerate_optima(g, t, h) == (best, ties), case
+
+
+def test_include_step_kills_every_completed_clique():
+    # including (u, v) can complete a K_k through a live edge (u, w) with w
+    # in N(v), through (v, w) with w in N(u), or through an edge inside
+    # N(u) & N(v); a filter testing only edges inside {u, v} | (N(u) & N(v))
+    # misses the first two kinds, which the triangle already shows
+    assert enumerate_maximal_hfree(complete(3), complete(3)) == [
+        ((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2))]
+    rng = random.Random(2021)
+    for trial in range(24):
+        k = 3 + trial % 3
+        g, h = _clique_host(rng, k), complete(k)
+        case = (trial, k, g.edges())
+        assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
+        res = max_hfree_subgraph(g, K2, h, engine="exhaustive")
+        assert (res.best_count, res.best_edges) == max_hfree_brute(g, complete(2), h), case
+
+
 EDGE_ORBIT_GRAPHS = {
     "C4": (cycle(4), 1),
     "C5": (cycle(5), 1),
@@ -230,6 +275,22 @@ def test_bnb_proves_clique_optima_near_the_root():
         w = subgraph_from_edges(complete(n), res.best_edges)
         assert count_pattern(w, t) == want
         assert count_pattern(w, Pattern.clique(k)) == 0
+
+
+def test_packing_bound_settles_a_dense_k4_forbid_host():
+    # the first of two 10-vertex 40-edge hosts drawn from all pairs with
+    # random.Random(5); the count bound and the Turan cap alone took 194,035
+    # nodes here, the forbidden-K4 packing bound keeps it under 60,000
+    pairs = list(itertools.combinations(range(10), 2))
+    g = Graph.from_edges(10, random.Random(5).sample(pairs, 40))
+    res = max_hfree_subgraph(g, K3, complete(4), engine="branch-and-bound")
+    assert res.best_count == 36
+    assert res.best_edges == (
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (0, 9), (1, 3), (1, 5), (1, 6), (1, 7),
+        (1, 8), (1, 9), (2, 3), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 6),
+        (4, 5), (4, 6), (4, 7), (4, 8), (4, 9), (5, 7), (5, 8), (5, 9), (6, 7), (6, 8), (6, 9))
+    assert res.stats.nodes <= 60_000, res.stats
+    assert res.stats.pruned_packing > 0
 
 
 def test_witness_recount_mismatch_raises(monkeypatch):
@@ -479,3 +540,22 @@ def test_stats_report_engine_and_node_counts():
     assert res.stats.engine in ("exhaustive", "branch-and-bound")
     assert res.stats.nodes > 0
     assert res.stats.elapsed_s >= 0.0
+
+
+def test_stats_split_prunes_by_rule():
+    def pruned(stats):
+        return (stats.pruned_count, stats.pruned_cap, stats.pruned_packing, stats.pruned_lex)
+
+    # the exhaustive engine enters every node
+    res = max_hfree_subgraph(complete(4), K2, complete(3), engine="exhaustive")
+    assert pruned(res.stats) == (0, 0, 0, 0)
+    # the Turan cap of complete(9) equals the optimum, so the subtrees it
+    # cuts to the incumbent's count count as lex prunes
+    res = max_hfree_subgraph(complete(9), K2, complete(3), engine="branch-and-bound")
+    assert res.stats.pruned_count > 0 and res.stats.pruned_packing > 0
+    assert res.stats.pruned_lex > 0
+    assert sum(pruned(res.stats)) < res.stats.nodes
+    # a non-clique forbidden graph has neither cap nor packing
+    res = max_hfree_subgraph(complete(6), K2, cycle(4), engine="branch-and-bound")
+    assert res.stats.pruned_cap == res.stats.pruned_packing == 0
+    assert res.stats.pruned_count + res.stats.pruned_lex > 0
