@@ -502,9 +502,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main reuses: parsing leaves no state in it, so one serves every
+# call; it is built on the first call, since building it at import would
+# slow `import exfree` for callers that never parse
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -60,7 +60,9 @@ DEFAULT_BUDGETS = Budgets()
 class SolveStats:
     """Search effort. The pruned_* counters split the subtrees an exact
     search dropped by the first rule that sufficed: the upper graph's count,
-    the Turan cap, the packing bound, then the lex-prefix prune. They stay
+    the Turan cap, the packing bound, then the lex-prefix prune. seed_count
+    and seed_s are the count of branch-and-bound's incumbent seed and the
+    time spent finding it (None and 0.0 when no seed was built). These stay
     out of stdout and of records."""
 
     nodes: int
@@ -70,6 +72,8 @@ class SolveStats:
     pruned_cap: int = 0
     pruned_packing: int = 0
     pruned_lex: int = 0
+    seed_count: int | None = None
+    seed_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -432,7 +436,7 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph):
     try:
         chi = chromatic_number(h).chromatic_number
         if chi >= 3:
-            reb = rebuild(g, chi, t, h)
+            reb = _rebuild(g, chi, t, h, chi, seed=0, budgets=DEFAULT_BUDGETS)
             if not contains(Graph.from_edges(g.n, reb.best_edges), h):
                 cand = (reb.best_count, reb.best_edges)
                 if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
@@ -458,13 +462,17 @@ def _solve(g: Graph, t: Pattern, h: Graph, bounded: bool):
     lex-least witness is kept exactly. Both settings prune with the search's
     one rule, forbid, so every leaf is h-free without a further check.
 
-    The counters are SolveStats' nodes and pruned_*; a subtree dropped with
-    its bound equal to the incumbent's count counts as a lex-prefix prune.
+    The counters are SolveStats' nodes, pruned_* and seed_*; a subtree
+    dropped with its bound equal to the incumbent's count counts as a
+    lex-prefix prune.
     """
     best = [-1, None]
     counts = dict.fromkeys(("pruned_count", "pruned_cap", "pruned_packing", "pruned_lex"), 0)
     if bounded:
+        started = time.perf_counter()
         seed_count, seed_edges = _feasible_seed(g, t, h)
+        counts["seed_s"] = time.perf_counter() - started
+        counts["seed_count"] = seed_count
         best = [seed_count, tuple(sorted(seed_edges))]
 
         def keep(upper, included) -> bool:
@@ -542,7 +550,7 @@ def max_hfree_subgraph(
     _require_forbidden_edges(h)
     if mode == "heuristic":
         k = chromatic_number(h).chromatic_number
-        reb = rebuild(g, k, t, h, seed=seed, budgets=budgets)
+        reb = _rebuild(g, k, t, h, k, seed=seed, budgets=budgets)
         return SolveResult(reb.best_count, reb.best_edges, "heuristic", reb.stats, reb.notes)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -627,10 +635,13 @@ def max_partite(
     Exact mode enumerates set partitions into at most k blocks as restricted
     growth strings with vertex 0 pinned to part 0 (canonical part labels kill
     the relabeling symmetry); first-found maximum is the lexicographically
-    least assignment. Local-search mode does seeded single-vertex-move hill
-    climbing with restarts. A move of v changes a clique count only by the
-    cliques through v, so clique patterns score each move by that delta on a
-    cross adjacency kept up to date; other patterns recount the partition.
+    least assignment. Clique patterns score each placement by the copies it
+    completes and sum those along the string; other patterns recount the
+    cross graph of every string. Local-search mode does seeded
+    single-vertex-move hill climbing with restarts. A move of v changes a
+    clique count only by the cliques through v, so clique patterns score
+    each move by that delta on a cross adjacency kept up to date; other
+    patterns recount the partition.
     """
     if k < 1:
         raise ValueError("max_partite needs k >= 1")
@@ -640,26 +651,60 @@ def max_partite(
             raise BudgetExceededError(
                 f"exact partitioning limited to {budgets.partite_exact_n} vertices, got {n}"
             )
+        if n == 0:
+            return Partition.of(k, {}), 0
         assign = [0] * n
         best = {"count": -1, "assign": None}
 
-        def evaluate():
-            cnt = count_pattern_masks(_cross_adj(g, assign, k), n, t)
+        def evaluate(cnt: int):
             if cnt > best["count"]:
                 best["count"] = cnt
                 best["assign"] = tuple(assign)
 
-        def rec(i: int, used: int):
-            if i == n:
-                evaluate()
-                return
-            for c in range(min(used + 1, k)):
-                assign[i] = c
-                rec(i + 1, max(used, c + 1))
+        if t.kind == "clique":
+            # each copy is counted once, when its last vertex is placed: the
+            # (m-1)-cliques of the cross graph among the placed neighbors of
+            # that vertex outside its part. cross is the cross adjacency of
+            # the placed vertices, part_mask their parts; the last vertex is
+            # scored without updating either.
+            size = t.m - 1
+            cross = list(g.adj)
+            part_mask = [0] * k
+            last = n - 1
 
-        if n == 0:
-            return Partition.of(k, {}), 0
-        rec(1, 1)  # vertex 0 pinned to part 0
+            def rec(i: int, used: int, total: int):
+                bit = 1 << i
+                row = g.adj[i]
+                near = row & (bit - 1)
+                for c in range(min(used + 1, k)):
+                    mask = part_mask[c]
+                    assign[i] = c
+                    gain = cliques_in_mask(cross, near & ~mask, size)
+                    if i == last:
+                        evaluate(total + gain)
+                        continue
+                    same = bits(near & mask)
+                    for w in same:
+                        cross[w] ^= bit
+                    cross[i] = row & ~mask
+                    part_mask[c] = mask | bit
+                    rec(i + 1, max(used, c + 1), total + gain)
+                    part_mask[c] = mask
+                    for w in same:
+                        cross[w] |= bit
+
+            rec(0, 0, 0)  # with no part used, vertex 0 goes to part 0
+        else:
+
+            def rec(i: int, used: int):
+                if i == n:
+                    evaluate(count_pattern_masks(_cross_adj(g, assign, k), n, t))
+                    return
+                for c in range(min(used + 1, k)):
+                    assign[i] = c
+                    rec(i + 1, max(used, c + 1))
+
+            rec(1, 1)  # vertex 0 pinned to part 0
         chosen = best["assign"]
         return Partition.of(k, {v: chosen[v] for v in range(n)}), best["count"]
 
@@ -797,22 +842,46 @@ def reinsert(g: Graph, part: Partition, v: int, t: Pattern) -> tuple[Partition, 
     """Place v into the part where it creates the most new cross-part copies.
 
     The gain is exact: copies of the pattern through v in the enlarged
-    multipartite subgraph. Ties go to the lowest part index.
+    multipartite subgraph. Ties go to the lowest part index. Each part is
+    scored on the cross adjacency of the partitioned vertices: for a clique
+    pattern by the (m-1)-cliques among v's neighbors outside the part, for
+    others by the count with v minus the count of the subgraph without v.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph on {g.n} vertices")
     if v in part.as_dict():
         raise ValueError(f"vertex {v} already assigned to a part")
+    part_mask = [0] * part.k
+    support = 0
+    for u, p in part.assignment:
+        if not 0 <= u < g.n:
+            raise ValueError(f"vertex {u} not in graph on {g.n} vertices")
+        part_mask[p] |= 1 << u
+        support |= 1 << u
+    cross = [0] * g.n
+    for u, p in part.assignment:
+        cross[u] = g.adj[u] & support & ~part_mask[p]
+    if t.kind != "clique":
+        # the subgraph without v, relabeled as remove_vertex does
+        low = (1 << v) - 1
+        rest = [(a & low) | ((a >> 1) & ~low) for u, a in enumerate(cross) if u != v]
+        without = count_pattern_masks(rest, g.n - 1, t)
     best_gain = -1
-    best_part = None
+    best_part = 0
     for c in range(part.k):
-        cand = part.with_vertex(v, c)
-        sub = multipartite_subgraph(g, cand)
-        gain = copies_through_vertex(sub, t, v)
+        near = g.adj[v] & support & ~part_mask[c]
+        if t.kind == "clique":
+            gain = cliques_in_mask(cross, near, t.m - 1)
+        else:
+            adj = cross[:]
+            adj[v] = near
+            for u in bits(near):
+                adj[u] |= 1 << v
+            gain = count_pattern_masks(adj, g.n, t) - without
         if gain > best_gain:
             best_gain = gain
-            best_part = cand
-    return best_part, best_gain
+            best_part = c
+    return part.with_vertex(v, best_part), best_gain
 
 
 @dataclass(frozen=True)
@@ -844,9 +913,16 @@ def rebuild(
     checked explicitly; if the check fails the result still reports the
     partite subgraph, with a note saying it contains the forbidden graph.
     """
+    chi_h = chromatic_number(h).chromatic_number
+    return _rebuild(g, k, t, h, chi_h, seed=seed, budgets=budgets)
+
+
+def _rebuild(
+    g: Graph, k: int, t: Pattern, h: Graph, chi_h: int, *, seed: int, budgets: Budgets
+) -> RebuildResult:
+    """rebuild, given chi_h, the chromatic number of h."""
     started = time.perf_counter()
     notes: list[str] = []
-    chi_h = chromatic_number(h).chromatic_number
     if chi_h != k:
         notes.append(f"forbidden graph has chromatic number {chi_h}, not k={k}")
 

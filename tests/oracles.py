@@ -8,22 +8,24 @@ exceptions reuse package code on purpose: local_search_recount counts with
 the package's counter so that it can run the full local-search schedule,
 solve_and_color_two_searches is the experiment harness's earlier solve-then-
 enumerate bundle, built on the package's exact solver and tie enumeration,
-and three are earlier versions of rewritten kernels kept as references:
+and five are earlier versions of rewritten kernels kept as references:
 count_injective_homs_leafwise (the embedding backtracker that counts one
 leaf at a time, on the package's plan), creates_copy_all_edges (the forbid
-test that pins every directed edge of h) and color_component_recursive (the
-recursive coloring searches, on the package's budget counter).
+test that pins every directed edge of h), color_component_recursive (the
+recursive coloring searches, on the package's budget counter),
+max_partite_recount (the exact partition that recounts every string) and
+reinsert_brute (the reinsertion that builds each candidate subgraph).
 """
 
 import random
 from itertools import combinations, permutations, product
 
 from exfree.coloring import NO, UNKNOWN, YES, is_k_colorable
-from exfree.counting import _hom_plan, count_pattern_masks, exists_injective_hom
+from exfree.counting import _hom_plan, copies_through_vertex, count_pattern_masks, exists_injective_hom
 from exfree.errors import BudgetExceededError, GraphFormatError
 from exfree.graphs import Graph
 from exfree.harness import _counterexample, _graph_payload
-from exfree.solver import enumerate_optima, max_hfree_subgraph
+from exfree.solver import Partition, enumerate_optima, max_hfree_subgraph, multipartite_subgraph
 
 
 def copies_brute(g: Graph, pattern: Graph) -> int:
@@ -285,6 +287,48 @@ def local_search_recount(g: Graph, k: int, t, seed: int, restarts: int, moves_pe
             best_count, best_assign = cur, list(assign)
     labels: dict[int, int] = {}
     return tuple(labels.setdefault(p, len(labels)) for p in best_assign), best_count
+
+
+def max_partite_recount(g: Graph, k: int, t) -> tuple[tuple[int, ...], int]:
+    """Exact max_partite as restricted growth strings (vertex 0 in part 0)
+    that recounts the whole cross graph at every string with the package's
+    count_pattern_masks; the first maximum found is kept. Returns (part of
+    each vertex, count)."""
+    if g.n == 0:
+        return (), 0
+    best_assign, best_count = None, -1
+    assign = [0] * g.n
+
+    def rec(i: int, used: int) -> None:
+        nonlocal best_assign, best_count
+        if i == g.n:
+            part_mask = [0] * k
+            for v, p in enumerate(assign):
+                part_mask[p] |= 1 << v
+            cross = [g.adj[v] & ~part_mask[assign[v]] for v in range(g.n)]
+            count = count_pattern_masks(cross, g.n, t)
+            if count > best_count:
+                best_assign, best_count = tuple(assign), count
+            return
+        for c in range(min(used + 1, k)):
+            assign[i] = c
+            rec(i + 1, max(used, c + 1))
+
+    rec(1, 1)
+    return best_assign, best_count
+
+
+def reinsert_brute(g: Graph, part: Partition, v: int, t) -> tuple[Partition, int]:
+    """Reinsertion that builds the multipartite subgraph for each candidate
+    part and counts the copies through v there with the package's
+    copies_through_vertex; ties go to the lowest part index."""
+    best_part, best_gain = None, -1
+    for c in range(part.k):
+        cand = part.with_vertex(v, c)
+        gain = copies_through_vertex(multipartite_subgraph(g, cand), t, v)
+        if gain > best_gain:
+            best_part, best_gain = cand, gain
+    return best_part, best_gain
 
 
 def solve_and_color_two_searches(g: Graph, h: Graph, t, k: int, budgets, engine: str = "auto"):

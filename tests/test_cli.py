@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+from exfree import cli
 from exfree.cli import main
 
 
@@ -174,6 +175,40 @@ def test_usage_errors_exit_one():
     code, out, _ = run("--help")
     assert code == 0
     assert out.startswith("usage: exfree")
+
+
+def test_main_reuses_one_parser_without_leaking_state(monkeypatch):
+    built = []
+    fresh_parser = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return fresh_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    solve = ("solve", "--graph", "gen:complete:5", "--pattern", "K3", "--forbid", "gen:complete:4")
+    commands = [
+        ("solve", "--bogus"),
+        ("--help",),
+        solve + ("--ties",),
+        solve,
+        # --pattern left to its default, K2, after commands that gave K3
+        ("verify", "--claim", "near-colorable", "--graph", "gen:complete:5",
+         "--forbid", "gen:complete:3", "--k", "3"),
+    ]
+    alone = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(run(*argv)[:2])
+    assert [code for code, _ in alone] == [1, 0, 0, 0, 0]
+    assert "optima:" in alone[2][1] and "optima:" not in alone[3][1]
+    assert "optimum: 6\n" in alone[4][1]  # the edges of a 5-vertex triangle-free graph
+
+    monkeypatch.setattr(cli, "_parser", None)
+    built.clear()
+    order = [0, 2, 1, 3, 4, 2, 3, 0, 4]
+    assert [run(*commands[i])[:2] for i in order] == [alone[i] for i in order]
+    assert len(built) == 1
 
 
 def test_budget_exhaustion_exits_two():

@@ -21,11 +21,13 @@ from exfree import (
     max_hfree_subgraph,
     max_partite,
     multipartite_subgraph,
+    parse_pattern,
     peel,
     rebuild,
     reinsert,
     subgraph_from_edges,
     solver,
+    to_graph6,
     turan,
 )
 
@@ -34,13 +36,21 @@ from oracles import (
     directed_edge_orbits_brute,
     local_search_recount,
     max_hfree_brute,
+    max_partite_recount,
     maximal_hfree_brute,
     optima_brute,
     random_graph,
+    reinsert_brute,
 )
 
 K2 = Pattern.clique(2)
 K3 = Pattern.clique(3)
+# patterns that take the recount paths of max_partite and reinsert: a
+# blow-up, and g6 literals for the path on three vertices and for an edge
+# plus an isolated vertex (a copy may put that vertex on the reinserted one)
+BLOWUP = Pattern.blowup(2, 2)
+PATH3 = parse_pattern("g6:" + to_graph6(Graph.from_edges(3, [(0, 1), (1, 2)])))
+EDGE_PLUS_VERTEX = parse_pattern("g6:" + to_graph6(Graph.from_edges(3, [(0, 1)])))
 
 
 def test_turan_style_baselines():
@@ -474,6 +484,76 @@ def test_reinsert_gain_never_negative():
         assert gain >= 0
 
 
+def test_exact_partition_matches_full_recount():
+    rng = random.Random(91)
+    cases = [(Pattern.clique(m), k, n) for m in range(1, 5) for k in range(1, 5)
+             for n in range(0, 10)]
+    # the longest strings: 10 and 11 vertices in up to 3 parts, 10 in 4
+    cases += [(Pattern.clique(m), k, n) for m in range(1, 5) for k in (1, 2, 3)
+              for n in (10, 11)]
+    cases += [(Pattern.clique(m), 4, 10) for m in (2, 3)]
+    cases += [(t, k, n) for t in (BLOWUP, PATH3, EDGE_PLUS_VERTEX) for k in (1, 2, 3)
+              for n in (0, 1, 4, 7)]
+    for t, k, n in cases:
+        g = random_graph(rng, n, p=rng.choice([0.3, 0.6, 0.9]))
+        part, count = max_partite(g, k, t)
+        want_assign, want_count = max_partite_recount(g, k, t)
+        assert count == want_count, (t, k, n, g.adj)
+        assert tuple(part.as_dict()[v] for v in range(n)) == want_assign, (t, k, n, g.adj)
+        assert count == count_pattern(multipartite_subgraph(g, part), t)
+
+
+def test_reinsert_matches_brute_reinsertion():
+    rng = random.Random(92)
+    patterns = [Pattern.clique(m) for m in range(1, 5)] + [BLOWUP, PATH3, EDGE_PLUS_VERTEX]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, p=rng.choice([0.4, 0.7, 1.0]))
+        k = rng.randint(1, 4)
+        v = rng.randrange(n)
+        others = [u for u in range(n) if u != v and rng.random() < 0.8]
+        part = Partition.of(k, {u: rng.randrange(k) for u in others})
+        for t in patterns:
+            got = reinsert(g, part, v, t)
+            assert got == reinsert_brute(g, part, v, t), (t, k, v, part, g.adj)
+
+
+def test_reinsert_rejects_bad_vertices():
+    part = Partition.of(2, {0: 0, 1: 1})
+    with pytest.raises(ValueError):
+        reinsert(complete(3), part, 3, K2)
+    with pytest.raises(ValueError):
+        reinsert(complete(3), part, 1, K2)
+    with pytest.raises(ValueError):
+        reinsert(complete(3), Partition.of(2, {5: 0}), 1, K2)
+
+
+def _rebuild_reference(g: Graph, k: int, t: Pattern):
+    """rebuild from the oracles: the package's peel, then the recounting
+    partition of the core and brute-force reinsertion."""
+    core, trace = peel(g, k, t)
+    assign, core_count = max_partite_recount(core, k - 1, t)
+    part = Partition.of(k - 1, {trace.core_vertices[v]: p for v, p in enumerate(assign)})
+    gains = []
+    for step in reversed(trace.steps):
+        part, gain = reinsert_brute(g, part, step.vertex, t)
+        gains.append(gain)
+    final = multipartite_subgraph(g, part)
+    return count_pattern(final, t), tuple(final.edges()), part, core_count, tuple(gains)
+
+
+def test_rebuild_matches_oracle_pipeline():
+    rng = random.Random(93)
+    for trial in range(24):
+        n = rng.randint(5, 10)
+        g = random_graph(rng, n, p=rng.choice([0.5, 0.7, 0.9]))
+        k = 3 if trial % 2 else 4
+        t = [K2, K3, Pattern.clique(4), BLOWUP, PATH3][trial % 5]
+        rb = rebuild(g, k, t, complete(k))
+        got = (rb.best_count, rb.best_edges, rb.partition, rb.core_count, rb.gains)
+        assert got == _rebuild_reference(g, k, t), (trial, g.adj)
+
+
 def induced(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, v in g.edges() if u < 5 and v < 5]
 
@@ -540,6 +620,23 @@ def test_stats_report_engine_and_node_counts():
     assert res.stats.engine in ("exhaustive", "branch-and-bound")
     assert res.stats.nodes > 0
     assert res.stats.elapsed_s >= 0.0
+
+
+def test_stats_report_the_incumbent_seed():
+    # on complete(9) the rebuild seed is the Turan graph, an optimum
+    for t, h, optimum in ((K2, complete(3), 20), (K3, complete(4), 27)):
+        res = max_hfree_subgraph(complete(9), t, h, engine="branch-and-bound")
+        assert res.best_count == optimum
+        assert res.stats.seed_count == optimum
+        assert res.stats.seed_s > 0.0
+    rng = random.Random(94)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(5, 9), p=0.6)
+        for t, h in ((K2, complete(3)), (K3, complete(4)), (K2, cycle(5))):
+            res = max_hfree_subgraph(g, t, h, engine="branch-and-bound")
+            assert 0 <= res.stats.seed_count <= res.best_count
+    res = max_hfree_subgraph(complete(4), K2, complete(3), engine="exhaustive")
+    assert (res.stats.seed_count, res.stats.seed_s) == (None, 0.0)
 
 
 def test_stats_split_prunes_by_rule():
