@@ -12,6 +12,10 @@ counter adds the edges inside its candidates once two vertices are left,
 the blow-up counter adds C(|candidates|, t) for its last class, and the
 backtracker adds the number of candidates for the last vertex of its plan,
 all of whose pattern neighbors are placed by then.
+
+copies_through counts the copies that contain one vertex, the score the
+partition, reinsertion and peel code gives a vertex for every pattern; it
+is the one place that picks a method for that question by pattern kind.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from itertools import combinations
 from math import comb, factorial
 
 from .errors import BudgetExceededError, PatternSyntaxError
-from .graphs import Graph, bits, blowup, complete, coned_blowup, remove_vertex
+from .graphs import Graph, bits, blowup, complete, coned_blowup
+from .graphs import remove_vertex  # noqa: F401  bench/layers.py traces counting.remove_vertex
 
 GENERIC_VERTEX_BUDGET = 12  # generic-path patterns larger than this are refused
 AUT_SEARCH_BUDGET = 10
@@ -276,17 +281,21 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _hom_plan(p: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Backtracking plan for pattern p, built once per pattern graph.
+def _hom_plan(
+    p: Graph, root: int | None = None
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Backtracking plan for pattern p, built once per pattern graph and root.
 
-    The vertex order starts at a vertex of maximum degree and then always
-    takes a vertex with the most already-ordered neighbors (ties by degree,
-    then lowest id). Returns the order, each position's earlier-neighbor
-    positions, and the pattern degree at each position.
+    The vertex order starts at root, or without one at a vertex of maximum
+    degree, and then always takes a vertex with the most already-ordered
+    neighbors (ties by degree, then lowest id). Returns the order, each
+    position's earlier-neighbor positions, and the host degree each
+    position's image needs: its pattern degree, less one for a neighbor of
+    the root, whose image lies outside the host (see _count_injective_homs).
     """
-    order: list[int] = []
-    placed = 0
-    remaining = set(range(p.n))
+    order = [] if root is None else [root]
+    placed = 0 if root is None else 1 << root
+    remaining = set(range(p.n)) - set(order)
     while remaining:
         nxt = max(remaining, key=lambda v: ((p.adj[v] & placed).bit_count(), p.degree(v), -v))
         order.append(nxt)
@@ -296,74 +305,109 @@ def _hom_plan(p: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], t
     back = tuple(
         tuple(pos[u] for u in bits(p.adj[v]) if pos[u] < i) for i, v in enumerate(order)
     )
-    return tuple(order), back, tuple(p.degree(v) for v in order)
+    rooted = 0 if root is None else 1 << root
+    return tuple(order), back, tuple(p.degree(v) - (p.adj[v] & rooted).bit_count() for v in order)
 
 
 def _count_injective_homs(
-    p: Graph, host_adj, host_n: int, *, pin: dict | None = None, limit: int | None = None
+    p: Graph,
+    host_adj,
+    host: int,
+    *,
+    root: int | None = None,
+    row: int = 0,
+    pin: dict | None = None,
+    limit: int | None = None,
 ) -> int:
     """Number of injective maps V(p) -> host preserving every edge of p,
-    counting stops once it reaches limit (existence is limit=1).
+    host being a vertex mask; counting stops once it reaches limit
+    (existence is limit=1). Bits of host_adj outside host are ignored.
 
-    pin maps pattern vertices to fixed host vertices (used for edge-rooted
-    tests). Non-edges of the pattern impose nothing. The last plan position
-    is counted in closed form: every pattern neighbor of its vertex is
-    already placed, so each remaining candidate completes one map.
+    With a root, only maps that send pattern vertex root to a vertex x
+    outside host are counted, x being joined to the vertices of row (a
+    subset of host): the host is then host plus x. pin maps pattern vertices
+    to fixed host vertices (used for edge-rooted tests). Non-edges of the
+    pattern impose nothing. The last plan position is counted in closed
+    form: every pattern neighbor of its vertex is already placed, so each
+    remaining candidate completes one map.
     """
-    if p.n > host_n:
+    if p.n > host.bit_count() + (root is not None):
         return 0
     if p.n == 0:
         return 1
-    order, back, pat_deg = _hom_plan(p)
+    if root is not None and p.n == 1:
+        return 1
+    order, back, need = _hom_plan(p, root)
     pinned = [pin.get(v) for v in order] if pin else [None] * p.n
-    host_full = (1 << host_n) - 1
-    host_deg = [host_adj[v].bit_count() for v in range(host_n)]
-    image = [0] * p.n
+    host_deg = [(a & host).bit_count() for a in host_adj]
+    nbr = [row] * p.n  # the host neighbors of each position's image; the root's are row
     last = p.n - 1
     total = 0
 
     def rec(i: int, used: int) -> bool:
         """Extend the partial map at position i; True once limit is reached."""
         nonlocal total
-        cand = host_full & ~used
+        cand = host & ~used
         for j in back[i]:
-            cand &= host_adj[image[j]]
+            cand &= nbr[j]
         fixed = pinned[i]
         if fixed is not None:
             if not (cand >> fixed) & 1:
                 return False
             cand = 1 << fixed
         if i == last:
-            # each candidate already meets pat_deg[last] distinct images
+            # each candidate already meets need[last] distinct images
             total += cand.bit_count()
             return limit is not None and total >= limit
-        need = pat_deg[i]
+        deg = need[i]
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if host_deg[v] < need:
+            if host_deg[v] < deg:
                 continue
-            image[i] = v
+            nbr[i] = host_adj[v]
             if rec(i + 1, used | (1 << v)):
                 return True
         return False
 
-    rec(0, 0)
+    rec(0 if root is None else 1, 0)
     return total if limit is None else min(total, limit)
 
 
 @lru_cache(maxsize=256)
 def _aut_count_cached(g: Graph) -> int:
-    return _count_injective_homs(g, g.adj, g.n)
+    return _count_injective_homs(g, g.adj, (1 << g.n) - 1)
 
 
-def count_injective_homs(g: Graph, p: Graph) -> int:
-    """Injective edge-preserving maps from p into g (the generic oracle path)."""
+def _vertex_orbits(p: Graph) -> tuple[tuple[int, int], ...]:
+    """One vertex of p per orbit of Aut(p) on vertices, with the orbit's size.
+
+    a and b share an orbit when some injective edge-preserving self-map of
+    p sends a to b; on a finite graph such a map is an automorphism. Each
+    orbit is represented by its lowest vertex.
+    """
+    sizes: dict[int, int] = {}
+    for b in range(p.n):
+        for a in sizes:
+            if exists_injective_hom(p, p.adj, p.n, pin={a: b}):
+                sizes[a] += 1
+                break
+        else:
+            sizes[b] = 1
+    return tuple(sizes.items())
+
+
+def _require_generic(p: Graph) -> None:
     if p.n > GENERIC_VERTEX_BUDGET:
         raise BudgetExceededError(
             f"generic counting limited to {GENERIC_VERTEX_BUDGET} pattern vertices, got {p.n}"
         )
-    return _count_injective_homs(p, g.adj, g.n)
+
+
+def count_injective_homs(g: Graph, p: Graph) -> int:
+    """Injective edge-preserving maps from p into g (the generic oracle path)."""
+    _require_generic(p)
+    return _count_injective_homs(p, g.adj, (1 << g.n) - 1)
 
 
 def count_pattern_generic(g: Graph, t: Pattern) -> int:
@@ -390,16 +434,54 @@ def count_pattern_masks(adj, n: int, t: Pattern) -> int:
     if t.kind == "blowup":
         return _count_blowup_masks(adj, (1 << n) - 1, t.m, t.t)
     p = t.realize()
-    if p.n > GENERIC_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"generic counting limited to {GENERIC_VERTEX_BUDGET} pattern vertices, got {p.n}"
-        )
-    return _count_injective_homs(p, adj, n) // t.aut_count()
+    _require_generic(p)
+    return _count_injective_homs(p, adj, (1 << n) - 1) // t.aut_count()
+
+
+@lru_cache(maxsize=256)
+def _orbit_roots(t: Pattern) -> tuple[Graph, tuple[tuple[int, int], ...], int]:
+    """A generic pattern's graph, its _vertex_orbits and |Aut|, worked out
+    once per pattern."""
+    p = t.realize()
+    _require_generic(p)
+    return p, _vertex_orbits(p), t.aut_count()
+
+
+def copies_through(adj, within: int, row: int, t: Pattern) -> int:
+    """Copies of the pattern that contain a vertex x outside the vertex mask
+    within, x being joined to the vertices of row (a subset of within), in
+    the graph on within plus x. Bits of adj outside within are ignored.
+
+    Every score of a vertex by the copies through it comes here. Cliques
+    use the neighborhood identity: m-cliques through x are the
+    (m-1)-cliques inside row. Blow-ups choose the other t - 1 vertices of
+    x's class and count the other m - 1 classes among the common neighbors
+    of that class. Every other pattern p sums, over one vertex a per orbit
+    of Aut(p), the orbit's size times the injective maps sending a to x,
+    and divides by |Aut(p)|.
+    """
+    if t.kind == "clique":
+        return 1 if t.m == 1 else _count_cliques_masks(adj, row, t.m - 1)
+    if t.kind == "blowup":
+        total = 0
+        for rest in combinations(bits(within), t.t - 1):
+            common = row
+            for u in rest:
+                common &= adj[u]
+            total += _count_blowup_masks(adj, common, t.m - 1, t.t)
+        return total
+    if t.vertex_count() > within.bit_count() + 1:
+        return 0
+    p, orbits, aut = _orbit_roots(t)
+    homs = 0
+    for a, size in orbits:
+        homs += size * _count_injective_homs(p, adj, within, root=a, row=row)
+    return homs // aut
 
 
 def exists_injective_hom(p: Graph, host_adj, host_n: int, pin: dict | None = None) -> bool:
     """Early-exit embedding test on raw masks; pin fixes pattern->host vertices."""
-    return _count_injective_homs(p, host_adj, host_n, pin=pin, limit=1) > 0
+    return _count_injective_homs(p, host_adj, (1 << host_n) - 1, pin=pin, limit=1) > 0
 
 
 def contains(g: Graph, h: Graph) -> bool:
@@ -410,17 +492,7 @@ def contains(g: Graph, h: Graph) -> bool:
 
 
 def copies_through_vertex(g: Graph, t: Pattern, v: int) -> int:
-    """Copies of the pattern whose vertex set includes v.
-
-    Cliques use the neighborhood identity: m-cliques through v are the
-    (m-1)-cliques inside the neighborhood of v. Other patterns use the exact
-    difference count(g) - count(g - v).
-    """
+    """Copies of the pattern whose vertex set includes v."""
     if not 0 <= v < g.n:
         raise PatternSyntaxError(f"vertex {v} not in graph on {g.n} vertices")
-    if t.kind == "clique":
-        if t.m == 1:
-            return 1
-        return _count_cliques_masks(g.adj, g.adj[v], t.m - 1)
-    reduced, _ = remove_vertex(g, v)
-    return count_pattern(g, t) - count_pattern(reduced, t)
+    return copies_through(g.adj, ((1 << g.n) - 1) ^ (1 << v), g.adj[v], t)

@@ -308,45 +308,33 @@ class GenSpec:
     seed: int | None = None
 
     def literal(self) -> str:
-        k = self.kind
-        if k == "complete":
-            return f"gen:complete:{self.n}"
-        if k == "empty":
-            return f"gen:empty:{self.n}"
-        if k == "turan":
-            return f"gen:turan:{self.n}:{self.r}"
-        if k == "blowup":
-            return f"gen:blowup:{self.m}:{self.t}"
-        if k == "coned_blowup":
-            return f"gen:coned_blowup:{self.m}:{self.t}"
-        if k == "cycle":
-            return f"gen:cycle:{self.n}"
-        if k == "gnp":
-            return f"gen:gnp:{self.n}:{self.p}:{self.seed}"
-        if k == "min_degree_random":
-            return f"gen:min_degree_random:{self.n}:{self.eps}:{self.seed}"
-        raise PatternSyntaxError(f"unknown generator kind {k!r}")
+        _, fields = _generator(self.kind)
+        return ":".join(["gen", self.kind] + [str(getattr(self, f)) for f, _ in fields])
+
+
+# generator kind -> (function, its arguments in call order as GenSpec fields,
+# each with the parser of its literal)
+_GENERATORS = {
+    "complete": (complete, (("n", int),)),
+    "empty": (empty, (("n", int),)),
+    "turan": (turan, (("n", int), ("r", int))),
+    "blowup": (blowup, (("m", int), ("t", int))),
+    "coned_blowup": (coned_blowup, (("m", int), ("t", int))),
+    "cycle": (cycle, (("n", int),)),
+    "gnp": (gnp, (("n", int), ("p", float), ("seed", int))),
+    "min_degree_random": (min_degree_random, (("n", int), ("eps", as_fraction), ("seed", int))),
+}
+
+
+def _generator(kind: str):
+    if kind not in _GENERATORS:
+        raise PatternSyntaxError(f"unknown generator kind {kind!r}")
+    return _GENERATORS[kind]
 
 
 def generate(spec: GenSpec) -> Graph:
-    k = spec.kind
-    if k == "complete":
-        return complete(spec.n)
-    if k == "empty":
-        return empty(spec.n)
-    if k == "turan":
-        return turan(spec.n, spec.r)
-    if k == "blowup":
-        return blowup(spec.m, spec.t)
-    if k == "coned_blowup":
-        return coned_blowup(spec.m, spec.t)
-    if k == "cycle":
-        return cycle(spec.n)
-    if k == "gnp":
-        return gnp(spec.n, spec.p, spec.seed)
-    if k == "min_degree_random":
-        return min_degree_random(spec.n, spec.eps, spec.seed)
-    raise PatternSyntaxError(f"unknown generator kind {spec.kind!r}")
+    fn, fields = _generator(spec.kind)
+    return fn(*(getattr(spec, f) for f, _ in fields))
 
 
 def parse_genspec(text: str) -> GenSpec:
@@ -355,44 +343,12 @@ def parse_genspec(text: str) -> GenSpec:
     if parts[0] != "gen" or len(parts) < 2:
         raise PatternSyntaxError(f"not a generator literal: {text!r}")
     kind, args = parts[1], parts[2:]
-
-    def ints(k):
-        if len(args) != k:
-            raise PatternSyntaxError(f"{kind} expects {k} argument(s): {text!r}")
-        try:
-            return [int(a) for a in args]
-        except ValueError as exc:
-            raise PatternSyntaxError(f"bad integer in {text!r}") from exc
-
-    if kind == "complete":
-        return GenSpec("complete", n=ints(1)[0])
-    if kind == "empty":
-        return GenSpec("empty", n=ints(1)[0])
-    if kind == "turan":
-        n, r = ints(2)
-        return GenSpec("turan", n=n, r=r)
-    if kind == "blowup":
-        m, t = ints(2)
-        return GenSpec("blowup", m=m, t=t)
-    if kind == "coned_blowup":
-        m, t = ints(2)
-        return GenSpec("coned_blowup", m=m, t=t)
-    if kind == "cycle":
-        return GenSpec("cycle", n=ints(1)[0])
-    if kind == "gnp":
-        if len(args) != 3:
-            raise PatternSyntaxError(f"gnp expects n:p:seed: {text!r}")
-        try:
-            return GenSpec("gnp", n=int(args[0]), p=float(args[1]), seed=int(args[2]))
-        except ValueError as exc:
-            raise PatternSyntaxError(f"bad gnp arguments in {text!r}") from exc
-    if kind == "min_degree_random":
-        if len(args) != 3:
-            raise PatternSyntaxError(f"min_degree_random expects n:eps:seed: {text!r}")
-        try:
-            return GenSpec(
-                "min_degree_random", n=int(args[0]), eps=as_fraction(args[1]), seed=int(args[2])
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PatternSyntaxError(f"bad min_degree_random arguments in {text!r}") from exc
-    raise PatternSyntaxError(f"unknown generator kind {kind!r}")
+    _, fields = _generator(kind)
+    if len(args) != len(fields):
+        names = ":".join(f for f, _ in fields)
+        raise PatternSyntaxError(f"{kind} expects {names}: {text!r}")
+    try:
+        values = {f: parse(arg) for (f, parse), arg in zip(fields, args)}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise PatternSyntaxError(f"bad {kind} arguments in {text!r}") from exc
+    return GenSpec(kind, **values)

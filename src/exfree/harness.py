@@ -702,13 +702,13 @@ def validate_failure(record: ExperimentRecord) -> tuple[bool, list[str]]:
     not colorable with the stated number of colors. Returns (all valid,
     per-check messages); a record with no failures validates vacuously.
     """
-    h = from_graph6(record.spec["forbidden"])
-    t = parse_pattern(record.spec["pattern"])
     messages: list[str] = []
     ok = True
 
     def check(ce: dict[str, Any], label: str):
         nonlocal ok
+        h = from_graph6(record.spec["forbidden"])
+        t = parse_pattern(record.spec["pattern"])
         g = from_graph6(ce["graph6"])
         edges = [tuple(e) for e in ce["edges"]]
         problems = []

@@ -9,7 +9,9 @@ Their independent check is the brute-force oracles of the test suite, not a
 second copy of the search. The heuristic route peels low-degree vertices,
 solves a balanced-partition core, and re-inserts the peeled vertices
 greedily; it gives lower bounds (never claims optimality) but is cheap and
-structurally informative.
+structurally informative. Peeling, partitioning and reinsertion score a
+vertex by the copies through it (counting.copies_through), for every
+pattern alike.
 
 Ties between count-maximal edge sets are always broken toward the
 lexicographically least sorted edge tuple, so results are reproducible.
@@ -29,6 +31,7 @@ from .counting import (
     Pattern,
     cliques_in_mask,
     contains,
+    copies_through,
     copies_through_vertex,
     count_pattern,
     count_pattern_masks,
@@ -139,13 +142,6 @@ def multipartite_subgraph(g: Graph, partition: Partition) -> Graph:
     for v, p in partition.assignment:
         adj[v] = g.adj[v] & support_mask & ~part_mask[p]
     return Graph(g.n, tuple(adj))
-
-
-def _cross_adj(g: Graph, assign: list[int], k: int) -> list[int]:
-    part_mask = [0] * k
-    for v, p in enumerate(assign):
-        part_mask[p] |= 1 << v
-    return [g.adj[v] & ~part_mask[assign[v]] for v in range(g.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -635,116 +631,91 @@ def max_partite(
     Exact mode enumerates set partitions into at most k blocks as restricted
     growth strings with vertex 0 pinned to part 0 (canonical part labels kill
     the relabeling symmetry); first-found maximum is the lexicographically
-    least assignment. Clique patterns score each placement by the copies it
-    completes and sum those along the string; other patterns recount the
-    cross graph of every string. Local-search mode does seeded
-    single-vertex-move hill climbing with restarts. A move of v changes a
-    clique count only by the cliques through v, so clique patterns score
-    each move by that delta on a cross adjacency kept up to date; other
-    patterns recount the partition.
+    least assignment. Each placement is scored by the copies it completes
+    and the scores are summed along the string. Local-search mode does
+    seeded single-vertex-move hill climbing with restarts. A move of v
+    changes the count only by the copies through v, so each move is scored
+    by that delta on a cross adjacency kept up to date.
     """
     if k < 1:
         raise ValueError("max_partite needs k >= 1")
     n = g.n
+    if mode not in ("exact", "local-search"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and n > budgets.partite_exact_n:
+        raise BudgetExceededError(
+            f"exact partitioning limited to {budgets.partite_exact_n} vertices, got {n}"
+        )
+    if n == 0:
+        return Partition.of(k, {}), count_pattern_masks((), 0, t)
     if mode == "exact":
-        if n > budgets.partite_exact_n:
-            raise BudgetExceededError(
-                f"exact partitioning limited to {budgets.partite_exact_n} vertices, got {n}"
-            )
-        if n == 0:
-            return Partition.of(k, {}), 0
         assign = [0] * n
         best = {"count": -1, "assign": None}
+        # each copy is counted once, when its last vertex is placed: the
+        # copies through that vertex among the placed vertices, with its
+        # placed neighbors outside its part. The sum starts from the count
+        # in the empty graph. cross is the cross adjacency of the placed
+        # vertices, part_mask their parts; the last vertex is scored without
+        # updating either.
+        cross = list(g.adj)
+        part_mask = [0] * k
+        last = n - 1
 
-        def evaluate(cnt: int):
-            if cnt > best["count"]:
-                best["count"] = cnt
-                best["assign"] = tuple(assign)
+        def rec(i: int, used: int, total: int):
+            bit = 1 << i
+            row = g.adj[i]
+            near = row & (bit - 1)
+            for c in range(min(used + 1, k)):
+                mask = part_mask[c]
+                assign[i] = c
+                gain = copies_through(cross, bit - 1, near & ~mask, t)
+                if i == last:
+                    if total + gain > best["count"]:
+                        best["count"] = total + gain
+                        best["assign"] = tuple(assign)
+                    continue
+                same = bits(near & mask)
+                for w in same:
+                    cross[w] ^= bit
+                cross[i] = row & ~mask
+                part_mask[c] = mask | bit
+                rec(i + 1, max(used, c + 1), total + gain)
+                part_mask[c] = mask
+                for w in same:
+                    cross[w] |= bit
 
-        if t.kind == "clique":
-            # each copy is counted once, when its last vertex is placed: the
-            # (m-1)-cliques of the cross graph among the placed neighbors of
-            # that vertex outside its part. cross is the cross adjacency of
-            # the placed vertices, part_mask their parts; the last vertex is
-            # scored without updating either.
-            size = t.m - 1
-            cross = list(g.adj)
-            part_mask = [0] * k
-            last = n - 1
-
-            def rec(i: int, used: int, total: int):
-                bit = 1 << i
-                row = g.adj[i]
-                near = row & (bit - 1)
-                for c in range(min(used + 1, k)):
-                    mask = part_mask[c]
-                    assign[i] = c
-                    gain = cliques_in_mask(cross, near & ~mask, size)
-                    if i == last:
-                        evaluate(total + gain)
-                        continue
-                    same = bits(near & mask)
-                    for w in same:
-                        cross[w] ^= bit
-                    cross[i] = row & ~mask
-                    part_mask[c] = mask | bit
-                    rec(i + 1, max(used, c + 1), total + gain)
-                    part_mask[c] = mask
-                    for w in same:
-                        cross[w] |= bit
-
-            rec(0, 0, 0)  # with no part used, vertex 0 goes to part 0
-        else:
-
-            def rec(i: int, used: int):
-                if i == n:
-                    evaluate(count_pattern_masks(_cross_adj(g, assign, k), n, t))
-                    return
-                for c in range(min(used + 1, k)):
-                    assign[i] = c
-                    rec(i + 1, max(used, c + 1))
-
-            rec(1, 1)  # vertex 0 pinned to part 0
+        rec(0, 0, count_pattern_masks((), 0, t))  # with no part used, vertex 0 goes to part 0
         chosen = best["assign"]
         return Partition.of(k, {v: chosen[v] for v in range(n)}), best["count"]
 
-    if mode != "local-search":
-        raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    if n == 0:
-        return Partition.of(k, {}), 0
-    clique = t.kind == "clique"
+    full = (1 << n) - 1
     best_assign: list[int] | None = None
     best_count = -1
     for _ in range(budgets.ls_restarts):
         assign = [rng.randrange(k) for _ in range(n)]
-        cross = _cross_adj(g, assign, k)
+        part_mask = [0] * k
+        for v, p in enumerate(assign):
+            part_mask[p] |= 1 << v
+        cross = [g.adj[v] & ~part_mask[assign[v]] for v in range(n)]
         cur = count_pattern_masks(cross, n, t)
-        if clique:
-            part_mask = [0] * k
-            for v, p in enumerate(assign):
-                part_mask[p] |= 1 << v
         for _ in range(budgets.ls_moves_per_vertex * n):
             v = rng.randrange(n)
             orig = assign[v]
             move_best = (cur, orig)
-            if clique:
-                # a move changes only the cliques through v: the (m-1)-cliques
-                # of the cross graph among v's neighbors outside its part
-                kept = cur - cliques_in_mask(cross, cross[v], t.m - 1)
+            # a move changes only the copies through v, which v completes
+            # with its cross neighbors among the other vertices
+            others = full ^ (1 << v)
+            kept = cur - copies_through(cross, others, cross[v], t)
             for c in range(k):
                 if c == orig:
                     continue
-                if clique:
-                    cand = kept + cliques_in_mask(cross, g.adj[v] & ~part_mask[c], t.m - 1)
-                else:
-                    assign[v] = c
-                    cand = count_pattern_masks(_cross_adj(g, assign, k), n, t)
+                cand = kept + copies_through(cross, others, g.adj[v] & ~part_mask[c], t)
                 if cand > move_best[0]:
                     move_best = (cand, c)
             cur, c = move_best
             assign[v] = c
-            if clique and c != orig:
+            if c != orig:
                 bit = 1 << v
                 for u in bits(g.adj[v] & (part_mask[orig] | part_mask[c])):
                     cross[u] ^= bit
@@ -841,11 +812,10 @@ def peel(
 def reinsert(g: Graph, part: Partition, v: int, t: Pattern) -> tuple[Partition, int]:
     """Place v into the part where it creates the most new cross-part copies.
 
-    The gain is exact: copies of the pattern through v in the enlarged
-    multipartite subgraph. Ties go to the lowest part index. Each part is
-    scored on the cross adjacency of the partitioned vertices: for a clique
-    pattern by the (m-1)-cliques among v's neighbors outside the part, for
-    others by the count with v minus the count of the subgraph without v.
+    The gain is exact: copies of the pattern through v in the multipartite
+    subgraph on the partitioned vertices plus v. Ties go to the lowest part
+    index. Each part is scored on the cross adjacency of the partitioned
+    vertices, v joined to its neighbors outside the part.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph on {g.n} vertices")
@@ -861,23 +831,10 @@ def reinsert(g: Graph, part: Partition, v: int, t: Pattern) -> tuple[Partition, 
     cross = [0] * g.n
     for u, p in part.assignment:
         cross[u] = g.adj[u] & support & ~part_mask[p]
-    if t.kind != "clique":
-        # the subgraph without v, relabeled as remove_vertex does
-        low = (1 << v) - 1
-        rest = [(a & low) | ((a >> 1) & ~low) for u, a in enumerate(cross) if u != v]
-        without = count_pattern_masks(rest, g.n - 1, t)
     best_gain = -1
     best_part = 0
     for c in range(part.k):
-        near = g.adj[v] & support & ~part_mask[c]
-        if t.kind == "clique":
-            gain = cliques_in_mask(cross, near, t.m - 1)
-        else:
-            adj = cross[:]
-            adj[v] = near
-            for u in bits(near):
-                adj[u] |= 1 << v
-            gain = count_pattern_masks(adj, g.n, t) - without
+        gain = copies_through(cross, support, g.adj[v] & support & ~part_mask[c], t)
         if gain > best_gain:
             best_gain = gain
             best_part = c

@@ -8,24 +8,23 @@ exceptions reuse package code on purpose: local_search_recount counts with
 the package's counter so that it can run the full local-search schedule,
 solve_and_color_two_searches is the experiment harness's earlier solve-then-
 enumerate bundle, built on the package's exact solver and tie enumeration,
-and five are earlier versions of rewritten kernels kept as references:
+and four are earlier versions of rewritten kernels kept as references:
 count_injective_homs_leafwise (the embedding backtracker that counts one
 leaf at a time, on the package's plan), creates_copy_all_edges (the forbid
 test that pins every directed edge of h), color_component_recursive (the
-recursive coloring searches, on the package's budget counter),
-max_partite_recount (the exact partition that recounts every string) and
-reinsert_brute (the reinsertion that builds each candidate subgraph).
+recursive coloring searches, on the package's budget counter) and
+max_partite_recount (the exact partition that recounts every string).
 """
 
 import random
 from itertools import combinations, permutations, product
 
 from exfree.coloring import NO, UNKNOWN, YES, is_k_colorable
-from exfree.counting import _hom_plan, copies_through_vertex, count_pattern_masks, exists_injective_hom
+from exfree.counting import _hom_plan, count_pattern_masks, exists_injective_hom
 from exfree.errors import BudgetExceededError, GraphFormatError
 from exfree.graphs import Graph
 from exfree.harness import _counterexample, _graph_payload
-from exfree.solver import Partition, enumerate_optima, max_hfree_subgraph, multipartite_subgraph
+from exfree.solver import Partition, enumerate_optima, max_hfree_subgraph
 
 
 def copies_brute(g: Graph, pattern: Graph) -> int:
@@ -76,6 +75,19 @@ def automorphisms_brute(g: Graph) -> int:
         if {frozenset((perm[a], perm[b])) for a, b in edges} == edges:
             count += 1
     return count
+
+
+def vertex_orbits_brute(g: Graph) -> list[set]:
+    """Orbits of the automorphism group on vertices, found by trying every
+    vertex permutation."""
+    edges = {frozenset(e) for e in g.edges()}
+    auts = [perm for perm in permutations(range(g.n))
+            if {frozenset((perm[a], perm[b])) for a, b in edges} == edges]
+    orbits = []
+    for a in range(g.n):
+        if not any(a in orbit for orbit in orbits):
+            orbits.append({perm[a] for perm in auts})
+    return orbits
 
 
 def directed_edge_orbits_brute(g: Graph) -> list[set]:
@@ -265,7 +277,7 @@ def local_search_recount(g: Graph, k: int, t, seed: int, restarts: int, moves_pe
 
     rng = random.Random(seed)
     if g.n == 0:
-        return (), 0
+        return (), cross_count([])
     best_assign, best_count = None, -1
     for _ in range(restarts):
         assign = [rng.randrange(k) for _ in range(g.n)]
@@ -295,7 +307,7 @@ def max_partite_recount(g: Graph, k: int, t) -> tuple[tuple[int, ...], int]:
     count_pattern_masks; the first maximum found is kept. Returns (part of
     each vertex, count)."""
     if g.n == 0:
-        return (), 0
+        return (), count_pattern_masks((), 0, t)
     best_assign, best_count = None, -1
     assign = [0] * g.n
 
@@ -319,13 +331,23 @@ def max_partite_recount(g: Graph, k: int, t) -> tuple[tuple[int, ...], int]:
 
 
 def reinsert_brute(g: Graph, part: Partition, v: int, t) -> tuple[Partition, int]:
-    """Reinsertion that builds the multipartite subgraph for each candidate
-    part and counts the copies through v there with the package's
-    copies_through_vertex; ties go to the lowest part index."""
+    """Reinsertion that builds, for each candidate part, the multipartite
+    graph on the partitioned vertices plus v and takes its copies_brute
+    count minus that of the same graph without v; ties go to the lowest
+    part index."""
+    def cross_graph(assignment: dict[int, int]) -> Graph:
+        verts = sorted(assignment)
+        edges = [(i, j) for i, j in combinations(range(len(verts)), 2)
+                 if g.has_edge(verts[i], verts[j])
+                 and assignment[verts[i]] != assignment[verts[j]]]
+        return Graph.from_edges(len(verts), edges)
+
+    p = t.realize()
+    without = copies_brute(cross_graph(part.as_dict()), p)
     best_part, best_gain = None, -1
     for c in range(part.k):
         cand = part.with_vertex(v, c)
-        gain = copies_through_vertex(multipartite_subgraph(g, cand), t, v)
+        gain = copies_brute(cross_graph(cand.as_dict()), p) - without
         if gain > best_gain:
             best_part, best_gain = cand, gain
     return best_part, best_gain

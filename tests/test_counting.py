@@ -1,15 +1,19 @@
 """Pattern counting: specialized fast paths against brute-force ground truth."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exfree.counting import (
+    GENERIC_VERTEX_BUDGET,
     Pattern,
     _count_injective_homs,
+    _vertex_orbits,
     contains,
+    copies_through,
     copies_through_vertex,
     count_cliques,
     count_injective_homs,
@@ -20,7 +24,17 @@ from exfree.counting import (
 )
 from exfree.errors import BudgetExceededError, PatternSyntaxError
 from exfree.graph6 import to_graph6
-from exfree.graphs import Graph, blowup, complete, coned_blowup, cycle, empty, turan
+from exfree.graphs import (
+    Graph,
+    bits,
+    blowup,
+    complete,
+    coned_blowup,
+    cycle,
+    empty,
+    induced_subgraph,
+    turan,
+)
 
 from oracles import (
     automorphisms_brute,
@@ -28,6 +42,7 @@ from oracles import (
     copies_brute,
     count_injective_homs_leafwise,
     random_graph,
+    vertex_orbits_brute,
 )
 
 
@@ -57,8 +72,6 @@ def test_blowup_worked_examples():
 
 
 def test_blowup_closed_form_on_balanced_multipartite():
-    from math import comb
-
     for m in (1, 2, 3):
         for s in (1, 2, 3, 4, 5):
             for t in (1, 2):
@@ -203,6 +216,77 @@ def test_copies_through_vertex_matches_deletion_delta():
         assert copies_through_vertex(g, p, v) == whole - rest
 
 
+def test_copies_through_matches_brute_difference():
+    # copies in the graph induced on within plus v, less those in the graph
+    # induced on within; adj is the whole host's, so it carries bits
+    # outside within that the kernel must ignore
+    rng = random.Random(37)
+    patterns = [Pattern.clique(m) for m in range(1, 5)] + [
+        Pattern.blowup(2, 2),
+        Pattern.blowup(2, 3),
+        Pattern.coned_blowup(2, 1),
+        parse_pattern("g6:Bg"),  # the path on three vertices
+        parse_pattern("g6:B_"),  # an edge plus an isolated vertex
+        parse_pattern("g6:?"),  # the graph on no vertices
+    ]
+    nonzero = 0
+    for _ in range(60):
+        n = rng.randrange(1, 10)
+        g = random_graph(rng, n, rng.choice((0.4, 0.7, 1.0)))
+        v = rng.randrange(n)
+        within = sum(1 << u for u in range(n) if u != v and rng.random() < 0.8)
+        with_v = induced_subgraph(g, bits(within | 1 << v))[0]
+        without = induced_subgraph(g, bits(within))[0]
+        for t in patterns:
+            p = t.realize()
+            want = copies_brute(with_v, p) - copies_brute(without, p)
+            got = copies_through(g.adj, within, g.adj[v] & within, t)
+            assert got == want, (t.literal(), g.edges(), v, within)
+            nonzero += want > 0
+    assert nonzero > 250
+
+
+def test_copies_through_counts_blowups_past_the_generic_budget():
+    # K2(7) has 14 vertices; its difference oracle is the blow-up counter,
+    # which test_blowup_counts_match_brute_force checks against copies_brute,
+    # and in a complete host the closed form 1716 * C(w, 13) for the 14-sets
+    # through v among w other vertices, 1716 = C(14, 7) / 2 splits each
+    big = Pattern.blowup(2, 7)
+    assert big.vertex_count() > GENERIC_VERTEX_BUDGET
+    rng = random.Random(41)
+    for n in (14, 15, 16):
+        g = complete(n)
+        within = rng.getrandbits(n) & ~1
+        assert copies_through(g.adj, within, g.adj[0] & within, big) == 1716 * comb(
+            within.bit_count(), 13
+        )
+        g = random_graph(rng, n, 0.9)
+        v = rng.randrange(n)
+        within = ((1 << n) - 1) ^ (1 << v)
+        want = count_pattern(g, big) - count_pattern(induced_subgraph(g, bits(within))[0], big)
+        assert copies_through(g.adj, within, g.adj[v], big) == want
+
+
+def test_vertex_orbits_meet_each_orbit_once():
+    graphs = [
+        Graph(0, ()),
+        complete(1),
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        Graph.from_edges(3, [(0, 1)]),
+        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+        Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]),
+        cycle(5),
+        blowup(2, 2),
+        coned_blowup(2, 2),
+        coned_blowup(2, 1),
+    ]
+    for g in graphs:
+        orbits = vertex_orbits_brute(g)
+        assert _vertex_orbits(g) == tuple(sorted((min(o), len(o)) for o in orbits)), g.edges()
+
+
 def test_count_injective_homs_equals_count_times_aut():
     rng = random.Random(17)
     for _ in range(15):
@@ -230,7 +314,7 @@ def test_closed_form_last_level_matches_leafwise_oracle():
         for pin in pins:
             for limit in (None, 1, 3):
                 want = count_injective_homs_leafwise(p, g.adj, g.n, pin=pin, limit=limit)
-                got = _count_injective_homs(p, g.adj, g.n, pin=pin, limit=limit)
+                got = _count_injective_homs(p, g.adj, (1 << g.n) - 1, pin=pin, limit=limit)
                 assert got == want, (p.edges(), g.n, g.edges(), pin, limit)
                 cases += 1
     assert cases > 3000

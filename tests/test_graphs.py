@@ -195,6 +195,7 @@ def test_genspec_literals_round_trip():
         "gen:blowup:3:2",
         "gen:coned_blowup:2:2",
         "gen:cycle:5",
+        "gen:gnp:10:0.5:3",
         "gen:min_degree_random:9:1/9:7",
     ]
     for lit in literals:
@@ -207,6 +208,10 @@ def test_genspec_literals_round_trip():
         parse_genspec("turan:6:3")
     with pytest.raises(PatternSyntaxError):
         parse_genspec("gen:turan:6")
+    with pytest.raises(PatternSyntaxError):
+        parse_genspec("gen:min_degree_random:9:1/0:7")
+    with pytest.raises(PatternSyntaxError):
+        generate(GenSpec("unknown", n=3))
 
 
 def test_as_fraction_exactness():

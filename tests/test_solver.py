@@ -45,9 +45,9 @@ from oracles import (
 
 K2 = Pattern.clique(2)
 K3 = Pattern.clique(3)
-# patterns that take the recount paths of max_partite and reinsert: a
+# patterns scored by rooted counts instead of the clique identity: a
 # blow-up, and g6 literals for the path on three vertices and for an edge
-# plus an isolated vertex (a copy may put that vertex on the reinserted one)
+# plus an isolated vertex (a copy may put that vertex on the scored one)
 BLOWUP = Pattern.blowup(2, 2)
 PATH3 = parse_pattern("g6:" + to_graph6(Graph.from_edges(3, [(0, 1), (1, 2)])))
 EDGE_PLUS_VERTEX = parse_pattern("g6:" + to_graph6(Graph.from_edges(3, [(0, 1)])))
@@ -398,12 +398,13 @@ def test_max_partite_local_search_never_beats_exact():
 
 
 def test_local_search_matches_full_recount_oracle():
-    # clique patterns score moves by their delta, K2(2) recounts; both must
-    # take the same moves as recounting every candidate partition. K2(2)
-    # hosts stop at 16 vertices, where the two full recounts stay fast.
+    # every pattern scores moves by their delta, which must take the same
+    # moves as recounting every candidate partition. Non-clique hosts stop
+    # at 16 vertices, where the oracle's full recounts stay fast.
     short = Budgets(ls_restarts=3, ls_moves_per_vertex=4)
     rng = random.Random(31)
-    for t, top in ((K2, 30), (K3, 30), (Pattern.clique(4), 30), (Pattern.blowup(2, 2), 16)):
+    for t, top in ((K2, 30), (K3, 30), (Pattern.clique(4), 30), (BLOWUP, 16), (PATH3, 16),
+                   (EDGE_PLUS_VERTEX, 16)):
         for k in (2, 3):
             for seed in (0, 1, 2):
                 g = random_graph(rng, rng.randrange(8, top + 1), rng.choice((0.4, 0.6, 0.8)))
@@ -518,6 +519,17 @@ def test_reinsert_matches_brute_reinsertion():
             assert got == reinsert_brute(g, part, v, t), (t, k, v, part, g.adj)
 
 
+def test_pattern_on_no_vertices_has_one_copy_on_every_path():
+    # one copy in every graph, the graph on no vertices included: the
+    # partition of no vertices, and a rebuild that peels every vertex
+    t = parse_pattern("g6:?")
+    for n in (0, 3):
+        for mode in ("exact", "local-search"):
+            assert max_partite(empty(n), 2, t, mode)[1] == 1, (n, mode)
+    rb = rebuild(empty(4), 3, t, complete(3))
+    assert (rb.core_count, rb.gains, rb.best_count) == (1, (0, 0, 0, 0), 1)
+
+
 def test_reinsert_rejects_bad_vertices():
     part = Partition.of(2, {0: 0, 1: 1})
     with pytest.raises(ValueError):
@@ -548,7 +560,7 @@ def test_rebuild_matches_oracle_pipeline():
         n = rng.randint(5, 10)
         g = random_graph(rng, n, p=rng.choice([0.5, 0.7, 0.9]))
         k = 3 if trial % 2 else 4
-        t = [K2, K3, Pattern.clique(4), BLOWUP, PATH3][trial % 5]
+        t = [K2, K3, Pattern.clique(4), BLOWUP, PATH3, EDGE_PLUS_VERTEX][trial // 2 % 6]
         rb = rebuild(g, k, t, complete(k))
         got = (rb.best_count, rb.best_edges, rb.partition, rb.core_count, rb.gains)
         assert got == _rebuild_reference(g, k, t), (trial, g.adj)
