@@ -6,12 +6,19 @@ subgraph copies, not induced ones: extra host edges among the image vertices
 are allowed. All counts are exact Python ints.
 
 Cliques and blow-ups have specialized bitset counters; everything else goes
-through a generic injective-homomorphism backtracker divided by |Aut(T)|.
-None of them visits copies one leaf at a time at the last level: the clique
-counter adds the edges inside its candidates once two vertices are left,
-the blow-up counter adds C(|candidates|, t) for its last class, and the
-backtracker adds the number of candidates for the last vertex of its plan,
-all of whose pattern neighbors are placed by then.
+through one generic injective-homomorphism backtracker divided by |Aut(T)|.
+The backtracker follows a plan (_hom_plan) worked out once per pattern
+graph and lead: the lead vertices come first in its order, either pinned
+to given host vertices, as the forbid test pins an edge of the forbidden
+graph onto a new host edge, or, rooted, with the first sent to a vertex
+outside the host, as copies_through does. |Aut(T)| comes from the same
+backtracker, by orbit-stabilizer over pinned existence tests.
+
+None of the counters visits copies one leaf at a time at the last level:
+the clique counter adds the edges inside its candidates once two vertices
+are left, the blow-up counter adds C(|candidates|, t) for its last class,
+and the backtracker adds the number of candidates for the last vertex of
+its plan, all of whose pattern neighbors are placed by then.
 
 copies_through counts the copies that contain one vertex, the score the
 partition, reinsertion and peel code gives a vertex for every pattern; it
@@ -31,7 +38,6 @@ from .graphs import Graph, bits, blowup, complete, coned_blowup
 from .graphs import remove_vertex  # noqa: F401  bench/layers.py traces counting.remove_vertex
 
 GENERIC_VERTEX_BUDGET = 12  # generic-path patterns larger than this are refused
-AUT_SEARCH_BUDGET = 10
 
 
 @dataclass(frozen=True)
@@ -91,21 +97,17 @@ class Pattern:
         """Order of the automorphism group.
 
         Clique(m): m!.  Blowup(m, t): m! * (t!)^m.  Coned blow-ups and
-        arbitrary patterns are counted by search; at t = 1 the apex of a
-        coned blow-up is not distinguished, so no closed form is assumed.
+        arbitrary patterns are counted by search (orbit-stabilizer, see
+        _aut_count_cached), up to the generic path's vertex budget; at
+        t = 1 the apex of a coned blow-up is not distinguished, so no closed
+        form is assumed.
         """
         if self.kind == "clique":
             return factorial(self.m)
         if self.kind == "blowup":
             return factorial(self.m) * factorial(self.t) ** self.m
         g = self.realize()
-        if g.n > AUT_SEARCH_BUDGET:
-            if self.kind == "coned" and self.t >= 2:
-                # apex is the unique vertex of maximum degree once t >= 2
-                return factorial(self.m) * factorial(self.t) ** self.m
-            raise BudgetExceededError(
-                f"automorphism search limited to {AUT_SEARCH_BUDGET} vertices, got {g.n}"
-            )
+        _require_generic(g)
         return _aut_count_cached(g)
 
     def literal(self) -> str:
@@ -282,19 +284,24 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
 
 @lru_cache(maxsize=256)
 def _hom_plan(
-    p: Graph, root: int | None = None
+    p: Graph, lead: tuple[int, ...] = (), rooted: bool = False
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Backtracking plan for pattern p, built once per pattern graph and root.
+    """Backtracking plan for pattern p, built once per pattern graph and lead.
 
-    The vertex order starts at root, or without one at a vertex of maximum
-    degree, and then always takes a vertex with the most already-ordered
-    neighbors (ties by degree, then lowest id). Returns the order, each
-    position's earlier-neighbor positions, and the host degree each
-    position's image needs: its pattern degree, less one for a neighbor of
-    the root, whose image lies outside the host (see _count_injective_homs).
+    The vertex order starts with the lead vertices, in the order given, or
+    without a lead at a vertex of maximum degree, and then always takes a
+    vertex with the most already-ordered neighbors (ties by degree, then
+    lowest id). Returns the order, each position's earlier-neighbor
+    positions, and the host degree each position's image needs: its pattern
+    degree, less one for a neighbor of the root when rooted, the root being
+    lead[0], whose image lies outside the host (see _count_injective_homs).
+    The need is 0 where the earlier neighbors' images, distinct vertices of
+    the host, already give that many, so the backtracker skips the test.
     """
-    order = [] if root is None else [root]
-    placed = 0 if root is None else 1 << root
+    order = list(lead)
+    placed = 0
+    for v in lead:
+        placed |= 1 << v
     remaining = set(range(p.n)) - set(order)
     while remaining:
         nxt = max(remaining, key=lambda v: ((p.adj[v] & placed).bit_count(), p.degree(v), -v))
@@ -305,43 +312,51 @@ def _hom_plan(
     back = tuple(
         tuple(pos[u] for u in bits(p.adj[v]) if pos[u] < i) for i, v in enumerate(order)
     )
-    rooted = 0 if root is None else 1 << root
-    return tuple(order), back, tuple(p.degree(v) - (p.adj[v] & rooted).bit_count() for v in order)
+    outside = 1 << lead[0] if rooted else 0
+    need = []
+    for i, v in enumerate(order):
+        d = p.degree(v) - (p.adj[v] & outside).bit_count()
+        given = len(back[i]) - (rooted and 0 in back[i])
+        need.append(d if d > given else 0)
+    return tuple(order), back, tuple(need)
 
 
-def _count_injective_homs(
-    p: Graph,
-    host_adj,
-    host: int,
-    *,
-    root: int | None = None,
-    row: int = 0,
-    pin: dict | None = None,
-    limit: int | None = None,
-) -> int:
+def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=None) -> int:
     """Number of injective maps V(p) -> host preserving every edge of p,
-    host being a vertex mask; counting stops once it reaches limit
-    (existence is limit=1). Bits of host_adj outside host are ignored.
+    host being a vertex mask and plan p's _hom_plan; counting stops once it
+    reaches limit (existence is limit=1). Bits of host_adj outside host are
+    ignored. This is the one embedding backtracker.
 
-    With a root, only maps that send pattern vertex root to a vertex x
-    outside host are counted, x being joined to the vertices of row (a
-    subset of host): the host is then host plus x. pin maps pattern vertices
-    to fixed host vertices (used for edge-rooted tests). Non-edges of the
-    pattern impose nothing. The last plan position is counted in closed
-    form: every pattern neighbor of its vertex is already placed, so each
-    remaining candidate completes one map.
+    images are the host vertices the plan's lead vertices map to, placed
+    before the search with the checks every other position gets: free, in
+    host, joined to the earlier images p requires, and of host degree at
+    least the position's need. With row instead (a rooted plan), only maps
+    that send the root to a vertex x outside host are counted, x being
+    joined to the vertices of row (a subset of host): the host is then host
+    plus x. Non-edges of the pattern impose nothing. The last plan position
+    is counted in closed form: every pattern neighbor of its vertex is
+    already placed, so each remaining candidate completes one map.
     """
-    if p.n > host.bit_count() + (root is not None):
+    order, back, need = plan
+    size = len(order)
+    if size > host.bit_count() + (row is not None):
         return 0
-    if p.n == 0:
+    nbr = [row] * size  # the host neighbors of each position's image
+    used = 0
+    for i, x in enumerate(images):
+        if not (host & ~used) >> x & 1:
+            return 0
+        for j in back[i]:
+            if not nbr[j] >> x & 1:
+                return 0
+        nbr[i] = a = host_adj[x]
+        if (a & host).bit_count() < need[i]:
+            return 0
+        used |= 1 << x
+    start = 1 if row is not None else len(images)
+    if start >= size:
         return 1
-    if root is not None and p.n == 1:
-        return 1
-    order, back, need = _hom_plan(p, root)
-    pinned = [pin.get(v) for v in order] if pin else [None] * p.n
-    host_deg = [(a & host).bit_count() for a in host_adj]
-    nbr = [row] * p.n  # the host neighbors of each position's image; the root's are row
-    last = p.n - 1
+    last = size - 1
     total = 0
 
     def rec(i: int, used: int) -> bool:
@@ -350,11 +365,6 @@ def _count_injective_homs(
         cand = host & ~used
         for j in back[i]:
             cand &= nbr[j]
-        fixed = pinned[i]
-        if fixed is not None:
-            if not (cand >> fixed) & 1:
-                return False
-            cand = 1 << fixed
         if i == last:
             # each candidate already meets need[last] distinct images
             total += cand.bit_count()
@@ -363,20 +373,36 @@ def _count_injective_homs(
         while cand:
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if host_deg[v] < deg:
+            a = host_adj[v]
+            if deg and (a & host).bit_count() < deg:
                 continue
-            nbr[i] = host_adj[v]
+            nbr[i] = a
             if rec(i + 1, used | (1 << v)):
                 return True
         return False
 
-    rec(0 if root is None else 1, 0)
+    rec(start, used)
     return total if limit is None else min(total, limit)
 
 
 @lru_cache(maxsize=256)
 def _aut_count_cached(g: Graph) -> int:
-    return _count_injective_homs(g, g.adj, (1 << g.n) - 1)
+    """|Aut(g)| by orbit-stabilizer: the product over i of the orbit of
+    vertex i under the automorphisms that fix vertices 0..i-1. Each orbit
+    is found by pinned existence tests, vertices 0..i-1 pinned to
+    themselves and i to a candidate image; an injective edge-preserving
+    self-map of a finite graph is an automorphism. At most n^2 tests."""
+    full = (1 << g.n) - 1
+    total = 1
+    for i in range(g.n):
+        plan = _hom_plan(g, tuple(range(i + 1)))
+        fixed = tuple(range(i))
+        total *= sum(
+            1 for w in range(i, g.n)
+            if g.degree(w) == g.degree(i)
+            and _count_injective_homs(plan, g.adj, full, fixed + (w,), None, 1)
+        )
+    return total
 
 
 def _vertex_orbits(p: Graph) -> tuple[tuple[int, int], ...]:
@@ -407,7 +433,7 @@ def _require_generic(p: Graph) -> None:
 def count_injective_homs(g: Graph, p: Graph) -> int:
     """Injective edge-preserving maps from p into g (the generic oracle path)."""
     _require_generic(p)
-    return _count_injective_homs(p, g.adj, (1 << g.n) - 1)
+    return _count_injective_homs(_hom_plan(p), g.adj, (1 << g.n) - 1)
 
 
 def count_pattern_generic(g: Graph, t: Pattern) -> int:
@@ -435,16 +461,16 @@ def count_pattern_masks(adj, n: int, t: Pattern) -> int:
         return _count_blowup_masks(adj, (1 << n) - 1, t.m, t.t)
     p = t.realize()
     _require_generic(p)
-    return _count_injective_homs(p, adj, (1 << n) - 1) // t.aut_count()
+    return _count_injective_homs(_hom_plan(p), adj, (1 << n) - 1) // t.aut_count()
 
 
 @lru_cache(maxsize=256)
-def _orbit_roots(t: Pattern) -> tuple[Graph, tuple[tuple[int, int], ...], int]:
-    """A generic pattern's graph, its _vertex_orbits and |Aut|, worked out
-    once per pattern."""
+def _orbit_roots(t: Pattern) -> tuple[tuple, int]:
+    """A generic pattern's rooted plans, one per _vertex_orbits entry with
+    the orbit's size, and |Aut|, worked out once per pattern."""
     p = t.realize()
     _require_generic(p)
-    return p, _vertex_orbits(p), t.aut_count()
+    return tuple((_hom_plan(p, (a,), True), size) for a, size in _vertex_orbits(p)), t.aut_count()
 
 
 def copies_through(adj, within: int, row: int, t: Pattern) -> int:
@@ -472,16 +498,20 @@ def copies_through(adj, within: int, row: int, t: Pattern) -> int:
         return total
     if t.vertex_count() > within.bit_count() + 1:
         return 0
-    p, orbits, aut = _orbit_roots(t)
+    plans, aut = _orbit_roots(t)
     homs = 0
-    for a, size in orbits:
-        homs += size * _count_injective_homs(p, adj, within, root=a, row=row)
+    for plan, size in plans:
+        homs += size * _count_injective_homs(plan, adj, within, (), row)
     return homs // aut
 
 
 def exists_injective_hom(p: Graph, host_adj, host_n: int, pin: dict | None = None) -> bool:
-    """Early-exit embedding test on raw masks; pin fixes pattern->host vertices."""
-    return _count_injective_homs(p, host_adj, (1 << host_n) - 1, pin=pin, limit=1) > 0
+    """Early-exit embedding test on raw masks; pin fixes pattern->host
+    vertices, which lead the plan."""
+    pin = pin or {}
+    plan = _hom_plan(p, tuple(pin))
+    host = (1 << host_n) - 1
+    return _count_injective_homs(plan, host_adj, host, tuple(pin.values()), None, 1) > 0
 
 
 def contains(g: Graph, h: Graph) -> bool:

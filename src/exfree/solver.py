@@ -29,6 +29,8 @@ from math import comb
 from .coloring import chromatic_number
 from .counting import (
     Pattern,
+    _count_injective_homs,
+    _hom_plan,
     cliques_in_mask,
     contains,
     copies_through,
@@ -172,14 +174,29 @@ def _directed_edges(h: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(reps)
 
 
-def _creates_copy(adj, n: int, h: Graph, u: int, v: int, hk: int | None, h_dir) -> bool:
-    """Would adding edge (u, v) complete a copy of h through that edge?
+@lru_cache(maxsize=256)
+def _forbid_test(h: Graph) -> tuple[int | None, tuple | None]:
+    """_creates_copy's last two arguments for h, built once per h and
+    fetched once per search: (k, None) for h = K_k, else (None, plans),
+    plans holding one embedding plan per _directed_edges representative
+    (a, b), led by a then b."""
+    hk = _clique_order(h)
+    if hk is not None:
+        return hk, None
+    return None, tuple(_hom_plan(h, edge) for edge in _directed_edges(h))
 
-    For a non-clique h, h_dir holds one directed edge (a, b) per orbit of
-    Aut(h) on directed edges, and each is pinned to (u, v) in turn. A copy
-    that maps some edge onto (u, v) can be composed with an automorphism
-    that moves that edge to its orbit's representative, so one pin per
-    orbit finds every copy the all-edges loop would.
+
+def _creates_copy(adj, n: int, u: int, v: int, hk: int | None, plans) -> bool:
+    """Would adding edge (u, v) complete a copy of h through that edge?
+    hk and plans are _forbid_test(h).
+
+    For h = K_k this asks for a K_{k-2} among the common neighbors. Otherwise
+    each plan pins its lead edge (a, b), one per orbit of Aut(h) on directed
+    edges, to (u, v) in turn. A copy that maps some edge onto (u, v) can be
+    composed with an automorphism that moves that edge to its orbit's
+    representative, so one pin per orbit finds every copy the all-edges loop
+    would. The pinned images' degrees must count the new edge, so the test
+    runs on a copy of adj with (u, v) added.
     """
     if hk is not None:
         common = adj[u] & adj[v]
@@ -187,8 +204,10 @@ def _creates_copy(adj, n: int, h: Graph, u: int, v: int, hk: int | None, h_dir) 
     adj2 = list(adj)
     adj2[u] |= 1 << v
     adj2[v] |= 1 << u
-    for a, b in h_dir:
-        if exists_injective_hom(h, adj2, n, pin={a: u, b: v}):
+    host = (1 << n) - 1
+    lead = (u, v)
+    for plan in plans:
+        if _count_injective_homs(plan, adj2, host, lead, None, 1):
             return True
     return False
 
@@ -218,13 +237,18 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     frame carries their list. The one pruning rule is forbid: an edge stops
     being live once it would complete a copy of h, and including an edge
     re-tests only the survivors, since adding edges only forbids more. So
-    every leaf is h-free. For a clique h = K_k, a live edge (a, b) that
-    including (u, v) kills lies in a K_k with u and v whose other edges are
-    all included: it is (u, w) with w in N(v), (v, w) with w in N(u), or has
-    both ends in N(u) & N(v), N being the included neighbourhoods. Edges
-    are decided in ascending order, so included edges precede (u, v) and
-    live ones follow it. That leaves the first and last kinds empty, and
-    only the live (w, v) with u < w < v and w in N(u) are re-tested.
+    every leaf is h-free. The test (_creates_copy) is fetched once per
+    search from _forbid_test: a clique test for h = K_k, else one prepared
+    embedding plan per orbit of Aut(h) on directed edges, led by that edge,
+    so no test re-derives a plan.
+
+    For a clique h = K_k, a live edge (a, b) that including (u, v) kills
+    lies in a K_k with u and v whose other edges are all included: it is
+    (u, w) with w in N(v), (v, w) with w in N(u), or has both ends in
+    N(u) & N(v), N being the included neighbourhoods. Edges are decided in
+    ascending order, so included edges precede (u, v) and live ones follow
+    it. That leaves the first and last kinds empty, and only the live
+    (w, v) with u < w < v and w in N(u) are re-tested.
 
     upper(floor) is the pattern count of the upper graph U (the included
     edges plus the live ones), which every leaf below lies inside. For a
@@ -249,8 +273,7 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     edges = g.edges()
     M = len(edges)
     n = g.n
-    hk = _clique_order(h)
-    h_dir = None if hk else _directed_edges(h)
+    hk, plans = _forbid_test(h)
     clique_m = t.m if t is not None and t.kind == "clique" else None
     cap = None
     loss = 0
@@ -265,7 +288,7 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     adj = [0] * n
     included: list[tuple[int, int]] = []
     root_live = [
-        j for j, (a, b) in enumerate(edges) if not _creates_copy(adj, n, h, a, b, hk, h_dir)
+        j for j, (a, b) in enumerate(edges) if not _creates_copy(adj, n, a, b, hk, plans)
     ]
     up = [0] * n
     for j in root_live:
@@ -382,14 +405,14 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
                 while cand:
                     w = (cand & -cand).bit_length() - 1
                     cand &= cand - 1
-                    if _creates_copy(adj, n, h, w, v, hk, h_dir):
+                    if _creates_copy(adj, n, w, v, hk, plans):
                         killed.append(eid[w][v])
                 keep_live = [j for j in rest if j not in killed] if killed else rest
             else:
                 keep_live, killed = [], []
                 for j in rest:
                     a, b = edges[j]
-                    (killed if _creates_copy(adj, n, h, a, b, hk, h_dir) else keep_live).append(j)
+                    (killed if _creates_copy(adj, n, a, b, hk, plans) else keep_live).append(j)
             lost = sum(drop(j) for j in killed)
             dfs(idx + 1, keep_live, pack)
             restore(killed, lost)
@@ -419,12 +442,11 @@ def _enter_all(upper, included) -> bool:
 def _feasible_seed(g: Graph, t: Pattern, h: Graph):
     """Cheap feasible starting points: greedy edge packing, plus the
     peel-and-repartition heuristic when the forbidden graph has chi >= 3."""
-    hk = _clique_order(h)
-    h_dir = None if hk else _directed_edges(h)
+    hk, plans = _forbid_test(h)
     adj = [0] * g.n
     included = []
     for u, v in g.edges():
-        if not _creates_copy(adj, g.n, h, u, v, hk, h_dir):
+        if not _creates_copy(adj, g.n, u, v, hk, plans):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             included.append((u, v))
@@ -432,11 +454,11 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph):
     try:
         chi = chromatic_number(h).chromatic_number
         if chi >= 3:
+            # the rebuilt edges are (chi - 1)-partite, so h-free
             reb = _rebuild(g, chi, t, h, chi, seed=0, budgets=DEFAULT_BUDGETS)
-            if not contains(Graph.from_edges(g.n, reb.best_edges), h):
-                cand = (reb.best_count, reb.best_edges)
-                if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                    best = cand
+            cand = (reb.best_count, reb.best_edges)
+            if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
     except BudgetExceededError:
         pass
     return best
@@ -572,12 +594,11 @@ def enumerate_maximal_hfree(
     _require_forbidden_edges(h)
     _edge_budget("maximal enumeration", g.edge_count(), budgets.ties_edges)
     edges = g.edges()
-    hk = _clique_order(h)
-    h_dir = None if hk else _directed_edges(h)
+    hk, plans = _forbid_test(h)
     out: list[tuple[tuple[int, int], ...]] = []
 
     def leaf(upper, included, adj) -> None:
-        if all((adj[a] >> b) & 1 or _creates_copy(adj, g.n, h, a, b, hk, h_dir)
+        if all((adj[a] >> b) & 1 or _creates_copy(adj, g.n, a, b, hk, plans)
                for a, b in edges):
             out.append(tuple(included))
 

@@ -11,7 +11,8 @@ enumerate bundle, built on the package's exact solver and tie enumeration,
 and four are earlier versions of rewritten kernels kept as references:
 count_injective_homs_leafwise (the embedding backtracker that counts one
 leaf at a time, on the package's plan), creates_copy_all_edges (the forbid
-test that pins every directed edge of h), color_component_recursive (the
+test that pins every directed edge of h, on the package's pinned
+backtracker), color_component_recursive (the
 recursive coloring searches, on the package's budget counter) and
 max_partite_recount (the exact partition that recounts every string).
 """
@@ -102,6 +103,36 @@ def directed_edge_orbits_brute(g: Graph) -> list[set]:
             if not any((a, b) in orbit for orbit in orbits):
                 orbits.append({(perm[a], perm[b]) for perm in auts})
     return orbits
+
+
+def injective_homs_brute(p: Graph, host_adj, host: int) -> list[tuple[int, ...]]:
+    """Every injective edge-preserving map from p into the vertices of the
+    host mask, as the tuple of images of p's vertices 0..p.n-1, found by
+    trying every ordered choice of distinct host vertices."""
+    verts = [x for x in range(host.bit_length()) if host >> x & 1]
+    pedges = p.edges()
+    return [image for image in permutations(verts, p.n)
+            if all(host_adj[image[a]] >> image[b] & 1 for a, b in pedges)]
+
+
+def creates_copy_brute(adj, n: int, h: Graph, u: int, v: int) -> bool:
+    """Would adding (u, v) complete a copy of h that uses the edge (u, v)?
+    Maps each edge (a, b) of h onto (u, v) and (v, u) in turn and tries
+    every placement of h's other vertices on the other host vertices."""
+    adj2 = list(adj)
+    adj2[u] |= 1 << v
+    adj2[v] |= 1 << u
+    hedges = h.edges()
+    rest = [x for x in range(n) if x not in (u, v)]
+    for a, b in hedges:
+        others = [w for w in range(h.n) if w not in (a, b)]
+        for x, y in ((u, v), (v, u)):
+            for placed in permutations(rest, len(others)):
+                image = dict(zip(others, placed))
+                image[a], image[b] = x, y
+                if all(adj2[image[c]] >> image[d] & 1 for c, d in hedges):
+                    return True
+    return False
 
 
 def max_hfree_brute(g: Graph, pattern: Graph, h: Graph) -> tuple[int, tuple]:

@@ -380,3 +380,11 @@ def test_replay_rejects_bad_records_and_indices(tmp_path):
     code, out, _ = run("replay", "--record", str(one), "--index", "0")
     assert code == 0
     assert out.endswith("dichotomy: match\n")
+
+
+def test_count_accepts_patterns_at_the_generic_vertex_budget():
+    # 11- and 12-vertex patterns: |Aut| comes from orbit-stabilizer
+    for n, g6 in ((11, "JhCGGC@?K?_"), (12, "KhCGGC@?G?o@")):
+        assert run("count", "--graph", f"gen:cycle:{n}", "--pattern", "g6:" + g6)[:2] == (0, "1\n")
+    code, _, err = run("count", "--graph", "gen:cycle:13", "--pattern", "g6:LhCGGC@?G?_@_@")
+    assert code == 2 and "generic counting limited to 12" in err

@@ -1,7 +1,7 @@
 """Pattern counting: specialized fast paths against brute-force ground truth."""
 
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from exfree.counting import (
     GENERIC_VERTEX_BUDGET,
     Pattern,
     _count_injective_homs,
+    _hom_plan,
     _vertex_orbits,
     contains,
     copies_through,
@@ -19,6 +20,7 @@ from exfree.counting import (
     count_injective_homs,
     count_pattern,
     count_pattern_generic,
+    exists_injective_hom,
     max_clique_size,
     parse_pattern,
 )
@@ -41,6 +43,7 @@ from oracles import (
     contains_brute,
     copies_brute,
     count_injective_homs_leafwise,
+    injective_homs_brute,
     random_graph,
     vertex_orbits_brute,
 )
@@ -89,6 +92,9 @@ def test_coned_blowup_count():
 
 
 def test_aut_counts_match_brute_force():
+    # closed forms and orbit-stabilizer against the permutation count on
+    # patterns and on seeded and symmetric graphs of 0-8 vertices; past 8,
+    # known groups up to the generic budget, 12! and 11! included
     cases = [
         Pattern.clique(3),
         Pattern.clique(4),
@@ -101,8 +107,21 @@ def test_aut_counts_match_brute_force():
         Pattern.arbitrary(cycle(5)),
         Pattern.arbitrary(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])),
     ]
+    rng = random.Random(37)
+    graphs = [empty(8), cycle(8), Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+              Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]
+    graphs += [random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+               for n in range(9) for _ in range(2)]
+    cases += [Pattern.arbitrary(g) for g in graphs]
     for p in cases:
         assert p.aut_count() == automorphisms_brute(p.realize()), p.literal()
+    star11 = Graph.from_edges(12, [(0, v) for v in range(1, 12)])
+    for g, want in [(cycle(11), 22), (cycle(12), 24), (empty(12), factorial(12)),
+                    (star11, factorial(11))]:
+        assert Pattern.arbitrary(g).aut_count() == want, g.edges()
+    assert Pattern.coned_blowup(2, 5).aut_count() == 2 * factorial(5) ** 2  # 11 vertices
+    with pytest.raises(BudgetExceededError):
+        Pattern.arbitrary(cycle(GENERIC_VERTEX_BUDGET + 1)).aut_count()
 
 
 def test_generic_counter_matches_brute_force():
@@ -314,10 +333,47 @@ def test_closed_form_last_level_matches_leafwise_oracle():
         for pin in pins:
             for limit in (None, 1, 3):
                 want = count_injective_homs_leafwise(p, g.adj, g.n, pin=pin, limit=limit)
-                got = _count_injective_homs(p, g.adj, (1 << g.n) - 1, pin=pin, limit=limit)
+                plan = _hom_plan(p, tuple(pin or ()))
+                images = tuple((pin or {}).values())
+                got = _count_injective_homs(plan, g.adj, (1 << g.n) - 1, images, None, limit)
                 assert got == want, (p.edges(), g.n, g.edges(), pin, limit)
                 cases += 1
     assert cases > 3000
+
+
+def test_pinned_counts_match_permutation_brute_force():
+    # the leafwise oracle follows the package's plan, so a plan that drops
+    # or reorders lead vertices would pass it; this compares with every
+    # injective map instead. Patterns of 0-5 vertices, connected or not,
+    # hosts of 0-7 vertices under a random vertex mask, 0-3 lead vertices
+    # pinned to the images of a real map or to random vertices (clashing,
+    # repeated, outside the mask or one past the last vertex)
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(250):
+        g = random_graph(rng, rng.randrange(0, 8), rng.choice((0.3, 0.6, 0.9)))
+        host = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        pn = rng.randrange(0, 6)
+        p = random_graph(rng, pn, rng.choice((0.3, 0.6, 1.0)))
+        maps = injective_homs_brute(p, g.adj, host)
+        for size in range(min(pn, 3) + 1):
+            lead = tuple(rng.sample(range(pn), size))
+            if maps and rng.random() < 0.6:
+                images = tuple(rng.choice(maps)[a] for a in lead)
+            else:
+                images = tuple(rng.randrange(g.n + 1) for _ in lead)
+            want = sum(all(m[a] == x for a, x in zip(lead, images)) for m in maps)
+            nonzero += want > 0
+            plan = _hom_plan(p, lead)
+            assert plan[0][:size] == lead
+            for limit in (None, 1, 3):
+                got = _count_injective_homs(plan, g.adj, host, images, None, limit)
+                assert got == (want if limit is None else min(want, limit)), (
+                    p.edges(), g.edges(), host, lead, images, limit)
+            if host == (1 << g.n) - 1:
+                pin = dict(zip(lead, images))
+                assert exists_injective_hom(p, g.adj, g.n, pin=pin) == (want > 0)
+    assert nonzero > 200
 
 
 def test_blowup_counts_match_brute_force():

@@ -32,7 +32,10 @@ from exfree import (
 )
 
 from oracles import (
+    contains_brute,
+    copies_brute,
     creates_copy_all_edges,
+    creates_copy_brute,
     directed_edge_orbits_brute,
     local_search_recount,
     max_hfree_brute,
@@ -253,25 +256,81 @@ def test_directed_edges_meet_each_orbit_once():
         assert len(reps) == orbit_count, name
 
 
+# disconnected forbidden graphs, whose plans have positions with no earlier
+# neighbour: 2K2, a triangle plus a vertex, and P3 plus an edge
+DISCONNECTED_FORBIDDEN = {
+    "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
+    "K3+K1": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+    "P3+K2": Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+}
+NON_CLIQUE_FORBIDDEN = [h for h, _ in EDGE_ORBIT_GRAPHS.values()] + list(
+    DISCONNECTED_FORBIDDEN.values())
+
+
 def test_creates_copy_matches_all_edges_loop():
-    # one pin per edge orbit against both directions of every edge, on
-    # seeded hosts of 5 to 8 vertices, every non-edge tried
+    # one plan per edge orbit against both directions of every edge, on
+    # seeded hosts of 5 to 10 vertices, every non-edge tried; on hosts of
+    # at most 8 vertices also against the permutation oracle, which shares
+    # no code with the package
     rng = random.Random(2019)
-    forbidden = [h for h, _ in EDGE_ORBIT_GRAPHS.values()]
-    hits = misses = 0
-    for trial in range(60):
-        h = forbidden[trial % len(forbidden)]
-        g = random_graph(rng, rng.randint(5, 8), rng.choice((0.4, 0.6, 0.8)))
+    hits = misses = brute = 0
+    for trial in range(100):
+        h = NON_CLIQUE_FORBIDDEN[trial % len(NON_CLIQUE_FORBIDDEN)]
+        g = random_graph(rng, rng.randint(5, 10), rng.choice((0.2, 0.4, 0.6, 0.8)))
         adj = list(g.adj)
-        h_dir = solver._directed_edges(h)
+        hk, plans = solver._forbid_test(h)
+        assert hk is None
         for u, v in itertools.combinations(range(g.n), 2):
             if g.has_edge(u, v):
                 continue
             want = creates_copy_all_edges(adj, g.n, h, u, v)
-            assert solver._creates_copy(adj, g.n, h, u, v, None, h_dir) == want, (trial, u, v)
+            if g.n <= 8:
+                assert creates_copy_brute(adj, g.n, h, u, v) == want, (trial, u, v)
+                brute += 1
+            assert solver._creates_copy(adj, g.n, u, v, hk, plans) == want, (trial, u, v)
             hits += want
             misses += not want
-    assert hits > 50 and misses > 50
+    assert hits > 100 and misses > 100 and brute > 300
+
+
+def test_creates_copy_counts_the_new_edge_at_the_pinned_ends():
+    # h minus one edge (a, b) planted with a on u and b on v, u and v
+    # touching nothing else: u has exactly deg_h(a) - 1 neighbours and v
+    # deg_h(b) - 1, so only the new edge (u, v) lifts them to the degrees
+    # the pinned images need. Both directions of every edge of every
+    # non-clique forbidden graph, on hosts of 5 to 10 vertices
+    rng = random.Random(2020)
+    for h in NON_CLIQUE_FORBIDDEN:
+        hk, plans = solver._forbid_test(h)
+        for a, b in h.edges():
+            for x, y in ((a, b), (b, a)):
+                for _ in range(3):
+                    n = rng.randint(max(5, h.n), 10)
+                    image = rng.sample(range(n), h.n)
+                    u, v = image[x], image[y]
+                    edges = {tuple(sorted((image[c], image[d]))) for c, d in h.edges()}
+                    edges.discard(tuple(sorted((u, v))))
+                    others = [e for e in itertools.combinations(range(n), 2)
+                              if u not in e and v not in e]
+                    edges.update(rng.sample(others, rng.randint(0, len(others) // 2)))
+                    g = Graph.from_edges(n, sorted(edges))
+                    assert (g.degree(u), g.degree(v)) == (h.degree(x) - 1, h.degree(y) - 1)
+                    assert solver._creates_copy(list(g.adj), n, u, v, hk, plans), (h.edges(), x, y)
+
+
+def test_feasible_seed_is_hfree_without_a_recheck():
+    # the seed of every oracle pattern and forbidden graph on the oracle
+    # hosts and on complete hosts, where the rebuilt (chi - 1)-partite
+    # candidate wins: h-free and counted right by the permutation oracles
+    rng = random.Random(2021)
+    for hname, h in ORACLE_FORBIDDEN.items():
+        hosts = [_oracle_host(rng, hname) for _ in range(3)] + [complete(6), complete(7)]
+        for pname, t in ORACLE_PATTERNS.items():
+            for g in hosts:
+                count, edges = solver._feasible_seed(g, t, h)
+                w = subgraph_from_edges(g, edges)
+                assert not contains_brute(w, h), (hname, pname, g.edges())
+                assert count == copies_brute(w, t.realize()), (hname, pname, g.edges())
 
 
 def test_bnb_proves_clique_optima_near_the_root():
