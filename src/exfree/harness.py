@@ -10,6 +10,13 @@ exact "p/q" strings, and per-trial randomness derives from the experiment
 seed and the trial index, never from execution order. Timings are recorded
 but excluded from replay comparison.
 
+One table, _KINDS, holds each record kind's spec format: its fields, each
+with one codec that writes it to JSON and reads it back. An experiment
+function and replay run the same path, _run, so a record replays through the
+code that wrote it. Replay checks every spec field's JSON type (and that a
+rational is "p/q" with q > 0) before it runs anything; a missing or malformed
+field raises ValueError, which the command line reports with exit status 1.
+
 A "fails" verdict always carries a concrete counterexample (graph6 plus edge
 list) that validate_failure re-checks from scratch, independent of the solver
 that produced it.
@@ -19,10 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .coloring import NO, UNKNOWN, YES, chromatic_number, is_edge_critical, is_k_colorable
@@ -123,10 +130,6 @@ def _experiment_id(kind: str, spec: dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
-def _record(kind: str, spec, results, verdicts, timings) -> ExperimentRecord:
-    return ExperimentRecord(_experiment_id(kind, spec), kind, spec, results, verdicts, timings)
-
-
 def append_record(path: str, record: ExperimentRecord) -> None:
     """Append one record line; existing lines are never touched."""
     with open(path, "a", encoding="ascii") as fh:
@@ -221,7 +224,8 @@ def _verdict_from_bundle(bundle: dict[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each public function normalises its arguments and passes them
+# to _run as spec fields; replay reads the same fields back from a spec
 
 
 def verify_extremal_colorable(
@@ -243,31 +247,24 @@ def verify_extremal_colorable(
     not a refutation. When the host is small enough to enumerate every
     count-maximal subgraph, colorability of all of them is recorded too.
     """
-    started = time.perf_counter()
-    eps_frac = None if eps is None else _frac(eps)
-    spec = {
-        "host": to_graph6(g),
-        "forbidden": to_graph6(h),
-        "pattern": t.literal(),
-        "k": k,
-        "eps": None if eps_frac is None else _frac_str(eps_frac),
-        "engine": engine,
-        "budgets": asdict(budgets),
-    }
+    return _run("extremal-colorable", host=g, forbidden=h, pattern=t, k=k,
+                eps=None if eps is None else _frac(eps), engine=engine, budgets=budgets)
 
-    chi = chromatic_number(h).chromatic_number
-    critical, crit_edge = is_edge_critical(h)
-    bundle = _solve_and_color(g, h, t, k, budgets, engine)
+
+def _extremal_colorable(host, forbidden, pattern, k, eps, engine, budgets):
+    chi = chromatic_number(forbidden).chromatic_number
+    critical, crit_edge = is_edge_critical(forbidden)
+    bundle = _solve_and_color(host, forbidden, pattern, k, budgets, engine)
 
     hypothesis_met = None
-    if eps_frac is not None and g.n > 0:
-        hypothesis_met = g.min_degree() >= (1 - eps_frac) * g.n
+    if eps is not None and host.n > 0:
+        hypothesis_met = host.min_degree() >= (1 - eps) * host.n
 
     results: dict[str, Any] = {
-        "n": g.n,
-        "host_edges": g.edge_count(),
-        "host_count": count_pattern(g, t),
-        "min_degree": g.min_degree() if g.n else 0,
+        "n": host.n,
+        "host_edges": host.edge_count(),
+        "host_count": count_pattern(host, pattern),
+        "min_degree": host.min_degree() if host.n else 0,
         "chi_forbidden": chi,
         "chi_matches_k": chi == k,
         "forbidden_edge_critical": critical,
@@ -276,7 +273,7 @@ def verify_extremal_colorable(
         "solve": bundle,
     }
     if bundle["status"] == "ok" and k >= 2:
-        reb = rebuild(g, k, t, h, budgets=budgets)
+        reb = rebuild(host, k, pattern, forbidden, budgets=budgets)
         results["rebuild_count"] = reb.best_count
         results["rebuild_notes"] = list(reb.notes)
 
@@ -285,9 +282,7 @@ def verify_extremal_colorable(
         verdicts["all-optima-colorable"] = HOLDS if bundle["all_optima_colorable"] else FAILS
     elif bundle["status"] == "ok":
         verdicts["all-optima-colorable"] = UNKNOWN
-
-    timings = {"total_s": time.perf_counter() - started}
-    return _record("extremal-colorable", spec, results, verdicts, timings)
+    return results, verdicts
 
 
 def verify_near_colorable(
@@ -307,53 +302,39 @@ def verify_near_colorable(
     true minimum; past the size budget a local-search partition gives only an
     upper bound and the verdict degrades to unknown.
     """
-    started = time.perf_counter()
-    spec = {
-        "host": to_graph6(g),
-        "forbidden": to_graph6(h),
-        "pattern": t.literal(),
-        "k": k,
-        "engine": engine,
-        "budgets": asdict(budgets),
-    }
-    bundle = _solve_and_color(g, h, t, k, budgets, engine)
-    results: dict[str, Any] = {"n": g.n, "solve": bundle}
-    verdicts: dict[str, str] = {}
+    return _run("near-colorable", host=g, forbidden=h, pattern=t, k=k,
+                engine=engine, budgets=budgets)
 
+
+def _near_colorable(host, forbidden, pattern, k, engine, budgets):
+    n = host.n
+    bundle = _solve_and_color(host, forbidden, pattern, k, budgets, engine)
+    results: dict[str, Any] = {"n": n, "solve": bundle}
     if bundle["status"] != "ok":
-        verdicts["deletion-distance"] = UNKNOWN
-        verdicts["within-edge-bound"] = UNKNOWN
-    else:
-        witness = Graph.from_edges(g.n, [tuple(e) for e in bundle["witness"]["edges"]])
-        edge_pattern = Pattern.clique(2)
-        if witness.n <= budgets.partite_exact_n:
-            part, kept = max_partite(witness, k - 1, edge_pattern, "exact", budgets=budgets)
-            exact_partite = True
-        else:
-            part, kept = max_partite(
-                witness, k - 1, edge_pattern, "local-search", budgets=budgets
-            )
-            exact_partite = False
-        deletions = witness.edge_count() - kept
-        results.update(
-            {
-                "witness_edges_total": witness.edge_count(),
-                "partite_kept_edges": kept,
-                "partite_exact": exact_partite,
-                "deletions": deletions,
-                "deletion_ratio_to_n2": _frac_str(Fraction(deletions, g.n * g.n))
-                if g.n
-                else "0",
-                "partition": [list(pair) for pair in part.assignment],
-            }
-        )
-        verdicts["deletion-distance"] = HOLDS if exact_partite else UNKNOWN
-        verdicts["within-edge-bound"] = (
-            HOLDS if 0 <= deletions <= witness.edge_count() else FAILS
-        )
+        return results, {"deletion-distance": UNKNOWN, "within-edge-bound": UNKNOWN}
 
-    timings = {"total_s": time.perf_counter() - started}
-    return _record("near-colorable", spec, results, verdicts, timings)
+    witness = Graph.from_edges(n, [tuple(e) for e in bundle["witness"]["edges"]])
+    exact_partite = witness.n <= budgets.partite_exact_n
+    part, kept = max_partite(
+        witness, k - 1, Pattern.clique(2), "exact" if exact_partite else "local-search",
+        budgets=budgets,
+    )
+    deletions = witness.edge_count() - kept
+    results.update(
+        {
+            "witness_edges_total": witness.edge_count(),
+            "partite_kept_edges": kept,
+            "partite_exact": exact_partite,
+            "deletions": deletions,
+            "deletion_ratio_to_n2": _frac_str(Fraction(deletions, n * n)) if n else "0",
+            "partition": [list(pair) for pair in part.assignment],
+        }
+    )
+    verdicts = {
+        "deletion-distance": HOLDS if exact_partite else UNKNOWN,
+        "within-edge-bound": HOLDS if 0 <= deletions <= witness.edge_count() else FAILS,
+    }
+    return results, verdicts
 
 
 def compare_prediction(
@@ -372,26 +353,19 @@ def compare_prediction(
     rational, and their ratio; rows whose exact solve runs out of budget are
     marked unknown and left in the table.
     """
-    started = time.perf_counter()
-    ns = list(n_range)
     pattern = Pattern.clique(m) if t == 1 else Pattern.blowup(m, t)
-    spec = {
-        "n_range": ns,
-        "k": k,
-        "m": m,
-        "t": t,
-        "forbidden": to_graph6(h),
-        "pattern": pattern.literal(),
-        "budgets": asdict(budgets),
-    }
+    return _run("prediction-table", n_range=list(n_range), k=k, m=m, t=t, forbidden=h,
+                pattern=pattern, budgets=budgets)
 
+
+def _prediction_table(n_range, k, m, t, forbidden, pattern, budgets):
     def row(n: int) -> dict[str, Any]:
         prediction = (
             predict_ex_clique(n, k, m) if t == 1 else predict_ex_blowup(n, m, t)
         )
         out: dict[str, Any] = {"n": n, "prediction": _frac_str(prediction)}
         try:
-            res = max_hfree_subgraph(complete(n), pattern, h, "exact", budgets=budgets)
+            res = max_hfree_subgraph(complete(n), pattern, forbidden, "exact", budgets=budgets)
         except BudgetExceededError as exc:
             out.update({"status": "unknown", "reason": str(exc)})
             return out
@@ -406,12 +380,9 @@ def compare_prediction(
         )
         return out
 
-    rows = [row(n) for n in ns]
+    rows = [row(n) for n in n_range]
     all_ok = all(r["status"] == "ok" for r in rows)
-    results = {"rows": rows}
-    verdicts = {"table-complete": HOLDS if all_ok else UNKNOWN}
-    timings = {"total_s": time.perf_counter() - started}
-    return _record("prediction-table", spec, results, verdicts, timings)
+    return {"rows": rows}, {"table-complete": HOLDS if all_ok else UNKNOWN}
 
 
 def threshold_scan(
@@ -436,55 +407,33 @@ def threshold_scan(
     budgets are verdict "unknown" and excluded from the rate, with their
     count reported alongside.
     """
-    started = time.perf_counter()
+    return _run("threshold-scan", forbidden=h, pattern=t, k=k, n=n,
+                fractions=[_frac(x) for x in fractions], trials=trials, seed=seed,
+                budgets=budgets)
+
+
+def _threshold_scan(forbidden, pattern, k, n, fractions, trials, seed, budgets):
     if trials < 1:
         raise ValueError(f"need at least one trial per fraction, got {trials}")
-    fracs = [_frac(x) for x in fractions]
-    for phi in fracs:
+    for phi in fractions:
         if not 0 <= phi <= 1:
             raise ValueError(f"degree fraction {phi} outside [0, 1]")
-    spec = {
-        "forbidden": to_graph6(h),
-        "pattern": t.literal(),
-        "k": k,
-        "n": n,
-        "fractions": [_frac_str(phi) for phi in fracs],
-        "trials": trials,
-        "seed": seed,
-        "budgets": asdict(budgets),
-    }
 
-    # generate every trial graph up front; identical graphs share one solve
-    trial_graphs: list[tuple[int, int, Graph]] = []  # (fraction idx, seed, graph)
-    for fi, phi in enumerate(fracs):
-        eps = 1 - phi
-        for ti in range(trials):
-            s = trial_seed(seed, fi * trials + ti)
-            trial_graphs.append((fi, s, min_degree_random(n, eps, seed=s)))
-
-    unique: dict[tuple[int, ...], int] = {}
-    unique_graphs: list[Graph] = []
-    for _, _, g in trial_graphs:
-        if g.adj not in unique:
-            unique[g.adj] = len(unique_graphs)
-            unique_graphs.append(g)
-
-    bundles = [_solve_and_color(g, h, t, k, budgets) for g in unique_graphs]
-
+    # identical hosts share one solve, made when the host first occurs
+    bundles: dict[tuple[int, ...], dict[str, Any]] = {}
     fraction_rows: list[dict[str, Any]] = []
-    cursor = 0
-    any_unknown = False
-    for fi, phi in enumerate(fracs):
+    for fi, phi in enumerate(fractions):
         eps = 1 - phi
         rows = []
-        passing = 0
-        failing = 0
-        unknown = 0
+        tally = {HOLDS: 0, FAILS: 0, UNKNOWN: 0}
         for ti in range(trials):
-            _, s, g = trial_graphs[cursor]
-            cursor += 1
-            bundle = bundles[unique[g.adj]]
+            s = trial_seed(seed, fi * trials + ti)
+            g = min_degree_random(n, eps, seed=s)
+            bundle = bundles.get(g.adj)
+            if bundle is None:
+                bundle = bundles[g.adj] = _solve_and_color(g, forbidden, pattern, k, budgets)
             verdict = _verdict_from_bundle(bundle)
+            tally[verdict] += 1
             row: dict[str, Any] = {
                 "trial": ti,
                 "seed": s,
@@ -507,14 +456,8 @@ def threshold_scan(
                     row["counterexample"] = bundle["counterexample"]
             else:
                 row["reason"] = bundle["reason"]
-            if verdict == HOLDS:
-                passing += 1
-            elif verdict == FAILS:
-                failing += 1
-            else:
-                unknown += 1
-                any_unknown = True
             rows.append(row)
+        passing, failing, unknown = tally[HOLDS], tally[FAILS], tally[UNKNOWN]
         decided = passing + failing
         fraction_rows.append(
             {
@@ -529,10 +472,8 @@ def threshold_scan(
             }
         )
 
-    results = {"n": n, "fractions": fraction_rows}
-    verdicts = {"completed": UNKNOWN if any_unknown else HOLDS}
-    timings = {"total_s": time.perf_counter() - started}
-    return _record("threshold-scan", spec, results, verdicts, timings)
+    any_unknown = any(row["unknown"] for row in fraction_rows)
+    return {"n": n, "fractions": fraction_rows}, {"completed": UNKNOWN if any_unknown else HOLDS}
 
 
 def verify_dichotomy(
@@ -552,36 +493,28 @@ def verify_dichotomy(
     The record reports the frontier; it asserts nothing beyond data
     completeness, which is what the verdict tracks.
     """
-    started = time.perf_counter()
-    gamma_frac = _frac(gamma)
+    return _run("dichotomy", host=g, k=k, pattern=t, gamma=_frac(gamma), budgets=budgets)
+
+
+def _dichotomy(host, k, pattern, gamma, budgets):
     h = complete(k)
-    spec = {
-        "host": to_graph6(g),
-        "k": k,
-        "pattern": t.literal(),
-        "gamma": _frac_str(gamma_frac),
-        "budgets": asdict(budgets),
-    }
-    verdicts: dict[str, str] = {}
-    results: dict[str, Any] = {"n": g.n}
+    results: dict[str, Any] = {"n": host.n}
     try:
-        best = max_hfree_subgraph(g, t, h, "exact", budgets=budgets)
-        subgraphs = enumerate_maximal_hfree(g, h, budgets=budgets)
+        best = max_hfree_subgraph(host, pattern, h, "exact", budgets=budgets)
+        subgraphs = enumerate_maximal_hfree(host, h, budgets=budgets)
     except BudgetExceededError as exc:
         results["reason"] = str(exc)
-        verdicts["frontier-complete"] = UNKNOWN
-        timings = {"total_s": time.perf_counter() - started}
-        return _record("dichotomy", spec, results, verdicts, timings)
+        return results, {"frontier-complete": UNKNOWN}
 
     optimum = best.best_count
     edge_pattern = Pattern.clique(2)
     rows = []
     incomplete = False
     for edge_set in subgraphs:
-        sub = Graph.from_edges(g.n, edge_set)
-        cnt = count_pattern(sub, t)
+        sub = Graph.from_edges(host.n, edge_set)
+        cnt = count_pattern(sub, pattern)
         ratio = Fraction(cnt, optimum) if optimum else None
-        small_count = (ratio is not None and ratio <= gamma_frac) or cnt == 0
+        small_count = (ratio is not None and ratio <= gamma) or cnt == 0
         row: dict[str, Any] = {
             "graph6": to_graph6(sub),
             "edge_count": len(edge_set),
@@ -600,35 +533,32 @@ def verify_dichotomy(
     results.update(
         {
             "optimum": optimum,
-            "optimum_witness": _graph_payload(best.best_edges, g.n),
+            "optimum_witness": _graph_payload(best.best_edges, host.n),
             "maximal_subgraphs": len(subgraphs),
             "frontier": rows,
         }
     )
-    verdicts["frontier-complete"] = UNKNOWN if incomplete else HOLDS
-    timings = {"total_s": time.perf_counter() - started}
-    return _record("dichotomy", spec, results, verdicts, timings)
+    return results, {"frontier-complete": UNKNOWN if incomplete else HOLDS}
 
 
 # ---------------------------------------------------------------------------
-# replay and failure validation
+# the spec table: each kind's compute function and its spec fields, each
+# field with the codec that writes it to JSON and reads it back. Readers
+# raise TypeError or ValueError on a malformed value. Codecs reach to_graph6,
+# from_graph6 and parse_pattern through this module's globals when called,
+# so rebinding those names (as a tracer does) covers the spec too.
 
 
-def replay(record: ExperimentRecord) -> tuple[bool, ExperimentRecord]:
-    """Re-run a record's spec and report whether the reproducible fields
-    (spec, results, verdicts) came back identical. Timings never count."""
-    fresh = _rerun(record)
-    return fresh.comparable() == record.comparable(), fresh
+@dataclass(frozen=True)
+class _Codec:
+    write: Callable[[Any], Any]
+    read: Callable[[Any, str], Any]  # (JSON value, field name) -> value
 
 
-def _rerun(record: ExperimentRecord) -> ExperimentRecord:
-    try:
-        run = _rerun_call(record.kind, record.spec)
-    except KeyError as exc:
-        raise ValueError(f"record {record.experiment_id} spec lacks field {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"record {record.experiment_id} spec is malformed: {exc}") from exc
-    return run()
+def _spec_str(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _spec_int(value: Any, name: str) -> int:
@@ -637,62 +567,94 @@ def _spec_int(value: Any, name: str) -> int:
     return value
 
 
-def _rerun_call(kind: str, spec: dict[str, Any]) -> Callable[[], ExperimentRecord]:
-    """The call that re-runs a record, its arguments read from the spec."""
-    budgets = Budgets(**spec["budgets"])
-    if kind == "extremal-colorable":
-        return partial(
-            verify_extremal_colorable,
-            from_graph6(spec["host"]),
-            from_graph6(spec["forbidden"]),
-            parse_pattern(spec["pattern"]),
-            _spec_int(spec["k"], "k"),
-            eps=spec["eps"],
-            budgets=budgets,
-            engine=spec["engine"],
-        )
-    if kind == "near-colorable":
-        return partial(
-            verify_near_colorable,
-            from_graph6(spec["host"]),
-            from_graph6(spec["forbidden"]),
-            parse_pattern(spec["pattern"]),
-            _spec_int(spec["k"], "k"),
-            budgets=budgets,
-            engine=spec["engine"],
-        )
-    if kind == "prediction-table":
-        return partial(
-            compare_prediction,
-            [_spec_int(n, "n_range entry") for n in spec["n_range"]],
-            _spec_int(spec["k"], "k"),
-            _spec_int(spec["m"], "m"),
-            _spec_int(spec["t"], "t"),
-            from_graph6(spec["forbidden"]),
-            budgets=budgets,
-        )
-    if kind == "threshold-scan":
-        return partial(
-            threshold_scan,
-            from_graph6(spec["forbidden"]),
-            parse_pattern(spec["pattern"]),
-            _spec_int(spec["k"], "k"),
-            _spec_int(spec["n"], "n"),
-            spec["fractions"],
-            _spec_int(spec["trials"], "trials"),
-            _spec_int(spec["seed"], "seed"),
-            budgets=budgets,
-        )
-    if kind == "dichotomy":
-        return partial(
-            verify_dichotomy,
-            from_graph6(spec["host"]),
-            _spec_int(spec["k"], "k"),
-            parse_pattern(spec["pattern"]),
-            spec["gamma"],
-            budgets=budgets,
-        )
-    raise ValueError(f"unknown record kind {kind!r}")
+def _spec_list(value: Any, name: str, read: Callable[[Any, str], Any]) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return [read(x, f"{name} entry") for x in value]
+
+
+# the forms str(Fraction) writes: an integer, or p/q
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _spec_frac(value: Any, name: str) -> Fraction:
+    if _RATIONAL_RE.fullmatch(_spec_str(value, name)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} must be a rational p/q with q > 0, got {value!r}")
+
+
+def _spec_budgets(value: Any, name: str) -> Budgets:
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, got {value!r}")
+    return Budgets(**{key: _spec_int(v, f"{name}.{key}") for key, v in value.items()})
+
+
+_GRAPH = _Codec(lambda g: to_graph6(g), lambda v, name: from_graph6(_spec_str(v, name)))
+_PATTERN = _Codec(lambda t: t.literal(), lambda v, name: parse_pattern(_spec_str(v, name)))
+_INT = _Codec(lambda v: v, _spec_int)
+_RATIONAL = _Codec(_frac_str, _spec_frac)
+_OPTIONAL_RATIONAL = _Codec(
+    lambda v: None if v is None else _frac_str(v),
+    lambda v, name: None if v is None else _spec_frac(v, name),
+)
+_ENGINE = _Codec(lambda v: v, _spec_str)
+_BUDGETS = _Codec(lambda b: asdict(b), _spec_budgets)
+_INTS = _Codec(list, lambda v, name: _spec_list(v, name, _spec_int))
+_RATIONALS = _Codec(lambda vs: [_frac_str(v) for v in vs],
+                    lambda v, name: _spec_list(v, name, _spec_frac))
+
+# budgets comes first in every kind, so a spec without it says so first
+_KINDS = {
+    "extremal-colorable": (_extremal_colorable, (
+        ("budgets", _BUDGETS), ("host", _GRAPH), ("forbidden", _GRAPH), ("pattern", _PATTERN),
+        ("k", _INT), ("eps", _OPTIONAL_RATIONAL), ("engine", _ENGINE))),
+    "near-colorable": (_near_colorable, (
+        ("budgets", _BUDGETS), ("host", _GRAPH), ("forbidden", _GRAPH), ("pattern", _PATTERN),
+        ("k", _INT), ("engine", _ENGINE))),
+    "prediction-table": (_prediction_table, (
+        ("budgets", _BUDGETS), ("n_range", _INTS), ("k", _INT), ("m", _INT), ("t", _INT),
+        ("forbidden", _GRAPH), ("pattern", _PATTERN))),
+    "threshold-scan": (_threshold_scan, (
+        ("budgets", _BUDGETS), ("forbidden", _GRAPH), ("pattern", _PATTERN), ("k", _INT),
+        ("n", _INT), ("fractions", _RATIONALS), ("trials", _INT), ("seed", _INT))),
+    "dichotomy": (_dichotomy, (
+        ("budgets", _BUDGETS), ("host", _GRAPH), ("k", _INT), ("pattern", _PATTERN),
+        ("gamma", _RATIONAL))),
+}
+
+
+def _run(kind: str, **fields: Any) -> ExperimentRecord:
+    """Write the spec from fields, time the kind's compute and build its record."""
+    started = time.perf_counter()
+    compute, codecs = _KINDS[kind]
+    spec = {name: codec.write(fields[name]) for name, codec in codecs}
+    results, verdicts = compute(**fields)
+    timings = {"total_s": time.perf_counter() - started}
+    return ExperimentRecord(_experiment_id(kind, spec), kind, spec, results, verdicts, timings)
+
+
+# ---------------------------------------------------------------------------
+# replay and failure validation
+
+
+def replay(record: ExperimentRecord) -> tuple[bool, ExperimentRecord]:
+    """Re-run a record's spec and report whether the reproducible fields
+    (spec, results, verdicts) came back identical. Timings never count.
+    ValueError if the kind is unknown or a spec field is missing or malformed."""
+    if not isinstance(record.kind, str) or record.kind not in _KINDS:
+        raise ValueError(f"unknown record kind {record.kind!r}")
+    try:
+        fields = {name: codec.read(record.spec[name], name)
+                  for name, codec in _KINDS[record.kind][1]}
+    except KeyError as exc:
+        raise ValueError(f"record {record.experiment_id} spec lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"record {record.experiment_id} spec is malformed: {exc}") from exc
+    fresh = _run(record.kind, **fields)
+    return fresh.comparable() == record.comparable(), fresh
 
 
 def validate_failure(record: ExperimentRecord) -> tuple[bool, list[str]]:

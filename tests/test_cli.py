@@ -364,17 +364,51 @@ def test_replay_rejects_bad_records_and_indices(tmp_path):
     assert (code, out) == (1, "")
     assert "record version 7 is not supported" in err
 
-    # every top-level field present, but the spec damaged
-    for spec, message in (
-        ({}, "spec lacks field 'budgets'"),
-        ({**json.loads(one.read_text())["spec"], "host": 5}, "spec is malformed"),
-        ({"budgets": {"no_such_budget": 1}}, "spec is malformed"),
-        ({**json.loads(one.read_text())["spec"], "k": "3"}, "spec is malformed: k must be"),
+    # every top-level field present, but the spec damaged: a dichotomy, a
+    # scan and an extremal-colorable record, so every codec sees bad input
+    scan, extremal = tmp_path / "scan.jsonl", tmp_path / "extremal.jsonl"
+    assert run(
+        "scan", "--forbid", "gen:complete:3", "--k", "3", "--n", "4", "--pattern", "K2",
+        "--fractions", "1/2", "--trials", "2", "--seed", "1", "--out", str(scan),
+    )[0] == 0
+    assert run(
+        "verify", "--claim", "extremal-colorable", "--graph", "gen:complete:4",
+        "--forbid", "gen:complete:3", "--k", "3", "--eps", "1/2", "--out", str(extremal),
+    )[0] == 0
+    blobs = {path: json.loads(path.read_text()) for path in (one, scan, extremal)}
+
+    def spec_with(path, **fields):
+        return {**blobs[path], "spec": {**blobs[path]["spec"], **fields}}
+
+    def budgets_with(path, **fields):
+        return spec_with(path, budgets={**blobs[path]["spec"]["budgets"], **fields})
+
+    for blob, message in (
+        ({**blobs[one], "spec": {}}, "spec lacks field 'budgets'"),
+        (spec_with(one, host=5), "spec is malformed"),
+        ({**blobs[one], "spec": {"budgets": {"no_such_budget": 1}}}, "spec is malformed"),
+        (spec_with(one, k="3"), "spec is malformed: k must be"),
+        (spec_with(one, gamma="1/0"), "spec is malformed: gamma must be a rational"),
+        (spec_with(one, gamma=[1]), "spec is malformed: gamma must be a string"),
+        (spec_with(one, gamma="1e3"), "spec is malformed: gamma must be a rational"),
+        (budgets_with(one, ties_edges="x"), "spec is malformed: budgets.ties_edges must be"),
+        (budgets_with(one, ties_edges=1.5), "spec is malformed: budgets.ties_edges must be"),
+        (budgets_with(one, bnb_edges="9"), "spec is malformed: budgets.bnb_edges must be"),
+        (spec_with(scan, fractions=["1/0"]), "spec is malformed: fractions entry must be"),
+        (spec_with(scan, fractions=[1]), "spec is malformed: fractions entry must be"),
+        (spec_with(scan, fractions="1/2"), "spec is malformed: fractions must be a list"),
+        (spec_with(extremal, eps="1/0"), "spec is malformed: eps must be a rational"),
+        (spec_with(extremal, eps=[1]), "spec is malformed: eps must be a string"),
+        # the scan's own checks run on replay too
+        (spec_with(scan, trials=0), "need at least one trial per fraction, got 0"),
+        (spec_with(scan, fractions=["3/2"]), "degree fraction 3/2 outside [0, 1]"),
+        ({**blobs[one], "kind": ["dichotomy"]}, "unknown record kind ['dichotomy']"),
     ):
-        recfile.write_text(json.dumps({**json.loads(one.read_text()), "spec": spec}) + "\n")
+        recfile.write_text(json.dumps(blob) + "\n")
         code, out, err = run("replay", "--record", str(recfile))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: record ") and message in err
+        assert (code, out) == (1, ""), message
+        assert err.startswith("error: record " if "spec" in message else "error: "), err
+        assert message in err, err
 
     # version-1 records still replay
     code, out, _ = run("replay", "--record", str(one), "--index", "0")

@@ -198,6 +198,8 @@ def test_replay_covers_every_record_kind():
         threshold_scan(TRIANGLE, K2, 3, 4, [0], trials=3, seed=2),
         verify_dichotomy(complete(5), 3, K2, "9/10"),
     ]
+    # one record of every kind the spec table knows, and no other
+    assert sorted(rec.kind for rec in records) == sorted(harness._KINDS)
     for rec in records:
         ok, fresh = replay(rec)
         assert ok, rec.kind
@@ -205,6 +207,19 @@ def test_replay_covers_every_record_kind():
         # a record without counterexamples validates vacuously, whatever
         # its spec holds
         assert validate_failure(rec)[0], rec.kind
+
+
+def test_spec_codecs_reach_graph6_through_module_globals(monkeypatch):
+    # a tracer rebinds harness.to_graph6 and harness.from_graph6 after import;
+    # writing and reading a spec must go through the rebound names
+    rec = verify_dichotomy(complete(4), 3, K2, "1/2")
+    decoded = []
+    real_from, real_to = harness.from_graph6, harness.to_graph6
+    monkeypatch.setattr(harness, "from_graph6", lambda text: decoded.append(text) or real_from(text))
+    monkeypatch.setattr(harness, "to_graph6", lambda g: real_to(g).lower())
+    _, fresh = replay(rec)
+    assert decoded == [rec.spec["host"]]
+    assert fresh.spec["host"] == rec.spec["host"].lower() != rec.spec["host"]
 
 
 def test_replay_detects_divergence():
