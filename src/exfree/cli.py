@@ -65,6 +65,9 @@ def _graph(text: str) -> Graph:
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction("1e999999999") would build 10**999999999 before any check
+    if "e" in text.lower():
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r} (no exponents)")
     try:
         return as_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

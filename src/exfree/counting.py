@@ -12,7 +12,9 @@ graph and lead: the lead vertices come first in its order, either pinned
 to given host vertices, as the forbid test pins an edge of the forbidden
 graph onto a new host edge, or, rooted, with the first sent to a vertex
 outside the host, as copies_through does. |Aut(T)| comes from the same
-backtracker, by orbit-stabilizer over pinned existence tests.
+backtracker, by orbit-stabilizer over pinned existence tests. The forbid
+search's include step walks the same pinned plans in _defect_pairs, which
+finds in one pass every missing edge that would complete a copy.
 
 None of the counters visits copies one leaf at a time at the last level:
 the clique counter adds the edges inside its candidates once two vertices
@@ -383,6 +385,93 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
 
     rec(start, used)
     return total if limit is None else min(total, limit)
+
+
+def _defect_pairs(plans, adj, up, lead) -> list[int]:
+    """The pairs e of up & ~adj such that adj plus e holds a copy of p
+    that maps an edge onto lead, as symmetric per-vertex masks. plans hold
+    p's _hom_plan for one directed edge per orbit of Aut(p), led by that
+    edge; lead is an edge of adj, and up and adj hold masks of the same
+    host vertices, up containing adj.
+
+    Each plan pins its lead edge to lead and is walked over up with every
+    edge of p landing on an edge of adj except exactly one, the defect,
+    which lands on a pair of up & ~adj. A copy of p through e and lead
+    puts its edges other than e in adj, and an automorphism moves the edge
+    it maps onto lead to a plan's lead, so the walk finds every such e. A
+    defect found to complete a copy is not tried again, and the walk below
+    it stops at its first copy. The last plan position reads its defects
+    from the candidate masks, every pattern neighbor of its vertex being
+    placed by then. An image needs at least its position's need less one
+    neighbors in adj, since one of its edges may be the defect. A position
+    with no earlier neighbor takes any free host vertex.
+    """
+    n = len(adj)
+    host = (1 << n) - 1
+    kill = [0] * n
+    u, v = lead
+    img = [u, v] + [0] * (n - 2)  # the image of each plan position
+    back = need = None
+    last = 0
+
+    def rec(i: int, used: int, da: int, db: int) -> bool:
+        """Extend the partial map at position i, its defect (da, db) or da
+        = -1 while none is placed; True once (da, db) is killed."""
+        cand = host & ~used
+        prev = back[i]
+        exact = cand
+        for j in prev:
+            exact &= adj[img[j]]
+        if da >= 0 and i == last:
+            if not exact:
+                return False
+            kill[da] |= 1 << db
+            kill[db] |= 1 << da
+            return True
+        defects = []  # (x, candidates y) for a defect on the edge (x, y)
+        if da < 0:
+            for j in prev:
+                x = img[j]
+                c = cand & up[x] & ~adj[x] & ~kill[x]
+                for j2 in prev:
+                    if j2 != j:
+                        c &= adj[img[j2]]
+                if c:
+                    defects.append((x, c))
+        if i == last:
+            for x, c in defects:
+                kill[x] |= c
+                while c:
+                    y = (c & -c).bit_length() - 1
+                    c &= c - 1
+                    kill[y] |= 1 << x
+            return False
+        deg = need[i] - 1
+        while exact:
+            y = (exact & -exact).bit_length() - 1
+            exact &= exact - 1
+            if adj[y].bit_count() < deg:
+                continue
+            img[i] = y
+            if rec(i + 1, used | 1 << y, da, db):
+                return True
+        for x, c in defects:
+            while c:
+                y = (c & -c).bit_length() - 1
+                c &= c - 1
+                if kill[x] >> y & 1 or adj[y].bit_count() < deg:
+                    continue
+                img[i] = y
+                rec(i + 1, used | 1 << y, x, y)
+        return False
+
+    du, dv = adj[u].bit_count() + 1, adj[v].bit_count() + 1
+    for order, back, need in plans:
+        if len(order) > n or du < need[0] or dv < need[1]:
+            continue
+        last = len(order) - 1
+        rec(2, 1 << u | 1 << v, -1, -1)
+    return kill
 
 
 @lru_cache(maxsize=256)

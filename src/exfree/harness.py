@@ -641,9 +641,11 @@ def _run(kind: str, **fields: Any) -> ExperimentRecord:
 
 
 def replay(record: ExperimentRecord) -> tuple[bool, ExperimentRecord]:
-    """Re-run a record's spec and report whether the reproducible fields
-    (spec, results, verdicts) came back identical. Timings never count.
-    ValueError if the kind is unknown or a spec field is missing or malformed."""
+    """Re-run a record's spec and report whether the experiment id and the
+    reproducible fields (spec, results, verdicts) came back identical, so a
+    record whose id is not the hash of its kind and spec is a mismatch.
+    Timings never count. ValueError if the kind is unknown or a spec field
+    is missing or malformed."""
     if not isinstance(record.kind, str) or record.kind not in _KINDS:
         raise ValueError(f"unknown record kind {record.kind!r}")
     try:
@@ -654,7 +656,8 @@ def replay(record: ExperimentRecord) -> tuple[bool, ExperimentRecord]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"record {record.experiment_id} spec is malformed: {exc}") from exc
     fresh = _run(record.kind, **fields)
-    return fresh.comparable() == record.comparable(), fresh
+    same = fresh.experiment_id == record.experiment_id and fresh.comparable() == record.comparable()
+    return same, fresh
 
 
 def validate_failure(record: ExperimentRecord) -> tuple[bool, list[str]]:

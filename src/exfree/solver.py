@@ -30,6 +30,7 @@ from .coloring import chromatic_number
 from .counting import (
     Pattern,
     _count_injective_homs,
+    _defect_pairs,
     _hom_plan,
     cliques_in_mask,
     contains,
@@ -179,7 +180,8 @@ def _forbid_test(h: Graph) -> tuple[int | None, tuple | None]:
     """_creates_copy's last two arguments for h, built once per h and
     fetched once per search: (k, None) for h = K_k, else (None, plans),
     plans holding one embedding plan per _directed_edges representative
-    (a, b), led by a then b."""
+    (a, b), led by a then b. The search's include step walks the same plans
+    (counting._defect_pairs)."""
     hk = _clique_order(h)
     if hk is not None:
         return hk, None
@@ -236,19 +238,29 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     Live edges are the undecided edges that may still be included; each
     frame carries their list. The one pruning rule is forbid: an edge stops
     being live once it would complete a copy of h, and including an edge
-    re-tests only the survivors, since adding edges only forbids more. So
-    every leaf is h-free. The test (_creates_copy) is fetched once per
-    search from _forbid_test: a clique test for h = K_k, else one prepared
-    embedding plan per orbit of Aut(h) on directed edges, led by that edge,
-    so no test re-derives a plan.
+    kills only survivors, since adding edges only forbids more. So every
+    leaf is h-free. The test is fetched once per search from _forbid_test:
+    a clique test for h = K_k, else one prepared embedding plan per orbit
+    of Aut(h) on directed edges, led by that edge, so no test re-derives a
+    plan. The root tests every edge with _creates_copy.
 
-    For a clique h = K_k, a live edge (a, b) that including (u, v) kills
-    lies in a K_k with u and v whose other edges are all included: it is
-    (u, w) with w in N(v), (v, w) with w in N(u), or has both ends in
-    N(u) & N(v), N being the included neighbourhoods. Edges are decided in
-    ascending order, so included edges precede (u, v) and live ones follow
-    it. That leaves the first and last kinds empty, and only the live
-    (w, v) with u < w < v and w in N(u) are re-tested.
+    Including (u, v) kills a live edge e exactly when the included edges
+    plus e hold a copy of h through e. That copy also uses (u, v), since e
+    was live before (u, v) was included, and every other edge of it is
+    included. So one walk finds every killed edge at once
+    (counting._defect_pairs): each plan's lead edge is pinned to (u, v),
+    the walk runs over U, the upper graph (the included edges plus the live
+    ones), and exactly one edge of h may land on a pair of U outside the
+    included edges; each such pair that completes a copy is killed. Those
+    pairs are exactly the remaining live edges, because decided edges are
+    included or have left U. For a clique h = K_k the clique test is
+    cheaper still: a killed live edge (a, b) lies in a K_k with u and v
+    whose other edges are all included, so it is (u, w) with w in N(v),
+    (v, w) with w in N(u), or has both ends in N(u) & N(v), N being the
+    included neighbourhoods. Edges are decided in ascending order, so
+    included edges precede (u, v) and live ones follow it. That leaves the
+    first and last kinds empty, and only the live (w, v) with u < w < v
+    and w in N(u) are re-tested.
 
     upper(floor) is the pattern count of the upper graph U (the included
     edges plus the live ones), which every leaf below lies inside. For a
@@ -397,22 +409,21 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             included.append((u, v))
+            killed = []
             if hk is not None:
                 # live (w, v) with u < w < v and (u, w) included: the only
                 # edges a K_k through (u, v) can complete (see above)
-                killed = []
                 cand = adj[u] & up[v] & -(2 << u)
                 while cand:
                     w = (cand & -cand).bit_length() - 1
                     cand &= cand - 1
                     if _creates_copy(adj, n, w, v, hk, plans):
                         killed.append(eid[w][v])
-                keep_live = [j for j in rest if j not in killed] if killed else rest
-            else:
-                keep_live, killed = [], []
-                for j in rest:
-                    a, b = edges[j]
-                    (killed if _creates_copy(adj, n, a, b, hk, plans) else keep_live).append(j)
+            elif rest:
+                kill = _defect_pairs(plans, adj, up, (u, v))
+                if any(kill):
+                    killed = [j for j in rest if kill[edges[j][0]] >> edges[j][1] & 1]
+            keep_live = [j for j in rest if j not in killed] if killed else rest
             lost = sum(drop(j) for j in killed)
             dfs(idx + 1, keep_live, pack)
             restore(killed, lost)

@@ -8,11 +8,13 @@ exceptions reuse package code on purpose: local_search_recount counts with
 the package's counter so that it can run the full local-search schedule,
 solve_and_color_two_searches is the experiment harness's earlier solve-then-
 enumerate bundle, built on the package's exact solver and tie enumeration,
-and four are earlier versions of rewritten kernels kept as references:
+and five are earlier versions of rewritten kernels kept as references:
 count_injective_homs_leafwise (the embedding backtracker that counts one
 leaf at a time, on the package's plan), creates_copy_all_edges (the forbid
 test that pins every directed edge of h, on the package's pinned
-backtracker), color_component_recursive (the
+backtracker), defect_pairs_by_retest (the search's include step for a
+non-clique h, which re-tests every live edge with the package's forbid
+test), color_component_recursive (the
 recursive coloring searches, on the package's budget counter) and
 max_partite_recount (the exact partition that recounts every string).
 """
@@ -25,7 +27,7 @@ from exfree.counting import _hom_plan, count_pattern_masks, exists_injective_hom
 from exfree.errors import BudgetExceededError, GraphFormatError
 from exfree.graphs import Graph
 from exfree.harness import _counterexample, _graph_payload
-from exfree.solver import Partition, enumerate_optima, max_hfree_subgraph
+from exfree.solver import Partition, _creates_copy, enumerate_optima, max_hfree_subgraph
 
 
 def copies_brute(g: Graph, pattern: Graph) -> int:
@@ -510,6 +512,22 @@ def creates_copy_all_edges(adj, n: int, h: Graph, u: int, v: int) -> bool:
             if exists_injective_hom(h, adj2, n, pin={x: u, y: v}):
                 return True
     return False
+
+
+def defect_pairs_by_retest(plans, adj, up, lead) -> list[int]:
+    """counting._defect_pairs as the search's include step computed it
+    before: every pair of up & ~adj is tested on its own, by whether adding
+    it to adj completes a copy of h through it (plans being h's
+    _forbid_test plans). lead is not used: when every such pair was live
+    before lead was included, a copy through one of them must use lead."""
+    n = len(adj)
+    kill = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (up[a] & ~adj[a]) >> b & 1 and _creates_copy(adj, n, a, b, None, plans):
+                kill[a] |= 1 << b
+                kill[b] |= 1 << a
+    return kill
 
 
 def color_component_recursive(g: Graph, comp: list[int], k: int, budget, canonical: bool):

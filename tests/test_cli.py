@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from exfree import cli
 from exfree.cli import main
@@ -175,6 +176,42 @@ def test_usage_errors_exit_one():
     code, out, _ = run("--help")
     assert code == 0
     assert out.startswith("usage: exfree")
+
+
+def test_rationals_refuse_exponents_before_building_them(monkeypatch):
+    # Fraction("1e999999999") would build 10**999999999; the text is
+    # refused before any value is computed, while integers, p/q and plain
+    # decimals stay accepted
+    built = []
+    real = cli.as_fraction
+    monkeypatch.setattr(cli, "as_fraction", lambda text: built.append(text) or real(text))
+    for text in ("1e999999999", "1E5", "2e-3", "1.5e2"):
+        code, out, err = run("formula", "sparse-bound", "--n", "12", "--d", "1/4", "--m", "2",
+                             "--t", "2", "--eps", text)
+        assert (code, out) == (1, ""), text
+        assert err.startswith("usage: exfree") and f"not a rational: {text!r}" in err, text
+    code, _, err = run("scan", "--forbid", "gen:complete:3", "--k", "3", "--n", "4",
+                       "--pattern", "K2", "--fractions", "1/2,1e999999999", "--trials", "1")
+    assert code == 1 and "not a rational: '1e999999999'" in err
+    assert "1e999999999" not in "".join(built)
+    for text, want in (("3", Fraction(3)), ("2/5", Fraction(2, 5)),
+                       ("0.1", Fraction(1, 10)), ("-0.25", Fraction(-1, 4))):
+        assert cli._fraction(text) == want, text
+
+
+def test_replay_reports_a_forged_experiment_id(tmp_path):
+    records = tmp_path / "scan.jsonl"
+    assert run(
+        "scan", "--forbid", "gen:complete:3", "--k", "3", "--n", "4", "--pattern", "K2",
+        "--fractions", "1/2", "--trials", "2", "--seed", "1", "--out", str(records),
+    )[0] == 0
+    blob = json.loads(records.read_text())
+    code, out, _ = run("replay", "--record", str(records))
+    assert (code, out) == (0, f"{blob['experiment_id']} threshold-scan: match\n")
+    blob["experiment_id"] = "0000000000000000"
+    records.write_text(json.dumps(blob) + "\n")
+    code, out, _ = run("replay", "--record", str(records))
+    assert (code, out) == (1, "0000000000000000 threshold-scan: MISMATCH\n")
 
 
 def test_main_reuses_one_parser_without_leaking_state(monkeypatch):

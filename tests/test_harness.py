@@ -232,6 +232,22 @@ def test_replay_detects_divergence():
     assert not ok
 
 
+def test_replay_detects_a_forged_experiment_id():
+    # the id is the hash of kind and spec; a record carrying any other id
+    # is a mismatch even though its spec, results and verdicts replay
+    rec = threshold_scan(TRIANGLE, K2, 3, 4, [0], trials=3, seed=2)
+    assert replay(rec)[0]
+
+    def forge_id(blob):
+        blob["experiment_id"] = "0000000000000000"
+
+    forged = tamper(rec, forge_id)
+    assert forged.comparable() == rec.comparable()
+    ok, fresh = replay(forged)
+    assert not ok
+    assert fresh.experiment_id == rec.experiment_id
+
+
 def test_dichotomy_frontier_on_complete_host():
     rec = verify_dichotomy(complete(6), 3, K2, "9/10")
     assert rec.verdicts == {"frontier-complete": "holds"}

@@ -36,6 +36,7 @@ from oracles import (
     copies_brute,
     creates_copy_all_edges,
     creates_copy_brute,
+    defect_pairs_by_retest,
     directed_edge_orbits_brute,
     local_search_recount,
     max_hfree_brute,
@@ -144,6 +145,18 @@ ORACLE_PATTERNS = {
 }
 
 
+# the include step's one-walk kill set for every non-clique forbidden graph
+# of the oracle tests, and for three disconnected ones whose plans have
+# positions with no earlier neighbour: 2K2, P3 plus a vertex, and a
+# triangle plus an edge
+KILL_STEP_FORBIDDEN = {
+    **{name: h for name, h in ORACLE_FORBIDDEN.items() if solver._clique_order(h) is None},
+    "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
+    "P3+K1": Graph.from_edges(4, [(0, 1), (1, 2)]),
+    "K3+K2": Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
+}
+
+
 def _oracle_host(rng, hname: str) -> Graph:
     """A seeded host of 4 to 6 vertices with at most 9 edges. Hosts this
     sparse seldom hold a wheel, so a W4 host is W4 relabelled at random
@@ -175,20 +188,37 @@ def test_bnb_matches_oracle_on_general_forbidden_graphs():
             assert (res.best_count, res.best_edges) == want, (case, engine)
 
 
-def test_enumerations_match_oracles_on_general_forbidden_graphs():
+def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
     # every optimum and every maximal h-free set, against the brute-force
-    # oracles, on seeded hosts of 4 to 6 vertices with at most 9 edges
+    # oracles, on seeded hosts of 4 to 6 vertices with at most 9 edges; the
+    # forbidden graphs add 2K2 and P3 plus a vertex, whose plans have
+    # positions with no earlier neighbour. Both engines' node and prune
+    # counts equal those of the include step that re-tests every live edge.
+    forbidden = {**ORACLE_FORBIDDEN, "2K2": KILL_STEP_FORBIDDEN["2K2"],
+                 "P3+K1": KILL_STEP_FORBIDDEN["P3+K1"]}
+    one_walk = solver._defect_pairs
+
+    def counters(g, t, h, engine, kill_step):
+        monkeypatch.setattr(solver, "_defect_pairs", kill_step)
+        res = max_hfree_subgraph(g, t, h, engine=engine)
+        stats = res.stats
+        return (res.best_count, res.best_edges, stats.nodes, stats.pruned_count,
+                stats.pruned_cap, stats.pruned_packing, stats.pruned_lex, stats.seed_count)
+
     rng = random.Random(2018)
-    pairs = [(p, q) for q in ORACLE_FORBIDDEN for p in ORACLE_PATTERNS]
+    pairs = [(p, q) for q in forbidden for p in ORACLE_PATTERNS]
     for trial in range(2 * len(pairs)):
         pname, hname = pairs[trial % len(pairs)]
-        t, h = ORACLE_PATTERNS[pname], ORACLE_FORBIDDEN[hname]
+        t, h = ORACLE_PATTERNS[pname], forbidden[hname]
         g = _oracle_host(rng, hname)
         case = (trial, pname, hname, g.edges())
         best, ties = enumerate_optima(g, t, h)
         assert (best, ties) == optima_brute(g, t.realize(), h), case
         assert ties[0] == max_hfree_subgraph(g, t, h).best_edges, case
         assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
+        for engine in ("exhaustive", "branch-and-bound"):
+            assert (counters(g, t, h, engine, one_walk)
+                    == counters(g, t, h, engine, defect_pairs_by_retest)), (case, engine)
 
 
 def _clique_host(rng, k: int) -> Graph:
@@ -316,6 +346,50 @@ def test_creates_copy_counts_the_new_edge_at_the_pinned_ends():
                     g = Graph.from_edges(n, sorted(edges))
                     assert (g.degree(u), g.degree(v)) == (h.degree(x) - 1, h.degree(y) - 1)
                     assert solver._creates_copy(list(g.adj), n, u, v, hk, plans), (h.edges(), x, y)
+
+
+def test_include_step_kills_exactly_the_live_edges_that_complete_a_copy(monkeypatch):
+    # every include of a search records its state; on a sample of them the
+    # kill mask must be the pairs of up & ~adj (the remaining live edges)
+    # that the permutation oracle says complete a copy of h with adj
+    states = []
+    real = solver._defect_pairs
+
+    def record(plans, adj, up, lead):
+        kill = real(plans, adj, up, lead)
+        states.append((list(adj), list(up), lead, kill))
+        return kill
+
+    monkeypatch.setattr(solver, "_defect_pairs", record)
+    rng = random.Random(2022)
+    checked = {}
+    for name, h in KILL_STEP_FORBIDDEN.items():
+        checked[name] = [0, 0]
+        for _ in range(4):
+            if name == "W4":
+                g = _oracle_host(rng, name)
+            else:
+                n = rng.randint(max(5, h.n), 7)
+                pairs = list(itertools.combinations(range(n), 2))
+                g = Graph.from_edges(n, rng.sample(pairs, min(len(pairs), rng.randint(9, 13))))
+            states.clear()
+            enumerate_maximal_hfree(g, h)
+            # a few states whose kill set is not empty, and a few others
+            hit = [state for state in states if any(state[3])]
+            miss = [state for state in states if not any(state[3])]
+            sample = rng.sample(hit, min(len(hit), 5)) + rng.sample(miss, min(len(miss), 3))
+            for adj, up, lead, kill in sample:
+                assert adj[lead[0]] >> lead[1] & 1
+                want = [0] * g.n
+                for a, b in itertools.combinations(range(g.n), 2):
+                    if (up[a] & ~adj[a]) >> b & 1 and creates_copy_brute(adj, g.n, h, a, b):
+                        want[a] |= 1 << b
+                        want[b] |= 1 << a
+                assert kill == want, (name, g.edges(), adj, up, lead)
+                checked[name][0] += 1
+                checked[name][1] += any(want)
+    for name, (states_seen, with_kills) in checked.items():
+        assert states_seen >= 20 and 10 <= with_kills < states_seen, (name, states_seen, with_kills)
 
 
 def test_feasible_seed_is_hfree_without_a_recheck():
