@@ -409,21 +409,24 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             included.append((u, v))
-            killed = []
             if hk is not None:
                 # live (w, v) with u < w < v and (u, w) included: the only
                 # edges a K_k through (u, v) can complete (see above)
+                killed = []
                 cand = adj[u] & up[v] & -(2 << u)
                 while cand:
                     w = (cand & -cand).bit_length() - 1
                     cand &= cand - 1
                     if _creates_copy(adj, n, w, v, hk, plans):
                         killed.append(eid[w][v])
-            elif rest:
-                kill = _defect_pairs(plans, adj, up, (u, v))
-                if any(kill):
-                    killed = [j for j in rest if kill[edges[j][0]] >> edges[j][1] & 1]
-            keep_live = [j for j in rest if j not in killed] if killed else rest
+                keep_live = [j for j in rest if j not in killed] if killed else rest
+            else:
+                keep_live, killed = [], []
+                if rest:
+                    kill = _defect_pairs(plans, adj, up, (u, v))
+                    for j in rest:
+                        a, b = edges[j]
+                        (killed if kill[a] >> b & 1 else keep_live).append(j)
             lost = sum(drop(j) for j in killed)
             dfs(idx + 1, keep_live, pack)
             restore(killed, lost)

@@ -199,8 +199,9 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
     one_walk = solver._defect_pairs
 
     def counters(g, t, h, engine, kill_step):
-        monkeypatch.setattr(solver, "_defect_pairs", kill_step)
-        res = max_hfree_subgraph(g, t, h, engine=engine)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_defect_pairs", kill_step)
+            res = max_hfree_subgraph(g, t, h, engine=engine)
         stats = res.stats
         return (res.best_count, res.best_edges, stats.nodes, stats.pruned_count,
                 stats.pruned_cap, stats.pruned_packing, stats.pruned_lex, stats.seed_count)
@@ -212,6 +213,8 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
         t, h = ORACLE_PATTERNS[pname], forbidden[hname]
         g = _oracle_host(rng, hname)
         case = (trial, pname, hname, g.edges())
+        # the brute-force checks run the shipped include step
+        assert solver._defect_pairs is one_walk
         best, ties = enumerate_optima(g, t, h)
         assert (best, ties) == optima_brute(g, t.realize(), h), case
         assert ties[0] == max_hfree_subgraph(g, t, h).best_edges, case
