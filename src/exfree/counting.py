@@ -151,64 +151,43 @@ def parse_pattern(text: str) -> Pattern:
 
 def count_cliques(g: Graph, m: int) -> int:
     """Number of m-vertex cliques; m = 1 counts vertices, m = 0 gives 1."""
-    if m < 0:
-        raise PatternSyntaxError("clique size must be >= 0")
-    if m == 0:
-        return 1
-    if m == 1:
-        return g.n
-    return _count_cliques_masks(g.adj, (1 << g.n) - 1, m)
-
-
-def _count_cliques_masks(adj, cand: int, m: int) -> int:
-    if m == 1:
-        return cand.bit_count()
-    total = 0
-    if m == 2:
-        # edges inside cand, each counted once at its lower end
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            total += (cand & adj[v]).bit_count()
-        return total
-    while cand:
-        if cand.bit_count() < m:
-            break
-        v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        total += _count_cliques_masks(adj, cand & adj[v], m - 1)
-    return total
+    return cliques_in_mask(g.adj, (1 << g.n) - 1, m)
 
 
 def cliques_in_mask(adj, mask: int, size: int) -> int:
-    """Cliques of the given size inside a candidate bitmask; size 0 counts 1."""
-    if size < 0:
-        raise PatternSyntaxError("clique size must be >= 0")
-    if size == 0:
-        return 1
-    return _count_cliques_masks(adj, mask, size)
+    """Cliques of the given size inside a candidate bitmask; size 0 counts 1.
+    This is the one clique counter."""
+    if size <= 1:
+        if size < 0:
+            raise PatternSyntaxError("clique size must be >= 0")
+        return mask.bit_count() if size else 1
+    total = 0
+    if size == 2:
+        # edges inside mask, each counted once at its lower end
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            total += (mask & adj[v]).bit_count()
+        return total
+    while mask:
+        if mask.bit_count() < size:
+            break
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        total += cliques_in_mask(adj, mask & adj[v], size - 1)
+    return total
 
 
 def exists_clique_in_mask(adj, mask: int, size: int) -> bool:
-    if size <= 0:
-        return True
-    if size == 1:
-        return mask != 0
-    while mask:
-        if mask.bit_count() < size:
-            return False
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        if exists_clique_in_mask(adj, mask & adj[v], size - 1):
-            return True
-    return False
+    """Is there a clique of the given size inside mask?"""
+    return find_clique_in_mask(adj, mask, size) is not None
 
 
 def find_clique_in_mask(adj, mask: int, size: int) -> tuple[int, ...] | None:
     """The vertices of a clique of the given size inside mask, or None.
 
-    The search order is exists_clique_in_mask's: the clique found is the
-    first in lexicographic order of ascending vertex tuples.
+    The clique found is the first in lexicographic order of ascending
+    vertex tuples.
     """
     if size <= 0:
         return ()
@@ -258,6 +237,8 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
     """
     if m == 0:
         return 1
+    if t == 1:
+        return cliques_in_mask(adj, cand, m)
     if m == 1:
         # the last class is any t-set of cand; the loop below would reach
         # each one once, at its minimum vertex
@@ -268,9 +249,6 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
             break
         v = (cand & -cand).bit_length() - 1
         cand &= cand - 1
-        if t == 1:
-            total += _count_blowup_masks(adj, cand & adj[v], m - 1, t)
-            continue
         pool = bits(cand)
         for rest in combinations(pool, t - 1):
             common = cand & adj[v]
@@ -494,22 +472,33 @@ def _aut_count_cached(g: Graph) -> int:
     return total
 
 
-def _vertex_orbits(p: Graph) -> tuple[tuple[int, int], ...]:
-    """One vertex of p per orbit of Aut(p) on vertices, with the orbit's size.
+@lru_cache(maxsize=256)
+def _orbits(p: Graph, items: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, int], ...]:
+    """One item per orbit of Aut(p) on items, with the orbit's size; items
+    are tuples of p's vertices, every image of an item under Aut(p) among
+    them.
 
-    a and b share an orbit when some injective edge-preserving self-map of
-    p sends a to b; on a finite graph such a map is an automorphism. Each
-    orbit is represented by its lowest vertex.
+    x and y share an orbit when some injective edge-preserving self-map of
+    p sends x to y coordinatewise; on a finite graph such a map is an
+    automorphism. Each item is tried against the representatives found so
+    far, in order, and starts an orbit of its own when none maps onto it, so
+    each orbit is represented by its first item.
     """
-    sizes: dict[int, int] = {}
-    for b in range(p.n):
-        for a in sizes:
-            if exists_injective_hom(p, p.adj, p.n, pin={a: b}):
-                sizes[a] += 1
+    sizes: dict[tuple[int, ...], int] = {}
+    for y in items:
+        for x in sizes:
+            if exists_injective_hom(p, p.adj, p.n, pin=dict(zip(x, y))):
+                sizes[x] += 1
                 break
         else:
-            sizes[b] = 1
+            sizes[y] = 1
     return tuple(sizes.items())
+
+
+def _vertex_orbits(p: Graph) -> tuple[tuple[int, int], ...]:
+    """One vertex of p per orbit of Aut(p) on vertices, its lowest, with
+    the orbit's size."""
+    return tuple((x, size) for (x,), size in _orbits(p, tuple((v,) for v in range(p.n))))
 
 
 def _require_generic(p: Graph) -> None:
@@ -543,9 +532,7 @@ def count_pattern_masks(adj, n: int, t: Pattern) -> int:
     if t.vertex_count() > n:
         return 0
     if t.kind == "clique":
-        if t.m == 1:
-            return n
-        return _count_cliques_masks(adj, (1 << n) - 1, t.m)
+        return cliques_in_mask(adj, (1 << n) - 1, t.m)
     if t.kind == "blowup":
         return _count_blowup_masks(adj, (1 << n) - 1, t.m, t.t)
     p = t.realize()
@@ -576,7 +563,7 @@ def copies_through(adj, within: int, row: int, t: Pattern) -> int:
     and divides by |Aut(p)|.
     """
     if t.kind == "clique":
-        return 1 if t.m == 1 else _count_cliques_masks(adj, row, t.m - 1)
+        return cliques_in_mask(adj, row, t.m - 1)
     if t.kind == "blowup":
         total = 0
         for rest in combinations(bits(within), t.t - 1):

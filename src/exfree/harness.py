@@ -90,15 +90,7 @@ class ExperimentRecord:
     version: int = RECORD_VERSION
 
     def to_json_line(self) -> str:
-        payload = {
-            "version": self.version,
-            "experiment_id": self.experiment_id,
-            "kind": self.kind,
-            "spec": self.spec,
-            "results": self.results,
-            "verdicts": self.verdicts,
-            "timings": self.timings,
-        }
+        payload = {f: getattr(self, f) for f in _RECORD_FIELDS}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
@@ -172,7 +164,7 @@ def _solve_and_color(
     ties_checked = g.edge_count() <= budgets.ties_edges
     try:
         if ties_checked:
-            proof = resolve_engine(g, h, engine, budgets)
+            proof = resolve_engine(g.edge_count(), h, engine, budgets)
             optimum, optima = enumerate_optima(g, t, h, budgets=budgets)
             check_witness(g, t, optimum, optima[0])
         else:
@@ -365,6 +357,8 @@ def _prediction_table(n_range, k, m, t, forbidden, pattern, budgets):
         )
         out: dict[str, Any] = {"n": n, "prediction": _frac_str(prediction)}
         try:
+            # K_n's n(n - 1)/2 edges meet the engine's budget before K_n is built
+            resolve_engine(n * (n - 1) // 2, forbidden, "auto", budgets)
             res = max_hfree_subgraph(complete(n), pattern, forbidden, "exact", budgets=budgets)
         except BudgetExceededError as exc:
             out.update({"status": "unknown", "reason": str(exc)})

@@ -32,6 +32,7 @@ from .counting import (
     _count_injective_homs,
     _defect_pairs,
     _hom_plan,
+    _orbits,
     cliques_in_mask,
     contains,
     copies_through,
@@ -39,9 +40,9 @@ from .counting import (
     count_pattern,
     count_pattern_masks,
     exists_clique_in_mask,
-    exists_injective_hom,
     find_clique_in_mask,
 )
+from .counting import exists_injective_hom  # noqa: F401  bench/layers.py traces this binding
 from .errors import BudgetExceededError, InfeasibleError
 from .graphs import Graph, bits, remove_vertex, turan
 
@@ -68,8 +69,9 @@ class SolveStats:
     search dropped by the first rule that sufficed: the upper graph's count,
     the Turan cap, the packing bound, then the lex-prefix prune. seed_count
     and seed_s are the count of branch-and-bound's incumbent seed and the
-    time spent finding it (None and 0.0 when no seed was built). These stay
-    out of stdout and of records."""
+    time spent finding it (None and 0.0 when there is no seed: under the
+    exhaustive engine, or when chi(h) <= 2). These stay out of stdout and
+    of records."""
 
     nodes: int
     elapsed_s: float
@@ -158,21 +160,11 @@ def _clique_order(h: Graph) -> int | None:
     return None
 
 
-@lru_cache(maxsize=256)
 def _directed_edges(h: Graph) -> tuple[tuple[int, int], ...]:
-    """One directed edge of h per orbit of Aut(h) on directed edges.
-
-    (a, b) and (a2, b2) share an orbit when some injective edge-preserving
-    self-map of h sends a to a2 and b to b2; on a finite graph such a map is
-    an automorphism. Each orbit keeps its first edge in h.edges() order,
-    both directions of an edge taken in turn.
-    """
-    reps: list[tuple[int, int]] = []
-    for u, v in h.edges():
-        for a2, b2 in ((u, v), (v, u)):
-            if not any(exists_injective_hom(h, h.adj, h.n, pin={a: a2, b: b2}) for a, b in reps):
-                reps.append((a2, b2))
-    return tuple(reps)
+    """One directed edge of h per orbit of Aut(h) on directed edges, the
+    first in h.edges() order, both directions of an edge taken in turn."""
+    directed = tuple(d for u, v in h.edges() for d in ((u, v), (v, u)))
+    return tuple(edge for edge, _ in _orbits(h, directed))
 
 
 @lru_cache(maxsize=256)
@@ -242,7 +234,9 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     leaf is h-free. The test is fetched once per search from _forbid_test:
     a clique test for h = K_k, else one prepared embedding plan per orbit
     of Aut(h) on directed edges, led by that edge, so no test re-derives a
-    plan. The root tests every edge with _creates_copy.
+    plan. At the root nothing is included, and a single edge holds a copy
+    of h exactly when h has one edge and at most n vertices: then no edge is
+    live, and otherwise every edge is.
 
     Including (u, v) kills a live edge e exactly when the included edges
     plus e hold a copy of h through e. That copy also uses (u, v), since e
@@ -260,7 +254,8 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     included neighbourhoods. Edges are decided in ascending order, so
     included edges precede (u, v) and live ones follow it. That leaves the
     first and last kinds empty, and only the live (w, v) with u < w < v
-    and w in N(u) are re-tested.
+    and w in N(u) are re-tested, each by a search for a K_{k-2} in
+    N(w) & N(v).
 
     upper(floor) is the pattern count of the upper graph U (the included
     edges plus the live ones), which every leaf below lies inside. For a
@@ -299,14 +294,8 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
                 loss = comb(hk - 2, clique_m - 2)
     adj = [0] * n
     included: list[tuple[int, int]] = []
-    root_live = [
-        j for j, (a, b) in enumerate(edges) if not _creates_copy(adj, n, a, b, hk, plans)
-    ]
-    up = [0] * n
-    for j in root_live:
-        a, b = edges[j]
-        up[a] |= 1 << b
-        up[b] |= 1 << a
+    root_live = [] if h.edge_count() == 1 and h.n <= n else list(range(M))
+    up = list(g.adj) if root_live else [0] * n
     up_count = count_pattern_masks(up, n, t) if clique_m is not None else 0
     nodes = 0
     # the current node's live list and packing, the packing as last brought
@@ -417,7 +406,7 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
                 while cand:
                     w = (cand & -cand).bit_length() - 1
                     cand &= cand - 1
-                    if _creates_copy(adj, n, w, v, hk, plans):
+                    if exists_clique_in_mask(adj, adj[w] & adj[v], hk - 2):
                         killed.append(eid[w][v])
                 keep_live = [j for j in rest if j not in killed] if killed else rest
             else:
@@ -454,58 +443,56 @@ def _enter_all(upper, included) -> bool:
 
 
 def _feasible_seed(g: Graph, t: Pattern, h: Graph):
-    """Cheap feasible starting points: greedy edge packing, plus the
-    peel-and-repartition heuristic when the forbidden graph has chi >= 3."""
-    hk, plans = _forbid_test(h)
-    adj = [0] * g.n
-    included = []
-    for u, v in g.edges():
-        if not _creates_copy(adj, g.n, u, v, hk, plans):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            included.append((u, v))
-    best = (count_pattern_masks(adj, g.n, t), tuple(included))
+    """Branch-and-bound's incumbent seed, (count, edges), or None.
+
+    With chi = chi(h) >= 3 the seed is the peel-and-repartition heuristic's
+    (chi - 1)-partite edge set, h-free since h is not (chi - 1)-colorable.
+    Otherwise there is none. No greedy set is tried: the search includes
+    first, so its first leaf is the set a greedy pass over the edges would
+    build.
+    """
+    chi = chromatic_number(h).chromatic_number
+    if chi < 3:
+        return None
     try:
-        chi = chromatic_number(h).chromatic_number
-        if chi >= 3:
-            # the rebuilt edges are (chi - 1)-partite, so h-free
-            reb = _rebuild(g, chi, t, h, chi, seed=0, budgets=DEFAULT_BUDGETS)
-            cand = (reb.best_count, reb.best_edges)
-            if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
+        reb = _rebuild(g, chi, t, h, chi, seed=0, budgets=DEFAULT_BUDGETS)
     except BudgetExceededError:
-        pass
-    return best
+        return None
+    return reb.best_count, reb.best_edges
 
 
 def _solve(g: Graph, t: Pattern, h: Graph, bounded: bool):
     """The lex-least count-maximal h-free edge set: (count, edges, counters).
 
     Unbounded (the exhaustive engine) every h-free edge subset is a leaf.
-    Bounded (branch-and-bound) the search starts from a feasible seed and
-    skips a subtree whose bound falls strictly below the incumbent. The
-    bound is _search's upper: the upper graph's count, for clique patterns
-    under a clique forbidden graph capped by the Turan count and cut by the
-    edge-disjoint packing of forbidden cliques (see _search). The lex-prefix
-    prune makes equal-bound subtrees cheap without changing the result: when
-    the bound equals the incumbent's count and the incumbent's edge tuple is
-    <= the included prefix, every leaf below extends the prefix and so
-    cannot be lexicographically smaller; the subtree is dropped and the
-    lex-least witness is kept exactly. Both settings prune with the search's
-    one rule, forbid, so every leaf is h-free without a further check.
+    Bounded (branch-and-bound) the search starts from _feasible_seed, when
+    there is one, and skips a subtree whose bound falls strictly below the
+    incumbent. The bound is _search's upper: the upper graph's count, for
+    clique patterns under a clique forbidden graph capped by the Turan count
+    and cut by the edge-disjoint packing of forbidden cliques (see _search).
+    The lex-prefix prune makes equal-bound subtrees cheap without changing
+    the result: when the bound equals the incumbent's count and the
+    incumbent's edge tuple is <= the included prefix, every leaf below
+    extends the prefix and so cannot be lexicographically smaller; the
+    subtree is dropped and the lex-least witness is kept exactly. With no
+    seed the incumbent starts at count -1 and the empty tuple, which no
+    prefix is lex-less than, so the first leaf replaces it. Both settings
+    prune with the search's one rule, forbid, so every leaf is h-free
+    without a further check.
 
     The counters are SolveStats' nodes, pruned_* and seed_*; a subtree
     dropped with its bound equal to the incumbent's count counts as a
     lex-prefix prune.
     """
-    best = [-1, None]
+    best = [-1, ()]
     counts = dict.fromkeys(("pruned_count", "pruned_cap", "pruned_packing", "pruned_lex"), 0)
     if bounded:
         started = time.perf_counter()
-        seed_count, seed_edges = _feasible_seed(g, t, h)
-        counts["seed_s"] = time.perf_counter() - started
-        counts["seed_count"] = seed_count
-        best = [seed_count, tuple(sorted(seed_edges))]
+        seed = _feasible_seed(g, t, h)
+        if seed is not None:
+            counts["seed_s"] = time.perf_counter() - started
+            counts["seed_count"] = seed[0]
+            best = list(seed)
 
         def keep(upper, included) -> bool:
             lex_less = tuple(included) < best[1]
@@ -532,9 +519,11 @@ def _require_forbidden_edges(h: Graph) -> None:
         raise InfeasibleError("forbidden graph has no edges: every subgraph contains it")
 
 
-def resolve_engine(g: Graph, h: Graph, engine: str, budgets: Budgets) -> str:
-    """The exact engine an exact solve of g runs: "exhaustive" or
-    "branch-and-bound", the name a result's proof carries.
+def resolve_engine(M: int, h: Graph, engine: str, budgets: Budgets) -> str:
+    """The exact engine an exact solve of a host with M edges runs:
+    "exhaustive" or "branch-and-bound", the name a result's proof carries.
+    Taking the edge count, not the host, lets a caller refuse a host before
+    building it.
 
     Engine "auto" picks the exhaustive engine up to budgets'
     auto_exhaustive_max host edges. Raises InfeasibleError for an edgeless
@@ -542,7 +531,6 @@ def resolve_engine(g: Graph, h: Graph, engine: str, budgets: Budgets) -> str:
     for an unknown engine name.
     """
     _require_forbidden_edges(h)
-    M = g.edge_count()
     if engine == "auto":
         engine = "exhaustive" if M <= budgets.auto_exhaustive_max else "branch-and-bound"
     if engine == "exhaustive":
@@ -588,7 +576,7 @@ def max_hfree_subgraph(
         raise ValueError(f"unknown mode {mode!r}")
 
     started = time.perf_counter()
-    engine = resolve_engine(g, h, engine, budgets)
+    engine = resolve_engine(g.edge_count(), h, engine, budgets)
     best, best_edges, counts = _solve(g, t, h, bounded=engine == "branch-and-bound")
     elapsed = time.perf_counter() - started
 

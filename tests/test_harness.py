@@ -167,6 +167,27 @@ def test_compare_prediction_degrades_to_unknown_past_budget():
     assert [row["status"] for row in rec.results["rows"]] == ["unknown", "unknown"]
 
 
+def test_compare_prediction_refuses_hosts_before_building_them(monkeypatch):
+    # K_n has n(n - 1)/2 edges, past the 60-edge branch-and-bound budget
+    # from n = 12 on: those rows are unknown without K_n ever being built
+    built = []
+    real = harness.complete
+
+    def record(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(harness, "complete", record)
+    rec = compare_prediction(range(5, 2001), 3, 2, 1, TRIANGLE)
+    assert built == list(range(5, 12))
+    rows = rec.results["rows"]
+    assert [row["status"] for row in rows[:7]] == ["ok"] * 7
+    assert all(row["status"] == "unknown" for row in rows[7:])
+    assert rows[7] == {"n": 12, "prediction": "36", "status": "unknown",
+                       "reason": "branch-and-bound engine limited to 60 edges, got 66"}
+    assert rec.verdicts == {"table-complete": "unknown"}
+
+
 def test_threshold_scan_counts_and_validates_failures():
     rec = threshold_scan(TRIANGLE, K2, 3, 5, [0], trials=8, seed=0)
     assert rec.verdicts == {"completed": "holds"}

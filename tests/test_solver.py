@@ -12,12 +12,14 @@ from exfree import (
     Graph,
     Partition,
     Pattern,
+    chromatic_number,
     complete,
     count_pattern,
     cycle,
     empty,
     enumerate_maximal_hfree,
     enumerate_optima,
+    from_graph6,
     max_hfree_subgraph,
     max_partite,
     multipartite_subgraph,
@@ -224,6 +226,35 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
                     == counters(g, t, h, engine, defect_pairs_by_retest)), (case, engine)
 
 
+def test_single_edge_forbidden_graphs_match_oracles():
+    # a forbidden graph with one edge is settled at the root: a host edge
+    # alone holds a copy exactly when the host has at least h.n vertices.
+    # K2, K2 plus a vertex and K2 plus five vertices, on seeded hosts of 2
+    # to 7 vertices with at most 9 edges, so each of the last two fits in
+    # some hosts and not in others; both engines, the optima and the
+    # maximal sets against the brute-force oracles
+    forbidden = {"K2": complete(2), "K2+K1": from_graph6("B_"), "K2+5K1": from_graph6("F_???")}
+    assert [h.edge_count() for h in forbidden.values()] == [1, 1, 1]
+    rng = random.Random(2023)
+    fits = {name: set() for name in forbidden}
+    patterns = list(ORACLE_PATTERNS.items())
+    for trial in range(24):
+        n = 2 + trial % 6
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, min(len(pairs), rng.randint(1, 9))))
+        pname, t = patterns[trial % len(patterns)]
+        for hname, h in forbidden.items():
+            fits[hname].add(h.n <= n)
+            case = (trial, pname, hname, g.edges())
+            want = max_hfree_brute(g, t.realize(), h)
+            for engine in ("exhaustive", "branch-and-bound"):
+                res = max_hfree_subgraph(g, t, h, engine=engine)
+                assert (res.best_count, res.best_edges) == want, (case, engine)
+            assert enumerate_optima(g, t, h) == optima_brute(g, t.realize(), h), case
+            assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
+    assert fits == {"K2": {True}, "K2+K1": {True, False}, "K2+5K1": {True, False}}
+
+
 def _clique_host(rng, k: int) -> Graph:
     """A seeded host of k to k + 2 vertices and at most 11 edges holding a
     planted K_k, so the forbidden clique has copies to pack."""
@@ -396,18 +427,32 @@ def test_include_step_kills_exactly_the_live_edges_that_complete_a_copy(monkeypa
 
 
 def test_feasible_seed_is_hfree_without_a_recheck():
-    # the seed of every oracle pattern and forbidden graph on the oracle
-    # hosts and on complete hosts, where the rebuilt (chi - 1)-partite
-    # candidate wins: h-free and counted right by the permutation oracles
+    # the seed is the rebuilt (chi - 1)-partite edge set when chi(h) >= 3:
+    # for every oracle pattern and forbidden graph on the oracle hosts and
+    # on complete hosts it is h-free and counted right by the permutation
+    # oracles. A bipartite forbidden graph gets no seed, and a
+    # branch-and-bound solve under one reports none.
     rng = random.Random(2021)
+    seeded = unseeded = 0
     for hname, h in ORACLE_FORBIDDEN.items():
         hosts = [_oracle_host(rng, hname) for _ in range(3)] + [complete(6), complete(7)]
+        bipartite = chromatic_number(h).chromatic_number <= 2
         for pname, t in ORACLE_PATTERNS.items():
             for g in hosts:
-                count, edges = solver._feasible_seed(g, t, h)
+                seed = solver._feasible_seed(g, t, h)
+                if bipartite:
+                    assert seed is None, (hname, pname, g.edges())
+                    unseeded += 1
+                    continue
+                count, edges = seed
                 w = subgraph_from_edges(g, edges)
                 assert not contains_brute(w, h), (hname, pname, g.edges())
                 assert count == copies_brute(w, t.realize()), (hname, pname, g.edges())
+                seeded += 1
+    assert seeded and unseeded
+    for g in (complete(6), turan(7, 3)):
+        res = max_hfree_subgraph(g, K2, cycle(4), engine="branch-and-bound")
+        assert (res.stats.seed_count, res.stats.seed_s) == (None, 0.0)
 
 
 def test_bnb_proves_clique_optima_near_the_root():
