@@ -5,8 +5,9 @@ injective edge-preserving maps up to automorphisms of T. Copies are plain
 subgraph copies, not induced ones: extra host edges among the image vertices
 are allowed. All counts are exact Python ints.
 
-Cliques and blow-ups have specialized bitset counters; everything else goes
-through one generic injective-homomorphism backtracker divided by |Aut(T)|.
+Cliques and blow-ups, by shape (blowup_shape), have specialized bitset
+counters; everything else goes through one generic injective-homomorphism
+backtracker divided by |Aut(T)|.
 The backtracker follows a plan (_hom_plan) worked out once per pattern
 graph and lead: the lead vertices come first in its order, either pinned
 to given host vertices, as the forbid test pins an edge of the forbidden
@@ -36,7 +37,8 @@ from itertools import combinations
 from math import comb, factorial
 
 from .errors import BudgetExceededError, PatternSyntaxError
-from .graphs import Graph, bits, blowup, complete, coned_blowup
+from .graph6 import from_graph6, to_graph6
+from .graphs import Graph, bits, blowup, coned_blowup
 from .graphs import remove_vertex  # noqa: F401  bench/layers.py traces counting.remove_vertex
 
 GENERIC_VERTEX_BUDGET = 12  # generic-path patterns larger than this are refused
@@ -44,84 +46,72 @@ GENERIC_VERTEX_BUDGET = 12  # generic-path patterns larger than this are refused
 
 @dataclass(frozen=True)
 class Pattern:
-    """A counting target: Clique(m), Blowup(m, t), ConedBlowup(m, t), or any graph.
+    """A counting target: K_m(t) (K_m is K_m(1)), K_m(t) plus an apex, or any graph.
 
-    Blowup(m, 1) is the same pattern as Clique(m) and the counters agree on it.
-    """
+    kind follows the shape, not the spelling: K2, K2(1), K1+(1) and g6:A_
+    are one clique, and a graph6 K_m(t) is a blow-up (blowup_shape). text is
+    the literal that records keep. Only kind "arbitrary" holds a graph, so a
+    K... literal builds none."""
 
-    kind: str  # "clique" | "blowup" | "coned" | "arbitrary"
-    m: int = 0
-    t: int = 1
-    graph: Graph | None = None
+    kind: str  # "clique" (t = 1) | "blowup" | "coned" (both t >= 2) | "arbitrary"
+    m: int
+    t: int
+    graph: Graph | None
+    text: str
 
     @classmethod
     def clique(cls, m: int) -> "Pattern":
-        if m < 1:
-            raise PatternSyntaxError("Clique(m) needs m >= 1")
-        return cls("clique", m=m)
+        return _shaped(f"K{m}", m, 1)
 
     @classmethod
     def blowup(cls, m: int, t: int) -> "Pattern":
-        if m < 1 or t < 1:
-            raise PatternSyntaxError("Blowup(m, t) needs m >= 1, t >= 1")
-        return cls("blowup", m=m, t=t)
+        return _shaped(f"K{m}({t})", m, t)
 
     @classmethod
     def coned_blowup(cls, m: int, t: int) -> "Pattern":
-        if m < 1 or t < 1:
-            raise PatternSyntaxError("ConedBlowup(m, t) needs m >= 1, t >= 1")
-        return cls("coned", m=m, t=t)
+        return _shaped(f"K{m}+({t})", m, t, coned=True)
 
     @classmethod
     def arbitrary(cls, g: Graph) -> "Pattern":
-        return cls("arbitrary", graph=g)
+        """The pattern g, a clique or blow-up when g has that shape."""
+        text = "g6:" + to_graph6(g)
+        shape = blowup_shape(g)
+        return cls("arbitrary", 0, 1, g, text) if shape is None else _shaped(text, *shape)
 
     def vertex_count(self) -> int:
-        if self.kind == "clique":
-            return self.m
-        if self.kind == "blowup":
-            return self.m * self.t
-        if self.kind == "coned":
-            return self.m * self.t + 1
-        return self.graph.n
+        if self.kind == "arbitrary":
+            return self.graph.n
+        return self.m * self.t + (self.kind == "coned")
 
     def realize(self) -> Graph:
         """The pattern as a concrete Graph."""
-        if self.kind == "clique":
-            return complete(self.m)
-        if self.kind == "blowup":
-            return blowup(self.m, self.t)
+        if self.kind == "arbitrary":
+            return self.graph
         if self.kind == "coned":
             return coned_blowup(self.m, self.t)
-        return self.graph
+        return blowup(self.m, self.t)
 
     def aut_count(self) -> int:
-        """Order of the automorphism group.
-
-        Clique(m): m!.  Blowup(m, t): m! * (t!)^m.  Coned blow-ups and
-        arbitrary patterns are counted by search (orbit-stabilizer, see
-        _aut_count_cached), up to the generic path's vertex budget; at
-        t = 1 the apex of a coned blow-up is not distinguished, so no closed
-        form is assumed.
-        """
-        if self.kind == "clique":
-            return factorial(self.m)
-        if self.kind == "blowup":
+        """Order of the automorphism group: m! * (t!)^m for K_m(t), else
+        counted by search (orbit-stabilizer, see _aut_count_cached) up to
+        the generic path's vertex budget."""
+        if self.kind in ("clique", "blowup"):
             return factorial(self.m) * factorial(self.t) ** self.m
         g = self.realize()
         _require_generic(g)
         return _aut_count_cached(g)
 
     def literal(self) -> str:
-        if self.kind == "clique":
-            return f"K{self.m}"
-        if self.kind == "blowup":
-            return f"K{self.m}({self.t})"
-        if self.kind == "coned":
-            return f"K{self.m}+({self.t})"
-        from .graph6 import to_graph6
+        return self.text
 
-        return "g6:" + to_graph6(self.graph)
+
+def _shaped(text: str, m: int, t: int, coned: bool = False) -> Pattern:
+    """K_m(t), plus an apex when coned, written text; K_m+(1) is K_{m+1}."""
+    if m < 1 or t < 1:
+        raise PatternSyntaxError(f"pattern {text} needs m >= 1 and t >= 1")
+    if coned and t == 1:
+        m, coned = m + 1, False
+    return Pattern("coned" if coned else "blowup" if t > 1 else "clique", m, t, None, text)
 
 
 _PATTERN_RE = re.compile(r"^K(\d+)(?:(\+)?\((\d+)\))?$")
@@ -130,8 +120,6 @@ _PATTERN_RE = re.compile(r"^K(\d+)(?:(\+)?\((\d+)\))?$")
 def parse_pattern(text: str) -> Pattern:
     """Parse pattern literals: K3, K3(2), K3+(2), g6:<graph6>."""
     if text.startswith("g6:"):
-        from .graph6 import from_graph6
-
         return Pattern.arbitrary(from_graph6(text[3:]))
     m = _PATTERN_RE.match(text)
     if not m:
@@ -143,6 +131,21 @@ def parse_pattern(text: str) -> Pattern:
     if m.group(2):
         return Pattern.coned_blowup(order, t)
     return Pattern.blowup(order, t)
+
+
+def blowup_shape(g: Graph) -> tuple[int, int] | None:
+    """(m, t) when g is complete m-partite with every part of t vertices
+    (K_m is (m, 1)), else None, as for the graph on no vertices. Each
+    vertex with its non-neighbours makes a set, and they cover V(g); m
+    distinct sets of t vertices with m * t = n are disjoint: the parts."""
+    full = (1 << g.n) - 1
+    parts = {full & ~row for row in g.adj}
+    if not parts:
+        return None
+    t = g.n // len(parts)
+    if t * len(parts) != g.n or any(part.bit_count() != t for part in parts):
+        return None
+    return len(parts), t
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,7 @@ def max_clique_size(g: Graph) -> int:
 
 
 def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
-    """Collections of m disjoint t-sets in cand, pairwise completely joined.
+    """Collections of m disjoint t-sets in cand (t >= 2), pairwise completely joined.
 
     Classes are enumerated in increasing order of their minimum vertex, which
     makes each unordered collection appear exactly once. Later classes must
@@ -237,8 +240,6 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
     """
     if m == 0:
         return 1
-    if t == 1:
-        return cliques_in_mask(adj, cand, m)
     if m == 1:
         # the last class is any t-set of cand; the loop below would reach
         # each one once, at its minimum vertex

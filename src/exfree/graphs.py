@@ -25,9 +25,13 @@ def as_fraction(x: int | float | str | Fraction) -> Fraction:
     Fraction(str(0.2)) == 1/5, while Fraction(0.2) would pick up binary noise.
     Degree floors like ceil((1 - eps) * n) must be computed exactly or a value
     such as (1 - 0.2) * 10 lands on 8.000000000000002 and rounds the wrong way.
+    A string with an exponent is refused (ValueError), since Fraction would
+    build 10**exponent first; a float's repr may carry one and is accepted.
     """
     if isinstance(x, float):
         return Fraction(str(x))
+    if isinstance(x, str) and "e" in x.lower():
+        raise ValueError(f"not a rational: {x!r} (no exponents)")
     return Fraction(x)
 
 
@@ -132,11 +136,22 @@ class Graph:
 # generators
 
 
+def _multipartite(sizes: list[int]) -> Graph:
+    """Complete multipartite graph with parts of the given sizes, each part
+    a block of consecutive ids in the order given."""
+    full = (1 << sum(sizes)) - 1
+    adj = []
+    start = 0
+    for s in sizes:
+        adj += [full & ~(((1 << s) - 1) << start)] * s
+        start += s
+    return Graph(start, tuple(adj))
+
+
 def complete(n: int) -> Graph:
     if n < 0:
         raise PatternSyntaxError("complete(n) needs n >= 0")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return _multipartite([1] * n)
 
 
 def empty(n: int) -> Graph:
@@ -152,37 +167,21 @@ def turan(n: int, r: int) -> Graph:
     if r < 1 or n < 0:
         raise PatternSyntaxError("turan(n, r) needs n >= 0, r >= 1")
     q, rem = divmod(n, r)
-    sizes = [q + 1] * rem + [q] * (r - rem)
-    part_masks = []
-    start = 0
-    for s in sizes:
-        part_masks.append(((1 << s) - 1) << start)
-        start += s
-    full = (1 << n) - 1
-    adj = []
-    start = 0
-    for s, pm in zip(sizes, part_masks):
-        for _ in range(s):
-            adj.append(full & ~pm)
-        start += s
-    return Graph(n, tuple(adj))
+    return _multipartite([q + 1] * rem + [q] * (r - rem))
 
 
 def blowup(m: int, t: int) -> Graph:
     """Complete m-partite graph with every part of size t (the clique blow-up)."""
     if m < 1 or t < 1:
         raise PatternSyntaxError("blowup(m, t) needs m >= 1, t >= 1")
-    return turan(m * t, m)
+    return _multipartite([t] * m)
 
 
 def coned_blowup(m: int, t: int) -> Graph:
-    """blowup(m, t) plus one extra vertex adjacent to everything else."""
-    base = blowup(m, t)
-    n = base.n + 1
-    apex = base.n
-    adj = [row | (1 << apex) for row in base.adj]
-    adj.append((1 << base.n) - 1)
-    return Graph(n, tuple(adj))
+    """blowup(m, t) plus one extra vertex, the last, adjacent to everything else."""
+    if m < 1 or t < 1:
+        raise PatternSyntaxError("blowup(m, t) needs m >= 1, t >= 1")
+    return _multipartite([t] * m + [1])
 
 
 def cycle(n: int) -> Graph:

@@ -159,8 +159,10 @@ def _solve_and_color(
     is unknown on either path. Each optimum is colored once, witness first.
 
     Returns a JSON-safe dict. On budget exhaustion the dict carries
-    status="unknown" plus the reason instead of numbers.
-    """
+    status="unknown" plus the reason instead of numbers. ValueError for
+    k < 2: (k-1)-colorability then asks for fewer than one color."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
     ties_checked = g.edge_count() <= budgets.ties_edges
     try:
         if ties_checked:
@@ -264,7 +266,7 @@ def _extremal_colorable(host, forbidden, pattern, k, eps, engine, budgets):
         "hypothesis_met": hypothesis_met,
         "solve": bundle,
     }
-    if bundle["status"] == "ok" and k >= 2:
+    if bundle["status"] == "ok":
         reb = rebuild(host, k, pattern, forbidden, budgets=budgets)
         results["rebuild_count"] = reb.best_count
         results["rebuild_notes"] = list(reb.notes)
@@ -409,6 +411,8 @@ def threshold_scan(
 def _threshold_scan(forbidden, pattern, k, n, fractions, trials, seed, budgets):
     if trials < 1:
         raise ValueError(f"need at least one trial per fraction, got {trials}")
+    if not fractions:
+        raise ValueError("need at least one degree fraction")
     for phi in fractions:
         if not 0 <= phi <= 1:
             raise ValueError(f"degree fraction {phi} outside [0, 1]")

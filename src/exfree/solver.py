@@ -33,6 +33,7 @@ from .counting import (
     _defect_pairs,
     _hom_plan,
     _orbits,
+    blowup_shape,
     cliques_in_mask,
     contains,
     copies_through,
@@ -153,13 +154,6 @@ def multipartite_subgraph(g: Graph, partition: Partition) -> Graph:
 # forbidden-copy tests on mutable mask lists
 
 
-def _clique_order(h: Graph) -> int | None:
-    """h's size if h is a complete graph on >= 2 vertices, else None."""
-    if h.n >= 2 and h.edge_count() == h.n * (h.n - 1) // 2:
-        return h.n
-    return None
-
-
 def _directed_edges(h: Graph) -> tuple[tuple[int, int], ...]:
     """One directed edge of h per orbit of Aut(h) on directed edges, the
     first in h.edges() order, both directions of an edge taken in turn."""
@@ -174,9 +168,8 @@ def _forbid_test(h: Graph) -> tuple[int | None, tuple | None]:
     plans holding one embedding plan per _directed_edges representative
     (a, b), led by a then b. The search's include step walks the same plans
     (counting._defect_pairs)."""
-    hk = _clique_order(h)
-    if hk is not None:
-        return hk, None
+    if blowup_shape(h) == (h.n, 1):
+        return h.n, None
     return None, tuple(_hom_plan(h, edge) for edge in _directed_edges(h))
 
 

@@ -8,7 +8,9 @@ exceptions reuse package code on purpose: local_search_recount counts with
 the package's counter so that it can run the full local-search schedule,
 solve_and_color_two_searches is the experiment harness's earlier solve-then-
 enumerate bundle, built on the package's exact solver and tie enumeration,
-and five are earlier versions of rewritten kernels kept as references:
+and these are earlier versions of rewritten code kept as references:
+complete_rows, turan_part_masks and coned_blowup_apex (the generators
+before they shared one multipartite builder),
 count_injective_homs_leafwise (the embedding backtracker that counts one
 leaf at a time, on the package's plan), creates_copy_all_edges (the forbid
 test that pins every directed edge of h, on the package's pinned
@@ -458,6 +460,39 @@ def to_graph6_brute(g: Graph) -> str:
         acc <<= 6 - nbits
         out.append(chr(acc + 63))
     return "".join(out)
+
+
+def complete_rows(n: int) -> Graph:
+    """K_n, each row all vertices but its own."""
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+
+
+def turan_part_masks(n: int, r: int) -> Graph:
+    """The Turan graph T(n, r): the first n mod r parts of ceil(n/r)
+    vertices, the rest floor(n/r), on contiguous id blocks."""
+    q, rem = divmod(n, r)
+    sizes = [q + 1] * rem + [q] * (r - rem)
+    part_masks = []
+    start = 0
+    for s in sizes:
+        part_masks.append(((1 << s) - 1) << start)
+        start += s
+    full = (1 << n) - 1
+    adj = []
+    for s, pm in zip(sizes, part_masks):
+        for _ in range(s):
+            adj.append(full & ~pm)
+    return Graph(n, tuple(adj))
+
+
+def coned_blowup_apex(m: int, t: int) -> Graph:
+    """K_m(t) on contiguous parts with an apex, vertex m * t, joined to all."""
+    base = turan_part_masks(m * t, m)
+    apex = base.n
+    adj = [row | (1 << apex) for row in base.adj]
+    adj.append((1 << base.n) - 1)
+    return Graph(base.n + 1, tuple(adj))
 
 
 def count_injective_homs_leafwise(p: Graph, host_adj, host_n: int, *, pin=None, limit=None) -> int:

@@ -5,7 +5,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from exfree import cli
+from exfree import cli, graphs
 from exfree.cli import main
 
 
@@ -183,8 +183,8 @@ def test_rationals_refuse_exponents_before_building_them(monkeypatch):
     # refused before any value is computed, while integers, p/q and plain
     # decimals stay accepted
     built = []
-    real = cli.as_fraction
-    monkeypatch.setattr(cli, "as_fraction", lambda text: built.append(text) or real(text))
+    real = graphs.Fraction
+    monkeypatch.setattr(graphs, "Fraction", lambda text: built.append(text) or real(text))
     for text in ("1e999999999", "1E5", "2e-3", "1.5e2"):
         code, out, err = run("formula", "sparse-bound", "--n", "12", "--d", "1/4", "--m", "2",
                              "--t", "2", "--eps", text)
@@ -197,6 +197,28 @@ def test_rationals_refuse_exponents_before_building_them(monkeypatch):
     for text, want in (("3", Fraction(3)), ("2/5", Fraction(2, 5)),
                        ("0.1", Fraction(1, 10)), ("-0.25", Fraction(-1, 4))):
         assert cli._fraction(text) == want, text
+
+
+def test_generator_literals_refuse_exponents():
+    for text in ("1e999999999", "1e-999999999"):
+        code, out, err = run("generate", "--spec", f"gen:min_degree_random:9:{text}:1")
+        assert (code, out) == (1, ""), text
+        assert err.startswith("error: bad min_degree_random arguments"), text
+
+
+def test_empty_fraction_list_and_small_k_exit_1():
+    # an empty scan would record a vacuous "holds"; k < 2 would record a
+    # refutation of 0-colorability
+    scan = ("scan", "--forbid", "gen:complete:3", "--n", "4", "--pattern", "K2",
+            "--trials", "1", "--seed", "1")
+    code, out, err = run(*scan, "--k", "3", "--fractions", ",")
+    assert (code, out) == (1, "") and "at least one degree fraction" in err
+    for k in ("1", "0"):
+        code, out, err = run(*scan, "--k", k, "--fractions", "1")
+        assert (code, out) == (1, "") and "k must be at least 2" in err
+    code, out, err = run("verify", "--claim", "extremal-colorable", "--graph", "gen:complete:4",
+                         "--forbid", "gen:complete:3", "--k", "1")
+    assert (code, out) == (1, "") and "k must be at least 2" in err
 
 
 def test_replay_reports_a_forged_experiment_id(tmp_path):

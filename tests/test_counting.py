@@ -13,6 +13,7 @@ from exfree.counting import (
     _count_injective_homs,
     _hom_plan,
     _vertex_orbits,
+    blowup_shape,
     contains,
     copies_through,
     copies_through_vertex,
@@ -25,7 +26,7 @@ from exfree.counting import (
     parse_pattern,
 )
 from exfree.errors import BudgetExceededError, PatternSyntaxError
-from exfree.graph6 import to_graph6
+from exfree.graph6 import from_graph6, to_graph6
 from exfree.graphs import (
     Graph,
     bits,
@@ -174,6 +175,57 @@ def test_pattern_parsing():
     for bad in ("K", "K0x", "J3", "K3(2", "K3+2)", ""):
         with pytest.raises(PatternSyntaxError):
             parse_pattern(bad)
+
+
+def test_blowup_shape_matches_brute_force():
+    # g is K_m(t) exactly when it has K_m(t)'s edge count and holds a
+    # spanning copy of it; hosts are seeded graphs and relabeled blow-ups
+    rng = random.Random(29)
+    graphs = [random_graph(rng, rng.randrange(0, 8), rng.choice((0.3, 0.7, 0.9)))
+              for _ in range(60)]
+    for m, t in ((m, t) for m in range(1, 5) for t in range(1, 4) if m * t <= 6):
+        for g in (blowup(m, t), coned_blowup(m, t), turan(m * t + 1, m)):
+            perm = rng.sample(range(g.n), g.n)
+            graphs.append(Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges()]))
+    shaped = 0
+    for g in graphs:
+        want = [(m, g.n // m) for m in range(1, g.n + 1) if g.n % m == 0
+                and g.edge_count() == comb(m, 2) * (g.n // m) ** 2
+                and contains_brute(g, blowup(m, g.n // m))]
+        assert blowup_shape(g) == (want[0] if want else None), g.edges()
+        shaped += bool(want)
+    assert shaped >= 20
+
+
+def test_graph6_patterns_count_by_their_shape():
+    # a graph6 pattern of shape K_m(t) takes that shape's counter whatever
+    # its vertex order: C4 is K2(2), K1 is the clique K1 and t isolated
+    # vertices are K1(t). Counts and copies through each vertex match the
+    # brute force on the graph as written.
+    c4 = parse_pattern("g6:" + to_graph6(cycle(4)))
+    assert (c4.kind, c4.m, c4.t) == ("blowup", 2, 2)
+    for g in (complete(6), blowup(3, 2), cycle(4)):
+        assert count_pattern(g, c4) == count_pattern(g, Pattern.blowup(2, 2))
+    shapes = {"g6:" + to_graph6(g): shape for g, shape in (
+        (cycle(4), ("blowup", 2, 2)), (empty(1), ("clique", 1, 1)),
+        (empty(2), ("blowup", 1, 2)), (empty(3), ("blowup", 1, 3)),
+        (Graph.from_edges(3, [(0, 2), (2, 1), (1, 0)]), ("clique", 3, 1)))}
+    rng = random.Random(43)
+    for text, shape in shapes.items():
+        t, p = parse_pattern(text), from_graph6(text[3:])
+        assert (t.kind, t.m, t.t, t.literal()) == (*shape, text)
+        assert t.aut_count() == automorphisms_brute(p)
+        for _ in range(12):
+            g = random_graph(rng, rng.randrange(0, 7), 0.6)
+            assert count_pattern(g, t) == copies_brute(g, p), (text, g.edges())
+            for v in range(g.n):
+                rest = induced_subgraph(g, [u for u in range(g.n) if u != v])[0]
+                want = copies_brute(g, p) - copies_brute(rest, p)
+                assert copies_through_vertex(g, t, v) == want, (text, g.edges(), v)
+    # a K2(7) past the generic budget is counted by the blow-up counter
+    perm = rng.sample(range(14), 14)
+    k27 = Graph.from_edges(14, [(perm[a], perm[b]) for a, b in blowup(2, 7).edges()])
+    assert count_pattern(complete(14), Pattern.arbitrary(k27)) == comb(14, 7) // 2
 
 
 def test_pattern_literal_round_trip():

@@ -29,7 +29,8 @@ from exfree.graphs import (
     subgraph_from_edges,
     turan,
 )
-from oracles import random_graph, relabel_brute
+from exfree.graph6 import to_graph6
+from oracles import coned_blowup_apex, complete_rows, random_graph, relabel_brute, turan_part_masks
 
 
 def test_from_edges_and_accessors():
@@ -116,6 +117,19 @@ def test_blowup_and_coned_blowup():
     apex = c.n - 1
     assert c.degree(apex) == 4
     assert blowup(3, 1).edge_count() == 3  # plain triangle
+
+
+def test_multipartite_generators_match_their_earlier_bodies():
+    # complete, turan, blowup and coned_blowup share one builder; their
+    # graphs, graph6 byte for byte, are those of the earlier generators
+    for n in range(13):
+        assert to_graph6(complete(n)) == to_graph6(complete_rows(n)), n
+        for r in range(1, n + 3):
+            assert to_graph6(turan(n, r)) == to_graph6(turan_part_masks(n, r)), (n, r)
+    for m in range(1, 6):
+        for t in range(1, 5):
+            assert to_graph6(blowup(m, t)) == to_graph6(turan_part_masks(m * t, m)), (m, t)
+            assert to_graph6(coned_blowup(m, t)) == to_graph6(coned_blowup_apex(m, t)), (m, t)
 
 
 def test_cycle():
@@ -221,6 +235,18 @@ def test_as_fraction_exactness():
     assert ceil_frac(Fraction(7, 2)) == 4
     assert ceil_frac(Fraction(4, 1)) == 4
     assert (1 - as_fraction(0.2)) * 10 == 8  # no binary-float residue
+
+
+def test_as_fraction_refuses_exponent_strings():
+    # Fraction("1e999999999") would build 10**999999999; a string with an
+    # exponent is refused first, in the API and in gen: literals alike,
+    # while a float, whose repr may carry an exponent, stays exact
+    for text in ("1e999999999", "1e-999999999", "2E3", "1.5e2"):
+        with pytest.raises(ValueError, match="no exponents"):
+            as_fraction(text)
+        with pytest.raises(PatternSyntaxError):
+            parse_genspec(f"gen:min_degree_random:9:{text}:1")
+    assert as_fraction(1e-07) == Fraction(1, 10**7)
 
 
 def test_bits_helper():

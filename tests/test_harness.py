@@ -209,6 +209,27 @@ def test_threshold_scan_rejects_bad_fractions():
         threshold_scan(TRIANGLE, K2, 3, 5, ["3/2"], trials=2, seed=0)
     with pytest.raises(ValueError):
         threshold_scan(TRIANGLE, K2, 3, 5, [0], trials=0, seed=0)
+    with pytest.raises(ValueError, match="at least one degree fraction"):
+        threshold_scan(TRIANGLE, K2, 3, 5, [], trials=2, seed=0)
+
+
+def test_colorability_experiments_refuse_k_below_two():
+    # (k-1)-colorability asks for fewer than one color when k < 2, so every
+    # witness would read as a refutation; replay refuses such a record too
+    for k in (1, 0, -1):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            verify_extremal_colorable(complete(4), TRIANGLE, K2, k)
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            verify_near_colorable(complete(4), TRIANGLE, K2, k)
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            threshold_scan(TRIANGLE, K2, k, 4, [0, 1], trials=2, seed=0)
+    rec = verify_extremal_colorable(complete(4), TRIANGLE, K2, 3)
+
+    def lower_k(blob):
+        blob["spec"]["k"] = 1
+
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        replay(tamper(rec, lower_k))
 
 
 def test_replay_covers_every_record_kind():

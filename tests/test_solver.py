@@ -20,6 +20,7 @@ from exfree import (
     enumerate_maximal_hfree,
     enumerate_optima,
     from_graph6,
+    gnp,
     max_hfree_subgraph,
     max_partite,
     multipartite_subgraph,
@@ -152,7 +153,7 @@ ORACLE_PATTERNS = {
 # positions with no earlier neighbour: 2K2, P3 plus a vertex, and a
 # triangle plus an edge
 KILL_STEP_FORBIDDEN = {
-    **{name: h for name, h in ORACLE_FORBIDDEN.items() if solver._clique_order(h) is None},
+    **{name: h for name, h in ORACLE_FORBIDDEN.items() if solver._forbid_test(h)[0] is None},
     "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
     "P3+K1": Graph.from_edges(4, [(0, 1), (1, 2)]),
     "K3+K2": Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
@@ -806,6 +807,27 @@ def test_solver_budgets_are_overridable():
         max_hfree_subgraph(
             complete(4), K2, complete(3), engine="exhaustive", budgets=tight
         )
+
+
+def test_every_spelling_of_a_clique_searches_as_the_clique():
+    # K_m(1), K_{m-1}+(1) and the graph6 K_m are the clique K_m: the same
+    # count, witness, ties and search nodes as the literal K_m under
+    # branch-and-bound, where the clique bounds apply, and the exhaustive
+    # engine and tie enumeration on a host within the tie budget
+    small = gnp(7, 0.6, 7)
+    assert small.edge_count() <= solver.DEFAULT_BUDGETS.ties_edges
+    for m, host, h, nodes in ((2, complete(9), complete(3), 146),
+                              (3, gnp(9, 0.7, 3), complete(4), 992)):
+        runs = {}
+        for text in (f"K{m}", f"K{m}(1)", f"K{m - 1}+(1)", "g6:" + to_graph6(complete(m))):
+            t = parse_pattern(text)
+            assert (t.kind, t.m, t.t, t.literal()) == ("clique", m, 1, text)
+            found = [max_hfree_subgraph(g, t, h, engine=engine)
+                     for g, engine in ((host, "branch-and-bound"), (small, "exhaustive"))]
+            runs[text] = ([(r.best_count, r.best_edges, r.stats.nodes) for r in found],
+                          enumerate_optima(small, t, h))
+        assert runs[f"K{m}"][0][0][2] == nodes
+        assert all(run == runs[f"K{m}"] for run in runs.values()), m
 
 
 def test_stats_report_engine_and_node_counts():
