@@ -98,11 +98,12 @@ def _verdict_exit(record: harness.ExperimentRecord) -> int:
 
 def cmd_generate(args) -> int:
     g = _graph(args.spec)
-    print(to_graph6(g))
+    text = to_graph6(g)
+    print(text)
     print(f"n={g.n} edges={g.edge_count()} min-degree={g.min_degree() if g.n else 0}")
     if args.out:
         with open(args.out, "a", encoding="ascii") as fh:
-            fh.write(to_graph6(g) + "\n")
+            fh.write(text + "\n")
     return 0
 
 

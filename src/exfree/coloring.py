@@ -91,10 +91,11 @@ def _components(g: Graph) -> list[list[int]]:
 def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonical: bool):
     """Color one connected component; returns (status, {vertex: color}).
 
-    Both searches keep an explicit stack of open vertices, each with the
-    colors still to try, so a long component cannot exhaust the
-    interpreter's recursion limit. Every vertex opened spends one budget
-    node, in the order a recursive depth-first search would open it.
+    Both backtracking searches keep an explicit stack of open vertices,
+    each with the colors still to try, so a long component cannot exhaust
+    the interpreter's recursion limit. Every vertex opened spends one budget
+    node, in the order a recursive depth-first search would open it; the
+    component itself spends one first.
     """
     colors: dict[int, int] = {}
 
@@ -104,6 +105,23 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
 
     if not budget.spend():
         return UNKNOWN, colors
+
+    if canonical and k == 2:
+        # a connected graph has at most two 2-colorings, each the other with
+        # its colors swapped. The least gives comp[0] color 0 and every vertex
+        # the parity of its distance from comp[0], and it is proper exactly
+        # when some 2-coloring is. Each vertex colored spends one node.
+        colors[comp[0]] = 0
+        order = [comp[0]]
+        for v in order:  # breadth-first: order grows as vertices are colored
+            if not budget.spend():
+                return UNKNOWN, colors
+            for u in bits(g.adj[v]):
+                if u not in colors:
+                    colors[u] = 1 - colors[v]
+                    order.append(u)
+        proper = all(colors[u] != colors[v] for v in comp for u in bits(g.adj[v]))
+        return (YES if proper else NO), colors
 
     if canonical:
         # fixed ascending vertex order, colors tried ascending: the first
@@ -186,7 +204,8 @@ def is_k_colorable(
     """Decide k-colorability; components are handled independently.
 
     canonical=True returns the lexicographically least witness (ascending
-    vertex ids, colors tried in ascending order) at some extra search cost.
+    vertex ids, colors tried in ascending order) at some extra search cost;
+    for k = 2 it is the breadth-first parity coloring, found in linear time.
     """
     if k < 0:
         return ColorOutcome(NO, None, 0)

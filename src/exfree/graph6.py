@@ -9,6 +9,7 @@ parse and never emitted.
 
 from __future__ import annotations
 
+import binascii
 import re
 
 from .errors import GraphFormatError
@@ -17,7 +18,11 @@ from .graphs import Graph
 _HEADER = ">>graph6<<"
 _INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
 _SIXBITS = {63 + v: format(v, "06b") for v in range(64)}  # for str.translate
-_SIXCHARS = {format(v, "06b"): chr(63 + v) for v in range(64)}
+# base64 writes each 6-bit group as a character of its alphabet; graph6
+# writes group v as chr(63 + v)
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def _encode_n(n: int) -> str:
@@ -59,9 +64,13 @@ def to_graph6(g: Graph) -> str:
     # column j is rows 0..j-1 of vertex j's row, lowest row first
     adj = g.adj
     bitstr = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)])
-    bitstr += "0" * (-len(bitstr) % 6)
-    body = [_SIXCHARS[bitstr[i : i + 6]] for i in range(0, len(bitstr), 6)]
-    return _encode_n(g.n) + "".join(body)
+    chars = -(-len(bitstr) // 6)
+    # padded to whole 3-byte groups, base64 writes the 6-bit groups in order
+    # with no "=" padding; the "0" prefix reads an empty string as 0
+    bitstr += "0" * (-len(bitstr) % 24)
+    packed = int("0" + bitstr, 2).to_bytes(len(bitstr) // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False)[:chars].translate(_FROM_BASE64)
+    return _encode_n(g.n) + body.decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -80,10 +89,7 @@ def from_graph6(text: str) -> Graph:
     bitstr = body.translate(_SIXBITS)
     if "1" in bitstr[nbits:]:
         raise GraphFormatError("nonzero padding bits in graph6 body")
-    # Column j holds rows 0..j-1. Padded with zeros to n characters, the
-    # columns read across by zip(*cols) give each vertex's later neighbors,
-    # so a vertex's row is its column or-ed with its transposed row.
+    # column j holds rows 0..j-1, padded with zeros to n characters
     zeros = "0" * n
     cols = [bitstr[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)]
-    later = ("".join(row) for row in zip(*cols))
-    return Graph(n, tuple(int(c[::-1], 2) | int(r[::-1], 2) for c, r in zip(cols, later)))
+    return Graph.from_triangle(cols)

@@ -12,6 +12,7 @@ seeded minimum-degree model.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,6 +96,19 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
+
+    @classmethod
+    def from_triangle(cls, half: list[str]) -> "Graph":
+        """Graph whose edges are read from one triangle of its matrix.
+
+        half[v] is a string of n '0'/'1' characters, character u standing
+        for the pair {u, v}; each pair is set in at most one of its two rows
+        (all u > v, or all u < v). The columns read across by zip(*half)
+        give every vertex its other-triangle row, so a vertex's row is its
+        own string or-ed with its transposed one.
+        """
+        rows = zip(half, map("".join, zip(*half)))
+        return cls(len(half), tuple(int(h[::-1], 2) | int(c[::-1], 2) for h, c in rows))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -191,17 +205,43 @@ def cycle(n: int) -> Graph:
 
 
 def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
-    """Erdos-Renyi G(n, p), deterministic for a given seed."""
+    """Erdos-Renyi G(n, p), deterministic for a given seed.
+
+    The graph, and the state rng is left in, are those of drawing one
+    rng.random() per pair (u, v) with u < v, in (u, v) order, and keeping
+    the pair when the draw is below p.
+
+    random() reads two 32-bit outputs a, b and returns x / 2**53 with
+    x = (a >> 5) << 26 | b >> 6, and getrandbits(64 * pairs) returns those
+    outputs lowest word first, two per pair. So a pair is kept exactly when
+    x < t = ceil(p * 2**53). The top byte of x is the top byte of a, which
+    one translate compares with t's for every pair; only pairs whose top
+    byte ties with t's need the exact comparison.
+    """
     if not 0 <= p <= 1:
         raise PatternSyntaxError("gnp needs 0 <= p <= 1")
     if rng is None:
         rng = random.Random(seed)
-    edges = []
+    pairs = n * (n - 1) // 2
+    t = math.ceil(p * (1 << 53))  # exact: scaling a float by 2**53 rounds nothing
+    words = rng.getrandbits(64 * pairs).to_bytes(8 * pairs, "little")
+    top = t >> 45  # 256 when p = 1: every byte is below it
+    keep = bytearray(words[3::8].translate((b"1" * top + b"?" + b"0" * 255)[:256]))
+    i = keep.find(b"?")
+    while i >= 0:
+        a = int.from_bytes(words[8 * i : 8 * i + 4], "little")
+        b = int.from_bytes(words[8 * i + 4 : 8 * i + 8], "little")
+        keep[i] = ord("1") if ((a >> 5) << 26 | b >> 6) < t else ord("0")
+        i = keep.find(b"?", i + 1)
+    # row u's pairs (u, u+1..n-1) are consecutive, read as its later neighbors
+    text = keep.decode("ascii")
+    zeros = "0" * n
+    half = []
+    start = 0
     for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        half.append(zeros[: u + 1] + text[start : start + n - 1 - u])
+        start += n - 1 - u
+    return Graph.from_triangle(half)
 
 
 def min_degree_floor(n: int, eps: Fraction) -> int:

@@ -17,16 +17,17 @@ test that pins every directed edge of h, on the package's pinned
 backtracker), defect_pairs_by_retest (the search's include step for a
 non-clique h, which re-tests every live edge with the package's forbid
 test), color_component_recursive (the
-recursive coloring searches, on the package's budget counter) and
-max_partite_recount (the exact partition that recounts every string).
+recursive coloring searches, on the package's budget counter),
+max_partite_recount (the exact partition that recounts every string) and
+gnp_per_pair (the G(n, p) generator that calls random() once per pair).
 """
 
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from exfree.coloring import NO, UNKNOWN, YES, is_k_colorable
 from exfree.counting import _hom_plan, count_pattern_masks, exists_injective_hom
-from exfree.errors import BudgetExceededError, GraphFormatError
+from exfree.errors import BudgetExceededError, GraphFormatError, PatternSyntaxError
 from exfree.graphs import Graph
 from exfree.harness import _counterexample, _graph_payload
 from exfree.solver import Partition, _creates_copy, enumerate_optima, max_hfree_subgraph
@@ -190,14 +191,30 @@ def maximal_hfree_brute(g: Graph, h: Graph) -> list[tuple]:
 
 
 def colorable_brute(g: Graph, k: int) -> bool:
+    """Try colors 0..k-1 on vertices 0, 1, ... in turn, and give up a
+    partial assignment at its first vertex that shares a color with an
+    earlier neighbour. Every proper k-coloring extends only conflict-free
+    partial ones, so all of them are still reached."""
     if g.n == 0:
         return True
     if k <= 0:
         return False
-    for colors in product(range(k), repeat=g.n):
-        if all(colors[u] != colors[v] for u, v in g.edges()):
+    earlier = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
+    colors: list[int] = []
+
+    def extend() -> bool:
+        v = len(colors)
+        if v == g.n:
             return True
-    return False
+        for c in range(k):
+            if all(colors[u] != c for u in earlier[v]):
+                colors.append(c)
+                if extend():
+                    return True
+                colors.pop()
+        return False
+
+    return extend()
 
 
 def chromatic_brute(g: Graph) -> int:
@@ -225,6 +242,20 @@ def is_bipartite_bfs(g: Graph) -> bool:
                 elif color[v] == color[u]:
                     return False
     return True
+
+
+def gnp_per_pair(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
+    """G(n, p) drawn with one rng.random() per pair in (u, v) order."""
+    if not 0 <= p <= 1:
+        raise PatternSyntaxError("gnp needs 0 <= p <= 1")
+    if rng is None:
+        rng = random.Random(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v))
+    return Graph.from_edges(n, edges)
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

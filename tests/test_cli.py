@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from exfree import cli, graphs
 from exfree.cli import main
+from exfree.graph6 import to_graph6
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -46,6 +47,16 @@ def test_generate_emits_graph6_and_summary():
     code, out, _ = run("generate", "--spec", "gen:turan:6:3")
     assert code == 0
     assert out == "E]~o\nn=6 edges=12 min-degree=4\n"
+
+
+def test_generate_out_appends_the_printed_line_encoded_once(tmp_path, monkeypatch):
+    encoded = []
+    monkeypatch.setattr(cli, "to_graph6", lambda g: encoded.append(g) or to_graph6(g))
+    path = tmp_path / "hosts.g6"
+    code, out, _ = run("generate", "--spec", "gen:gnp:30:0.5:1", "--out", str(path))
+    assert code == 0
+    assert len(encoded) == 1
+    assert path.read_text() == out.splitlines()[0] + "\n"
 
 
 def test_formula_prints_named_fraction_with_float():

@@ -11,6 +11,7 @@ from exfree.coloring import (
     NO,
     UNKNOWN,
     YES,
+    ColorOutcome,
     chromatic_number,
     critical_vertex,
     is_edge_critical,
@@ -19,9 +20,15 @@ from exfree.coloring import (
     verify_proper,
 )
 from exfree.errors import BudgetExceededError
-from exfree.graphs import Graph, blowup, complete, cycle, empty, turan
+from exfree.graphs import Graph, blowup, complete, cycle, empty, induced_subgraph, turan
 
-from oracles import chromatic_brute, color_component_recursive, colorable_brute, random_graph
+from oracles import (
+    chromatic_brute,
+    color_component_recursive,
+    colorable_brute,
+    is_bipartite_bfs,
+    random_graph,
+)
 
 
 def test_basic_colorability():
@@ -153,9 +160,33 @@ def test_components_handled_independently():
         assert chromatic_number(g).chromatic_number == expect
 
 
+def _parity_nodes(g: Graph) -> int:
+    """Budget nodes of the canonical 2-coloring: one per component and one
+    per vertex, up to and including the first component that is not
+    bipartite."""
+    nodes = 0
+    seen: set[int] = set()
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp = {s}
+        frontier = [s]
+        while frontier:
+            frontier = [u for v in frontier for u in g.neighbors(v) if u not in comp]
+            comp.update(frontier)
+        seen |= comp
+        nodes += 1 + len(comp)
+        if not is_bipartite_bfs(induced_subgraph(g, comp)[0]):
+            break
+    return nodes
+
+
 def test_iterative_search_matches_recursive_oracle(monkeypatch):
     # same status, witness and node count as the recursive searches, budget
-    # misses included, for both vertex orders
+    # misses included, for both vertex orders. The canonical 2-coloring is a
+    # breadth-first parity pass instead: its node count is _parity_nodes, it
+    # misses a budget exactly when that count exceeds it, and otherwise its
+    # status and witness are the recursive search's without a budget.
     rng = random.Random(31)
     cases = [(random_graph(rng, rng.randrange(0, 10), rng.choice((0.2, 0.4, 0.6))), k)
              for _ in range(40) for k in (1, 2, 3, 4)]
@@ -164,9 +195,41 @@ def test_iterative_search_matches_recursive_oracle(monkeypatch):
     new = [is_k_colorable(g, k, budget=b, canonical=c) for g, k, b, c in args]
     monkeypatch.setattr(coloring, "_color_component", color_component_recursive)
     old = [is_k_colorable(g, k, budget=b, canonical=c) for g, k, b, c in args]
-    assert new == old
+    for (g, k, budget, canonical), got, want in zip(args, new, old):
+        if k == 2 and canonical:
+            nodes = _parity_nodes(g)
+            if budget is not None and nodes > budget:
+                assert got == ColorOutcome(UNKNOWN, None, budget + 1)
+            else:
+                full = is_k_colorable(g, k, canonical=True)
+                assert got == ColorOutcome(full.status, full.witness, nodes)
+        else:
+            assert got == want
     statuses = {out.status for out in new}
     assert statuses == {YES, NO, UNKNOWN}
+
+
+def _planted(f: int, odd: bool = False) -> Graph:
+    """Vertices 2..f+1 joined only to f+4, plus the path 0, f+2, f+3, 1 and
+    the edge (0, f+4); with odd=True also (1, f+4), closing a 5-cycle.
+    Vertices 1..f+1 have no earlier neighbour, so an ascending backtracker
+    would try every coloring of 2..f+1 before it met the conflict at f+3."""
+    edges = [(v, f + 4) for v in range(2, f + 2)]
+    edges += [(0, f + 2), (f + 2, f + 3), (1, f + 3), (0, f + 4)] + [(1, f + 4)] * odd
+    return Graph.from_edges(f + 5, edges)
+
+
+def test_canonical_two_coloring_is_linear():
+    f = 30
+    g = _planted(f)
+    assert is_bipartite_bfs(g)
+    out = is_k_colorable(g, 2, canonical=True, budget=f + 6)
+    # parity of the distance from vertex 0
+    assert out == ColorOutcome(YES, (0, 1) + (0,) * f + (1, 0, 1), f + 6)
+    g = _planted(f, odd=True)
+    assert not is_bipartite_bfs(g)
+    assert is_k_colorable(g, 2, canonical=True, budget=f + 6) == ColorOutcome(NO, None, f + 6)
+    assert is_k_colorable(g, 2, canonical=True, budget=f + 5).status == UNKNOWN
 
 
 def test_long_cycle_colors_without_recursion():

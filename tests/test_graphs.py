@@ -30,7 +30,14 @@ from exfree.graphs import (
     turan,
 )
 from exfree.graph6 import to_graph6
-from oracles import coned_blowup_apex, complete_rows, random_graph, relabel_brute, turan_part_masks
+from oracles import (
+    complete_rows,
+    coned_blowup_apex,
+    gnp_per_pair,
+    random_graph,
+    relabel_brute,
+    turan_part_masks,
+)
 
 
 def test_from_edges_and_accessors():
@@ -145,6 +152,22 @@ def test_gnp_deterministic():
     assert gnp(10, 0.5, seed=7).adj != gnp(10, 0.5, seed=8).adj
     assert gnp(6, 0.0, seed=1).edge_count() == 0
     assert gnp(6, 1.0, seed=1).edge_count() == 15
+
+
+def test_gnp_matches_per_pair_draw():
+    # the bulk draw keeps the same pairs as one random() per pair and leaves
+    # a shared stream where the per-pair draw leaves it. The p of the form
+    # (128 + u/256)/256 give every pair whose first output's top byte is 128
+    # the exact comparison; 1e-300 and 1 - 2**-53 sit next to the ends.
+    ps = [0, 1, 0.5, 0.3, 1e-300, 1 - 2**-53, Fraction(1, 3)]
+    ps += [(128 + u / 256) / 256 for u in (0, 1, 7, 255)]
+    for n in (0, 1, 2, 5, 9, 40, 260):
+        for p in ps:
+            for seed in (0, 1, 7, 2024):
+                fast, slow = random.Random(seed), random.Random(seed)
+                assert gnp(n, p, seed, rng=fast) == gnp_per_pair(n, p, seed, rng=slow), (n, p, seed)
+                assert fast.random() == slow.random()
+    assert gnp(260, 0.37, 11) == gnp_per_pair(260, 0.37, 11)
 
 
 def test_min_degree_floor_cap():
