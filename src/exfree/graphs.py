@@ -67,15 +67,17 @@ class Graph:
             if (row >> v) & 1:
                 raise GraphFormatError(f"self-loop at vertex {v}")
         # Walking the neighbors costs a Python step per edge end; comparing
-        # the rows with their transpose costs n*n character steps in C plus a
-        # fixed set-up. Dense graphs take the bulk comparison, and the walk
-        # runs only when it fails or the graph is small or sparse.
+        # the rows with their columns, each one strided slice of the joined
+        # rows, costs n*n character steps in C plus a fixed set-up. Dense
+        # graphs take the bulk comparison, and the walk runs only when it
+        # fails or the graph is small or sparse.
         adj, n = self.adj, self.n
         if sum(map(int.bit_count, adj)) > n * n // 12 + 25:
             # rows[c] is vertex n-1-c's row written high bit first, and so is
             # column c of the rows stacked in this order when adj is symmetric
             rows = [format(row, f"0{n}b") for row in reversed(adj)]
-            if [*map("".join, zip(*rows))] == rows:
+            flat = "".join(rows)
+            if [flat[c::n] for c in range(n)] == rows:
                 return
         for v, row in enumerate(adj):
             while row:
@@ -103,12 +105,27 @@ class Graph:
 
         half[v] is a string of n '0'/'1' characters, character u standing
         for the pair {u, v}; each pair is set in at most one of its two rows
-        (all u > v, or all u < v). The columns read across by zip(*half)
-        give every vertex its other-triangle row, so a vertex's row is its
-        own string or-ed with its transposed one.
+        (all u > v, or all u < v). With the rows joined into one n*n string
+        flat, vertex v's other-triangle row is column v, the strided slice
+        flat[v::n], so a vertex's row is its own string or-ed with that
+        slice. A row of another length, or a character other than '0' and
+        '1', raises GraphFormatError naming the first such row.
         """
-        rows = zip(half, map("".join, zip(*half)))
-        return cls(len(half), tuple(int(h[::-1], 2) | int(c[::-1], 2) for h, c in rows))
+        n = len(half)
+        for v, row in enumerate(half):
+            if len(row) != n:
+                raise GraphFormatError(f"triangle row {v} has {len(row)} characters, expected {n}")
+        flat = "".join(half)
+        # bytes.translate deletes every 0 and 1 in one table pass; str.count
+        # would branch on every character, ten times the cost on random rows
+        if not flat.isascii() or flat.encode("ascii").translate(None, b"01"):
+            v = next(v for v, row in enumerate(half) if row.count("0") + row.count("1") != n)
+            raise GraphFormatError(f"triangle row {v} has a character other than 0 and 1")
+        # flat[n*n-n+v::-n] is column v read from its last character back
+        last = n * n - n
+        return cls(n, tuple(
+            int(h[::-1], 2) | int(flat[last + v :: -n], 2) for v, h in enumerate(half)
+        ))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -148,6 +165,8 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # generators
+
+_GNP_CHUNK = 8192  # pairs per read of the random stream in gnp
 
 
 def _multipartite(sizes: list[int]) -> Graph:
@@ -212,11 +231,14 @@ def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
     the pair when the draw is below p.
 
     random() reads two 32-bit outputs a, b and returns x / 2**53 with
-    x = (a >> 5) << 26 | b >> 6, and getrandbits(64 * pairs) returns those
-    outputs lowest word first, two per pair. So a pair is kept exactly when
-    x < t = ceil(p * 2**53). The top byte of x is the top byte of a, which
-    one translate compares with t's for every pair; only pairs whose top
-    byte ties with t's need the exact comparison.
+    x = (a >> 5) << 26 | b >> 6, and getrandbits(64 * k) returns the next
+    2k outputs lowest word first, two per pair. So reading the stream in
+    chunks of _GNP_CHUNK pairs sees the outputs that one call for all
+    pairs would, while at most one chunk's 64 KiB of words is held. A pair
+    is kept exactly when x < t = ceil(p * 2**53). The top byte of x is the
+    top byte of a, which one translate per chunk compares with t's for
+    every pair; only pairs whose top byte ties with t's need the exact
+    comparison.
     """
     if not 0 <= p <= 1:
         raise PatternSyntaxError("gnp needs 0 <= p <= 1")
@@ -224,15 +246,20 @@ def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
         rng = random.Random(seed)
     pairs = n * (n - 1) // 2
     t = math.ceil(p * (1 << 53))  # exact: scaling a float by 2**53 rounds nothing
-    words = rng.getrandbits(64 * pairs).to_bytes(8 * pairs, "little")
     top = t >> 45  # 256 when p = 1: every byte is below it
-    keep = bytearray(words[3::8].translate((b"1" * top + b"?" + b"0" * 255)[:256]))
-    i = keep.find(b"?")
-    while i >= 0:
-        a = int.from_bytes(words[8 * i : 8 * i + 4], "little")
-        b = int.from_bytes(words[8 * i + 4 : 8 * i + 8], "little")
-        keep[i] = ord("1") if ((a >> 5) << 26 | b >> 6) < t else ord("0")
-        i = keep.find(b"?", i + 1)
+    table = (b"1" * top + b"?" + b"0" * 255)[:256]
+    keep = bytearray()
+    for first in range(0, pairs, _GNP_CHUNK):
+        size = min(_GNP_CHUNK, pairs - first)
+        words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
+        chunk = bytearray(words[3::8].translate(table))
+        i = chunk.find(b"?")
+        while i >= 0:
+            a = int.from_bytes(words[8 * i : 8 * i + 4], "little")
+            b = int.from_bytes(words[8 * i + 4 : 8 * i + 8], "little")
+            chunk[i] = ord("1") if ((a >> 5) << 26 | b >> 6) < t else ord("0")
+            i = chunk.find(b"?", i + 1)
+        keep += chunk
     # row u's pairs (u, u+1..n-1) are consecutive, read as its later neighbors
     text = keep.decode("ascii")
     zeros = "0" * n

@@ -37,15 +37,18 @@ from .counting import (
     cliques_in_mask,
     contains,
     copies_through,
-    copies_through_vertex,
     count_pattern,
     count_pattern_masks,
     exists_clique_in_mask,
     find_clique_in_mask,
 )
-from .counting import exists_injective_hom  # noqa: F401  bench/layers.py traces this binding
+from .counting import (  # noqa: F401  bench/layers.py traces these bindings
+    copies_through_vertex,
+    exists_injective_hom,
+)
 from .errors import BudgetExceededError, InfeasibleError
-from .graphs import Graph, bits, remove_vertex, turan
+from .graphs import Graph, bits, induced_subgraph, turan
+from .graphs import remove_vertex  # noqa: F401  bench/layers.py traces solver.remove_vertex
 
 
 @dataclass(frozen=True)
@@ -793,36 +796,41 @@ def peel(
     while the minimum degree is below (1 - 3/(3k-4)) * current size and the
     graph is larger than the floor. The comparison is done in cross-multiplied
     integers, so no floats are involved.
+
+    The current graph is the subgraph of g induced on the mask alive, kept
+    in g's own ids: a vertex's degree there is its row and-ed with alive,
+    and the copies through a removed vertex are counted within alive. The
+    core is relabelled once, after the last removal.
     """
     if k < 2:
         raise ValueError("peel needs k >= 2")
     if floor < 0:
         raise ValueError("peel needs floor >= 0")
-    cur = g
-    remap = tuple(range(g.n))
+    adj = g.adj
+    alive = (1 << g.n) - 1
+    live = list(range(g.n))  # the ids in alive, ascending
     steps: list[PeelStep] = []
     while True:
-        if cur.n == 0 or not _below_threshold(cur.min_degree(), cur.n, k):
+        degs = [(adj[v] & alive).bit_count() for v in live]
+        dmin = min(degs, default=0)
+        if not live or not _below_threshold(dmin, len(live), k):
             reason = "degree-threshold-met"
             break
-        if cur.n <= floor:
+        if len(live) <= floor:
             reason = "floor-reached"
             break
-        degs = [cur.degree(v) for v in range(cur.n)]
-        dmin = min(degs)
-        v = degs.index(dmin)  # lowest current id == lowest original id
+        v = live.pop(degs.index(dmin))  # the first minimum is the lowest id
+        alive ^= 1 << v
         steps.append(
             PeelStep(
-                vertex=remap[v],
+                vertex=v,
                 degree=dmin,
-                host_size=cur.n,
-                copies_removed=copies_through_vertex(cur, t, v),
+                host_size=len(live) + 1,
+                copies_removed=copies_through(adj, alive, adj[v] & alive, t),
             )
         )
-        cur, sub_remap = remove_vertex(cur, v)
-        remap = tuple(remap[old] for old in sub_remap)
-    trace = PeelTrace(g.n, tuple(steps), reason, remap)
-    return cur, trace
+    core, remap = induced_subgraph(g, live)
+    return core, PeelTrace(g.n, tuple(steps), reason, remap)
 
 
 def reinsert(g: Graph, part: Partition, v: int, t: Pattern) -> tuple[Partition, int]:

@@ -18,19 +18,34 @@ backtracker), defect_pairs_by_retest (the search's include step for a
 non-clique h, which re-tests every live edge with the package's forbid
 test), color_component_recursive (the
 recursive coloring searches, on the package's budget counter),
-max_partite_recount (the exact partition that recounts every string) and
-gnp_per_pair (the G(n, p) generator that calls random() once per pair).
+max_partite_recount (the exact partition that recounts every string),
+gnp_per_pair (the G(n, p) generator that calls random() once per pair),
+from_triangle_zip (the triangle reader that transposes the rows with zip)
+and peel_relabel (the peel that builds a relabelled graph per removal).
 """
 
 import random
 from itertools import combinations, permutations
 
 from exfree.coloring import NO, UNKNOWN, YES, is_k_colorable
-from exfree.counting import _hom_plan, count_pattern_masks, exists_injective_hom
+from exfree.counting import (
+    _hom_plan,
+    copies_through_vertex,
+    count_pattern_masks,
+    exists_injective_hom,
+)
 from exfree.errors import BudgetExceededError, GraphFormatError, PatternSyntaxError
-from exfree.graphs import Graph
+from exfree.graphs import Graph, remove_vertex
 from exfree.harness import _counterexample, _graph_payload
-from exfree.solver import Partition, _creates_copy, enumerate_optima, max_hfree_subgraph
+from exfree.solver import (
+    Partition,
+    PeelStep,
+    PeelTrace,
+    _below_threshold,
+    _creates_copy,
+    enumerate_optima,
+    max_hfree_subgraph,
+)
 
 
 def copies_brute(g: Graph, pattern: Graph) -> int:
@@ -653,3 +668,44 @@ def color_component_recursive(g: Graph, comp: list[int], k: int, budget, canonic
         return NO
 
     return rec(set(comp), 0), colors
+
+
+def from_triangle_zip(half: list[str]) -> Graph:
+    """Graph.from_triangle with each vertex's other-triangle row read from
+    the columns that zip(*half) gives."""
+    rows = zip(half, map("".join, zip(*half)))
+    return Graph(len(half), tuple(int(h[::-1], 2) | int(c[::-1], 2) for h, c in rows))
+
+
+def peel_relabel(g: Graph, k: int, t, floor: int = 0) -> tuple[Graph, PeelTrace]:
+    """solver.peel removing each vertex with remove_vertex, so every step
+    builds and checks the relabelled current graph."""
+    if k < 2:
+        raise ValueError("peel needs k >= 2")
+    if floor < 0:
+        raise ValueError("peel needs floor >= 0")
+    cur = g
+    remap = tuple(range(g.n))
+    steps: list[PeelStep] = []
+    while True:
+        if cur.n == 0 or not _below_threshold(cur.min_degree(), cur.n, k):
+            reason = "degree-threshold-met"
+            break
+        if cur.n <= floor:
+            reason = "floor-reached"
+            break
+        degs = [cur.degree(v) for v in range(cur.n)]
+        dmin = min(degs)
+        v = degs.index(dmin)  # lowest current id == lowest original id
+        steps.append(
+            PeelStep(
+                vertex=remap[v],
+                degree=dmin,
+                host_size=cur.n,
+                copies_removed=copies_through_vertex(cur, t, v),
+            )
+        )
+        cur, sub_remap = remove_vertex(cur, v)
+        remap = tuple(remap[old] for old in sub_remap)
+    trace = PeelTrace(g.n, tuple(steps), reason, remap)
+    return cur, trace

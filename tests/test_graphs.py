@@ -33,6 +33,7 @@ from exfree.graph6 import to_graph6
 from oracles import (
     complete_rows,
     coned_blowup_apex,
+    from_triangle_zip,
     gnp_per_pair,
     random_graph,
     relabel_brute,
@@ -76,20 +77,75 @@ def test_asymmetric_adjacency_names_the_first_pair():
     checked = 0
     # the dense hosts take the bulk row/column comparison, the sparse ones
     # go straight to the neighbor walk
+    cases = []
     for n, p in ((5, 0.5), (9, 1.0), (30, 0.2), (64, 0.9), (70, 0.5), (130, 0.8)):
         for _ in range(4):
             adj = list(random_graph(rng, n, p).adj)
             for _ in range(rng.randrange(1, 4)):
                 u, v = rng.sample(range(n), 2)
                 adj[u] ^= 1 << v
-            pair = _first_asymmetric_pair(adj)
-            if pair is None:
-                continue  # the flips cancelled out
-            with pytest.raises(GraphFormatError) as info:
-                Graph(n, tuple(adj))
-            assert str(info.value) == f"asymmetric adjacency between {pair[0]} and {pair[1]}"
-            checked += 1
-    assert checked >= 20
+            cases.append(adj)
+    # a dense 600-vertex host with one pair flipped in vertex 0's bit, which
+    # the bulk check reads in the last column, its last strided slice
+    adj = list(gnp(600, 0.5, 5).adj)
+    adj[417] ^= 1
+    cases.append(adj)
+    for adj in cases:
+        pair = _first_asymmetric_pair(adj)
+        if pair is None:
+            continue  # the flips cancelled out
+        with pytest.raises(GraphFormatError) as info:
+            Graph(len(adj), tuple(adj))
+        assert str(info.value) == f"asymmetric adjacency between {pair[0]} and {pair[1]}"
+        checked += 1
+    assert checked >= 21
+
+
+def _triangles(g: Graph) -> list[list[str]]:
+    """g's rows cut to the pairs above the diagonal, and to those below it,
+    each row written lowest id first."""
+    n = g.n
+    rows = [format(row, f"0{n}b")[::-1] for row in g.adj]
+    return [
+        ["0" * (v + 1) + row[v + 1 :] for v, row in enumerate(rows)],
+        [row[:v] + "0" * (n - v) for v, row in enumerate(rows)],
+    ]
+
+
+def test_from_triangle_matches_zip_transpose():
+    rng = random.Random(17)
+    for n in (0, 1, 2, 5, 62, 63, 64, 100, 260, 600):
+        for p in (0, 0.3, 0.5, 1):
+            g = random_graph(rng, n, p)
+            for half in _triangles(g):
+                assert Graph.from_triangle(half) == from_triangle_zip(half) == g, (n, p)
+
+
+def test_from_triangle_refuses_malformed_rows():
+    for half, bad in (
+        (["00", "000", "0000"], "row 0 has 2 characters, expected 3"),
+        (["000", "0000", "00"], "row 1 has 4 characters, expected 3"),
+        (["000", "000", "00"], "row 2 has 2 characters, expected 3"),
+        ([""], "row 0 has 0 characters, expected 1"),
+        (["00"], "row 0 has 2 characters, expected 1"),
+        (["011", "002", "000"], "row 1 has a character other than 0 and 1"),
+        # int() would read these: an underscore, a blank, a sign
+        (["0_1", "000", "000"], "row 0 has a character other than 0 and 1"),
+        (["001", "000", " 00"], "row 2 has a character other than 0 and 1"),
+        (["0+", "00"], "row 0 has a character other than 0 and 1"),
+        (["2"], "row 0 has a character other than 0 and 1"),
+        # outside ASCII: a letter, and a digit one that int() reads as 1
+        (["00", "0\u00e9"], "row 1 has a character other than 0 and 1"),
+        (["0\u0661", "00"], "row 0 has a character other than 0 and 1"),
+    ):
+        with pytest.raises(GraphFormatError) as info:
+            Graph.from_triangle(half)
+        assert str(info.value) == "triangle " + bad, half
+    assert Graph.from_triangle([]) == Graph(0, ())
+    assert Graph.from_triangle(["0"]) == Graph(1, (0,))
+    with pytest.raises(GraphFormatError, match="self-loop"):
+        Graph.from_triangle(["1"])
+    assert Graph.from_triangle(["01", "00"]) == Graph.from_triangle(["00", "10"]) == complete(2)
 
 
 def test_duplicate_edges_collapse():
@@ -161,7 +217,9 @@ def test_gnp_matches_per_pair_draw():
     # the exact comparison; 1e-300 and 1 - 2**-53 sit next to the ends.
     ps = [0, 1, 0.5, 0.3, 1e-300, 1 - 2**-53, Fraction(1, 3)]
     ps += [(128 + u / 256) / 256 for u in (0, 1, 7, 255)]
-    for n in (0, 1, 2, 5, 9, 40, 260):
+    # 128, 129 and 300 vertices are 8,128, 8,256 and 44,850 pairs: one read
+    # of the stream, one just past a chunk, and six chunks
+    for n in (0, 1, 2, 5, 9, 40, 128, 129, 260, 300):
         for p in ps:
             for seed in (0, 1, 7, 2024):
                 fast, slow = random.Random(seed), random.Random(seed)

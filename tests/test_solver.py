@@ -46,6 +46,7 @@ from oracles import (
     max_partite_recount,
     maximal_hfree_brute,
     optima_brute,
+    peel_relabel,
     random_graph,
     reinsert_brute,
 )
@@ -641,6 +642,23 @@ def test_peel_steps_satisfy_degree_threshold():
         for step in trace.steps:
             # each removal must have been strictly below the sparse-degree cut
             assert step.degree * (3 * k - 4) < (3 * k - 7) * step.host_size
+
+
+def test_peel_matches_relabel_oracle():
+    # the live-mask peel against one relabelled graph per removal: same
+    # core, same trace, step by step. The densities put the minimum degree
+    # on both sides of every k's cut, and the floors stop some runs early.
+    hosts = [gnp(n, (0.25, 0.5, 0.7, 0.85, 0.95)[n % 5], n) for n in range(41)]
+    for g in hosts + [gnp(130, 0.6, 3)]:
+        for t in (K2, K3, BLOWUP, PATH3):
+            for k in (2, 3, 4, 5):
+                for floor in sorted({0, 3, g.n // 2, g.n}):
+                    core, trace = peel(g, k, t, floor)
+                    want_core, want_trace = peel_relabel(g, k, t, floor)
+                    case = (g.n, t, k, floor)
+                    assert trace.steps == want_trace.steps, case
+                    assert trace == want_trace, case
+                    assert core == want_core, case
 
 
 def test_peel_rejects_bad_arguments():
