@@ -21,7 +21,11 @@ None of the counters visits copies one leaf at a time at the last level:
 the clique counter adds the edges inside its candidates once two vertices
 are left, the blow-up counter adds C(|candidates|, t) for its last class,
 and the backtracker adds the number of candidates for the last vertex of
-its plan, all of whose pattern neighbors are placed by then.
+its plan, all of whose pattern neighbors are placed by then. When the last
+two vertices of the plan are not adjacent in the pattern, every pattern
+neighbor of both is placed before either, so their candidate masks A and
+B are fixed together; the backtracker then adds |A|*|B| - |A & B|, the
+pairs of distinct images, without placing the second-to-last vertex.
 
 copies_through counts the copies that contain one vertex, the score the
 partition, reinsertion and peel code gives a vertex for every pattern; it
@@ -314,9 +318,16 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
     least the position's need. With row instead (a rooted plan), only maps
     that send the root to a vertex x outside host are counted, x being
     joined to the vertices of row (a subset of host): the host is then host
-    plus x. Non-edges of the pattern impose nothing. The last plan position
-    is counted in closed form: every pattern neighbor of its vertex is
-    already placed, so each remaining candidate completes one map.
+    plus x. Non-edges of the pattern impose nothing.
+
+    The last plan position is counted in closed form: every pattern
+    neighbor of its vertex is already placed, so each remaining candidate
+    completes one map. So are the last two, when they are not adjacent in
+    p: every pattern neighbor of both is then placed before either, so
+    their candidate masks A and B are fixed together, and the maps sending
+    them to a and b number the pairs with a in A, b in B and a != b, that
+    is |A|*|B| - |A & B|. Neither needs a degree test, as each has all its
+    pattern neighbors among the earlier positions.
     """
     order, back, need = plan
     size = len(order)
@@ -338,6 +349,8 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
     if start >= size:
         return 1
     last = size - 1
+    # the position that counts the last two together, or -1
+    pair = last - 1 if last - 1 not in back[last] else -1
     total = 0
 
     def rec(i: int, used: int) -> bool:
@@ -349,6 +362,12 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
         if i == last:
             # each candidate already meets need[last] distinct images
             total += cand.bit_count()
+            return limit is not None and total >= limit
+        if i == pair:
+            later = host & ~used
+            for j in back[last]:
+                later &= nbr[j]
+            total += cand.bit_count() * later.bit_count() - (cand & later).bit_count()
             return limit is not None and total >= limit
         deg = need[i]
         while cand:

@@ -17,12 +17,11 @@ from .graphs import Graph
 
 _HEADER = ">>graph6<<"
 _INVALID = re.compile(r"[^?-~]")  # graph6 characters are chr(63)..chr(126)
-_SIXBITS = {63 + v: format(v, "06b") for v in range(64)}  # for str.translate
 # base64 writes each 6-bit group as a character of its alphabet; graph6
 # writes group v as chr(63 + v)
-_FROM_BASE64 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 def _encode_n(n: int) -> str:
@@ -86,7 +85,12 @@ def from_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"graph6 body has {len(body)} characters, expected {expected_chars} for n={n}"
         )
-    bitstr = body.translate(_SIXBITS)
+    # the inverse of to_graph6's packing: base64 reads the 6-bit groups in
+    # order once padded with "A" (group 0) to whole 4-character groups; the
+    # zero bits of that padding follow the body's own padding bits
+    pad = b"A" * (-expected_chars % 4)
+    packed = binascii.a2b_base64(body.encode("ascii").translate(_TO_BASE64) + pad)
+    bitstr = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
     if "1" in bitstr[nbits:]:
         raise GraphFormatError("nonzero padding bits in graph6 body")
     # column j holds rows 0..j-1, padded with zeros to n characters

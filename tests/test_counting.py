@@ -12,6 +12,7 @@ from exfree.counting import (
     Pattern,
     _count_injective_homs,
     _hom_plan,
+    _orbit_roots,
     _vertex_orbits,
     blowup_shape,
     contains,
@@ -315,6 +316,28 @@ def test_copies_through_matches_brute_difference():
             assert got == want, (t.literal(), g.edges(), v, within)
             nonzero += want > 0
     assert nonzero > 250
+    # rooted plans ending in two non-adjacent positions, counted in closed
+    # form: P4, the claw, the paw and generic patterns of 6-7 vertices, on
+    # dense hosts of up to 8 vertices
+    rooted = [parse_pattern(t) for t in ("g6:Ch", "g6:Cs", "g6:Cx")]
+    while len(rooted) < 20:
+        t = Pattern.arbitrary(random_graph(rng, rng.randrange(6, 8), rng.choice((0.3, 0.5))))
+        rooted += [t] if t.kind == "arbitrary" else []
+    pairs = nonzero = 0
+    for t in rooted:
+        p = t.realize()
+        pairs += sum(_ends_in_pair(plan, 1) for plan, _ in _orbit_roots(t)[0])
+        for _ in range(2 if p.n > 4 else 8):
+            g = random_graph(rng, rng.randrange(p.n, 9), rng.choice((0.6, 0.8, 0.95)))
+            v = rng.randrange(g.n)
+            within = sum(1 << u for u in range(g.n) if u != v and rng.random() < 0.9)
+            with_v = induced_subgraph(g, bits(within | 1 << v))[0]
+            without = induced_subgraph(g, bits(within))[0]
+            want = copies_brute(with_v, p) - copies_brute(without, p)
+            got = copies_through(g.adj, within, g.adj[v] & within, t)
+            assert got == want, (t.literal(), g.edges(), v, within)
+            nonzero += want > 0
+    assert pairs > 50 and nonzero > 30
 
 
 def test_copies_through_counts_blowups_past_the_generic_budget():
@@ -393,15 +416,48 @@ def test_closed_form_last_level_matches_leafwise_oracle():
     assert cases > 3000
 
 
+def _ends_in_pair(plan, start: int) -> bool:
+    """Does the backtracker count this plan's last two positions together,
+    start being its first free position?"""
+    order, back, _ = plan
+    last = len(order) - 1
+    return last - 1 >= start and last - 1 not in back[last]
+
+
 def test_pinned_counts_match_permutation_brute_force():
     # the leafwise oracle follows the package's plan, so a plan that drops
     # or reorders lead vertices would pass it; this compares with every
     # injective map instead. Patterns of 0-5 vertices, connected or not,
     # hosts of 0-7 vertices under a random vertex mask, 0-3 lead vertices
     # pinned to the images of a real map or to random vertices (clashing,
-    # repeated, outside the mask or one past the last vertex)
+    # repeated, outside the mask or one past the last vertex). Two more
+    # input sets end their plans in two non-adjacent positions, counted in
+    # closed form: patterns of 6-7 vertices with 0-2 pinned leads, on dense
+    # hosts of 6-8 vertices less at most one; and patterns of lead + 2
+    # vertices whose two free vertices are not adjacent, so that the pair
+    # comes directly after 0, 1 or 2 pinned leads
     rng = random.Random(31)
-    nonzero = 0
+    nonzero = pairs = 0
+
+    def check(g, host, p, lead, maps, hit):
+        nonlocal nonzero, pairs
+        if maps and rng.random() < hit:
+            images = tuple(rng.choice(maps)[a] for a in lead)
+        else:
+            images = tuple(rng.randrange(g.n + 1) for _ in lead)
+        want = sum(all(m[a] == x for a, x in zip(lead, images)) for m in maps)
+        nonzero += want > 0
+        plan = _hom_plan(p, lead)
+        assert plan[0][:len(lead)] == lead
+        pairs += _ends_in_pair(plan, len(lead))
+        for limit in (None, 1, 3):
+            got = _count_injective_homs(plan, g.adj, host, images, None, limit)
+            assert got == (want if limit is None else min(want, limit)), (
+                p.edges(), g.edges(), host, lead, images, limit)
+        if host == (1 << g.n) - 1:
+            pin = dict(zip(lead, images))
+            assert exists_injective_hom(p, g.adj, g.n, pin=pin) == (want > 0)
+
     for _ in range(250):
         g = random_graph(rng, rng.randrange(0, 8), rng.choice((0.3, 0.6, 0.9)))
         host = rng.getrandbits(g.n) | rng.getrandbits(g.n)
@@ -409,23 +465,26 @@ def test_pinned_counts_match_permutation_brute_force():
         p = random_graph(rng, pn, rng.choice((0.3, 0.6, 1.0)))
         maps = injective_homs_brute(p, g.adj, host)
         for size in range(min(pn, 3) + 1):
-            lead = tuple(rng.sample(range(pn), size))
-            if maps and rng.random() < 0.6:
-                images = tuple(rng.choice(maps)[a] for a in lead)
-            else:
-                images = tuple(rng.randrange(g.n + 1) for _ in lead)
-            want = sum(all(m[a] == x for a, x in zip(lead, images)) for m in maps)
-            nonzero += want > 0
-            plan = _hom_plan(p, lead)
-            assert plan[0][:size] == lead
-            for limit in (None, 1, 3):
-                got = _count_injective_homs(plan, g.adj, host, images, None, limit)
-                assert got == (want if limit is None else min(want, limit)), (
-                    p.edges(), g.edges(), host, lead, images, limit)
-            if host == (1 << g.n) - 1:
-                pin = dict(zip(lead, images))
-                assert exists_injective_hom(p, g.adj, g.n, pin=pin) == (want > 0)
+            check(g, host, p, tuple(rng.sample(range(pn), size)), maps, 0.6)
     assert nonzero > 200
+
+    nonzero = pairs = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randrange(6, 9), rng.choice((0.6, 0.8, 0.95)))
+        host = (1 << g.n) - 1 & ~(1 << rng.randrange(g.n + 1))
+        p = random_graph(rng, rng.randrange(6, 8), rng.choice((0.25, 0.4, 0.6)))
+        lead = tuple(rng.sample(range(p.n), rng.randrange(3)))
+        check(g, host, p, lead, injective_homs_brute(p, g.adj, host), 0.7)
+    for _ in range(150):
+        g = random_graph(rng, rng.randrange(0, 8), rng.choice((0.3, 0.6, 0.9)))
+        host = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        size = rng.randrange(3)
+        p = random_graph(rng, size + 2, rng.choice((0.3, 0.6, 1.0)))
+        p = Graph.from_edges(p.n, [e for e in p.edges() if e != (size, size + 1)])
+        lead = tuple(rng.sample(range(size), size))
+        assert _ends_in_pair(_hom_plan(p, lead), size)
+        check(g, host, p, lead, injective_homs_brute(p, g.adj, host), 0.7)
+    assert pairs > 180 and nonzero > 60
 
 
 def test_blowup_counts_match_brute_force():
