@@ -248,12 +248,16 @@ def chromatic_number(g: Graph, *, budget: int | None = None) -> ColorResult:
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
+    """g without the edge (u, v); clearing both ends of an edge of a valid
+    graph leaves it valid, so the rows are not checked again."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphFormatError(f"edge ({u},{v}) outside 0..{g.n - 1}")
     if not g.has_edge(u, v):
         raise GraphFormatError(f"no edge ({u}, {v}) to remove")
     adj = list(g.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj))
+    return Graph._unchecked(g.n, tuple(adj))
 
 
 def is_edge_critical(h: Graph, *, budget: int | None = None) -> tuple[bool, tuple[int, int] | None]:

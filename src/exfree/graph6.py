@@ -93,7 +93,8 @@ def from_graph6(text: str) -> Graph:
     bitstr = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
     if "1" in bitstr[nbits:]:
         raise GraphFormatError("nonzero padding bits in graph6 body")
-    # column j holds rows 0..j-1, padded with zeros to n characters
+    # column j holds rows 0..j-1, padded with zeros to n characters: binary
+    # rows with a zero diagonal, which from_triangle need not check
     zeros = "0" * n
     cols = [bitstr[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)]
-    return Graph.from_triangle(cols)
+    return Graph._from_binary_triangle(cols, "".join(cols))

@@ -88,7 +88,20 @@ class Graph:
                 row ^= low
 
     @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Graph on rows its builder made valid: n rows of ids in 0..n-1,
+        symmetric, zero diagonal. Skips __post_init__, whose symmetry check
+        costs as much as building a dense graph; callers' rows go through
+        Graph(n, adj)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph on 0..n-1 with the given edges; each edge is checked, and
+        sets both of its rows, so the rows need no further check."""
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -97,7 +110,9 @@ class Graph:
                 raise GraphFormatError(f"edge ({u},{v}) outside 0..{n - 1}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        if n < 0:
+            raise GraphFormatError(f"adjacency length 0 != n={n}")
+        return cls._unchecked(n, tuple(adj))
 
     @classmethod
     def from_triangle(cls, half: list[str]) -> "Graph":
@@ -108,8 +123,10 @@ class Graph:
         (all u > v, or all u < v). With the rows joined into one n*n string
         flat, vertex v's other-triangle row is column v, the strided slice
         flat[v::n], so a vertex's row is its own string or-ed with that
-        slice. A row of another length, or a character other than '0' and
-        '1', raises GraphFormatError naming the first such row.
+        slice. A row of another length, a character other than '0' and '1',
+        or a '1' on the diagonal raises GraphFormatError naming the first
+        such row. Entry (u, v) is then half[u][v] | half[v][u], so the
+        graph is symmetric by construction and is not checked again.
         """
         n = len(half)
         for v, row in enumerate(half):
@@ -121,9 +138,19 @@ class Graph:
         if not flat.isascii() or flat.encode("ascii").translate(None, b"01"):
             v = next(v for v, row in enumerate(half) if row.count("0") + row.count("1") != n)
             raise GraphFormatError(f"triangle row {v} has a character other than 0 and 1")
+        loop = flat[:: n + 1].find("1")  # the diagonal
+        if loop >= 0:
+            raise GraphFormatError(f"self-loop at vertex {loop}")
+        return cls._from_binary_triangle(half, flat)
+
+    @classmethod
+    def _from_binary_triangle(cls, half: list[str], flat: str) -> "Graph":
+        """from_triangle on rows known to be n binary characters each with
+        a '0' on the diagonal; flat is "".join(half)."""
+        n = len(half)
         # flat[n*n-n+v::-n] is column v read from its last character back
         last = n * n - n
-        return cls(n, tuple(
+        return cls._unchecked(n, tuple(
             int(h[::-1], 2) | int(flat[last + v :: -n], 2) for v, h in enumerate(half)
         ))
 
@@ -171,14 +198,15 @@ _GNP_CHUNK = 8192  # pairs per read of the random stream in gnp
 
 def _multipartite(sizes: list[int]) -> Graph:
     """Complete multipartite graph with parts of the given sizes, each part
-    a block of consecutive ids in the order given."""
+    a block of consecutive ids in the order given. Each row is every vertex
+    outside its own block, so the rows are valid by construction."""
     full = (1 << sum(sizes)) - 1
     adj = []
     start = 0
     for s in sizes:
         adj += [full & ~(((1 << s) - 1) << start)] * s
         start += s
-    return Graph(start, tuple(adj))
+    return Graph._unchecked(start, tuple(adj))
 
 
 def complete(n: int) -> Graph:
@@ -188,7 +216,10 @@ def complete(n: int) -> Graph:
 
 
 def empty(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    """The edgeless graph; zero rows are valid."""
+    if n < 0:
+        raise PatternSyntaxError("empty(n) needs n >= 0")
+    return Graph._unchecked(n, (0,) * n)
 
 
 def turan(n: int, r: int) -> Graph:
@@ -238,8 +269,11 @@ def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
     is kept exactly when x < t = ceil(p * 2**53). The top byte of x is the
     top byte of a, which one translate per chunk compares with t's for
     every pair; only pairs whose top byte ties with t's need the exact
-    comparison.
+    comparison. The rows are binary with a zero diagonal, so they are read
+    without from_triangle's checks.
     """
+    if n < 0:
+        raise PatternSyntaxError("gnp needs n >= 0")
     if not 0 <= p <= 1:
         raise PatternSyntaxError("gnp needs 0 <= p <= 1")
     if rng is None:
@@ -268,7 +302,7 @@ def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
     for u in range(n):
         half.append(zeros[: u + 1] + text[start : start + n - 1 - u])
         start += n - 1 - u
-    return Graph.from_triangle(half)
+    return Graph._from_binary_triangle(half, "".join(half))
 
 
 def min_degree_floor(n: int, eps: Fraction) -> int:
@@ -283,8 +317,12 @@ def min_degree_random(n: int, eps: int | float | str | Fraction, seed: int) -> G
 
     Sample G(n, p) at p = 1 - eps/2, then repeatedly add one seeded-random
     missing edge at the lowest-id vertex still below the degree floor. The
-    floor is capped at n - 1, so eps = 0 yields the complete graph.
+    floor is capped at n - 1, so eps = 0 yields the complete graph. Each
+    added edge joins two distinct vertices in both rows of gnp's graph, so
+    the result is valid without a check.
     """
+    if n < 0:
+        raise PatternSyntaxError("min_degree_random needs n >= 0")
     epsf = as_fraction(eps)
     if not 0 <= epsf <= 1:
         raise PatternSyntaxError("min_degree_random needs 0 <= eps <= 1")
@@ -301,7 +339,7 @@ def min_degree_random(n: int, eps: int | float | str | Fraction, seed: int) -> G
         u = rng.choice(candidates)
         adj[v] |= 1 << u
         adj[u] |= 1 << v
-    return Graph(n, tuple(adj))
+    return Graph._unchecked(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +368,7 @@ def _relabel(g: Graph, keep: list[int]) -> tuple[Graph, tuple[int, ...]]:
 
     Each run of consecutive kept ids moves as one block of bits, so a row
     costs one shift-and-mask per run (two when a single vertex is deleted).
+    An induced subgraph of a valid graph is valid, so it is not checked.
     """
     runs: list[list[int]] = []  # [first old id, width, first new id]
     for new, old in enumerate(keep):
@@ -345,12 +384,17 @@ def _relabel(g: Graph, keep: list[int]) -> tuple[Graph, tuple[int, ...]]:
         for start, mask, at in blocks:
             packed |= ((row >> start) & mask) << at
         adj.append(packed)
-    return Graph(len(keep), tuple(adj)), tuple(keep)
+    return Graph._unchecked(len(keep), tuple(adj)), tuple(keep)
 
 
 def subgraph_from_edges(g: Graph, edges) -> Graph:
-    """Spanning subgraph of g restricted to the given edge subset."""
+    """Spanning subgraph of g restricted to the given edge subset. Ids are
+    range-checked before has_edge reads a row, where a negative id would
+    index from the end."""
+    edges = list(edges)  # read twice: here and by from_edges
     for u, v in edges:
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise GraphFormatError(f"edge ({u},{v}) outside 0..{g.n - 1}")
         if not g.has_edge(u, v):
             raise GraphFormatError(f"({u},{v}) is not an edge of the host graph")
     return Graph.from_edges(g.n, edges)

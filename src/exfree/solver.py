@@ -139,18 +139,26 @@ class Partition:
 
 
 def multipartite_subgraph(g: Graph, partition: Partition) -> Graph:
-    """Spanning subgraph keeping exactly the cross-part edges inside the support."""
+    """Spanning subgraph keeping exactly the cross-part edges inside the support.
+
+    Each support vertex is checked to be in g and in exactly one part, so
+    u and v keep the edge together or lose it together: the rows are valid
+    without a check."""
     part_mask = [0] * partition.k
     support_mask = 0
     for v, p in partition.assignment:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} not in graph on {g.n} vertices")
+        if not 0 <= p < partition.k:
+            raise ValueError(f"part index {p} outside 0..{partition.k - 1}")
+        if (support_mask >> v) & 1:
+            raise ValueError(f"vertex {v} assigned twice")
         part_mask[p] |= 1 << v
         support_mask |= 1 << v
     adj = [0] * g.n
     for v, p in partition.assignment:
         adj[v] = g.adj[v] & support_mask & ~part_mask[p]
-    return Graph(g.n, tuple(adj))
+    return Graph._unchecked(g.n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +453,10 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph):
     (chi - 1)-partite edge set, h-free since h is not (chi - 1)-colorable.
     Otherwise there is none. No greedy set is tried: the search includes
     first, so its first leaf is the set a greedy pass over the edges would
-    build.
+    build. For h = K_k, chi = k is read from the cached _forbid_test(h).
     """
-    chi = chromatic_number(h).chromatic_number
+    hk, _ = _forbid_test(h)
+    chi = hk if hk is not None else chromatic_number(h).chromatic_number
     if chi < 3:
         return None
     try:

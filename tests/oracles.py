@@ -20,11 +20,14 @@ test), color_component_recursive (the
 recursive coloring searches, on the package's budget counter),
 max_partite_recount (the exact partition that recounts every string),
 gnp_per_pair (the G(n, p) generator that calls random() once per pair),
+min_degree_random_brute (the minimum-degree model on a set of pairs),
 from_triangle_zip (the triangle reader that transposes the rows with zip)
 and peel_relabel (the peel that builds a relabelled graph per removal).
 """
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from exfree.coloring import NO, UNKNOWN, YES, is_k_colorable
@@ -271,6 +274,32 @@ def gnp_per_pair(n: int, p: float, seed: int, rng: random.Random | None = None) 
             if rng.random() < p:
                 edges.append((u, v))
     return Graph.from_edges(n, edges)
+
+
+def min_degree_random_brute(n: int, eps: Fraction, seed: int) -> Graph:
+    """graphs.min_degree_random on a set of pairs: gnp_per_pair at
+    p = 1 - eps/2, then, while some vertex has fewer than
+    min(ceil((1 - eps) * n), n - 1) neighbors, one missing pair at the
+    lowest such vertex v, drawn by rng.choice from v's non-neighbors in id
+    order. Built by the checked Graph constructor."""
+    rng = random.Random(seed)
+    pairs = set(gnp_per_pair(n, float(1 - eps / 2), seed, rng=rng).edges())
+    floor = min(math.ceil((1 - eps) * n), n - 1) if n else 0
+    degree = [0] * n
+    for u, v in pairs:
+        degree[u] += 1
+        degree[v] += 1
+    while any(d < floor for d in degree):
+        v = next(v for v in range(n) if degree[v] < floor)
+        u = rng.choice([u for u in range(n) if u != v and (min(u, v), max(u, v)) not in pairs])
+        pairs.add((min(u, v), max(u, v)))
+        degree[u] += 1
+        degree[v] += 1
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

@@ -19,7 +19,7 @@ from exfree.coloring import (
     remove_edge,
     verify_proper,
 )
-from exfree.errors import BudgetExceededError
+from exfree.errors import BudgetExceededError, GraphFormatError
 from exfree.graphs import Graph, blowup, complete, cycle, empty, induced_subgraph, turan
 
 from oracles import (
@@ -110,6 +110,12 @@ def test_remove_edge():
     assert g.edge_count() == 2
     with pytest.raises(ValueError):
         remove_edge(g, 0, 1)  # already absent
+    # ids are range-checked before a row is read: a negative id would index
+    # from the end, or shift by a negative count
+    for u, v in ((0, 3), (3, 0), (9, 1), (-1, 0), (0, -1), (-3, -2)):
+        with pytest.raises(GraphFormatError) as info:
+            remove_edge(g, u, v)
+        assert str(info.value) == f"edge ({u},{v}) outside 0..2"
 
 
 def test_critical_vertex():

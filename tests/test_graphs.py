@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exfree.coloring import remove_edge
 from exfree.errors import GraphFormatError, PatternSyntaxError
 from exfree.graphs import (
     GenSpec,
@@ -29,12 +30,15 @@ from exfree.graphs import (
     subgraph_from_edges,
     turan,
 )
-from exfree.graph6 import to_graph6
+from exfree.graph6 import from_graph6, to_graph6
+from exfree.solver import Partition, multipartite_subgraph
 from oracles import (
     complete_rows,
     coned_blowup_apex,
+    from_graph6_brute,
     from_triangle_zip,
     gnp_per_pair,
+    min_degree_random_brute,
     random_graph,
     relabel_brute,
     turan_part_masks,
@@ -146,6 +150,117 @@ def test_from_triangle_refuses_malformed_rows():
     with pytest.raises(GraphFormatError, match="self-loop"):
         Graph.from_triangle(["1"])
     assert Graph.from_triangle(["01", "00"]) == Graph.from_triangle(["00", "10"]) == complete(2)
+
+
+def test_from_triangle_refuses_a_diagonal_one():
+    # a '1' on the diagonal is a self-loop, named as the checked constructor
+    # names it, the first one when there are several
+    rng = random.Random(29)
+    for n in (1, 2, 5, 64, 65, 260):
+        g = random_graph(rng, n, 0.5)
+        for half in _triangles(g):
+            for loops in ([0], [n // 2], [n - 1], [n - 1, n // 2, 0]):
+                bad = list(half)
+                for v in loops:
+                    bad[v] = bad[v][:v] + "1" + bad[v][v + 1 :]
+                want = f"self-loop at vertex {min(loops)}"
+                with pytest.raises(GraphFormatError) as info:
+                    Graph.from_triangle(bad)
+                assert str(info.value) == want, (n, loops)
+                with pytest.raises(GraphFormatError) as info:
+                    from_triangle_zip(bad)
+                assert str(info.value) == want, (n, loops)
+
+
+def _graph_on(n: int, pairs) -> Graph:
+    """The graph on 0..n-1 with the given pairs, built by the checked
+    constructor."""
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+def _agree(g: Graph, oracle: Graph) -> None:
+    """g is the oracle's graph and passes the check its builder skipped."""
+    assert g == oracle
+    assert Graph(g.n, g.adj) == g
+
+
+def test_unchecked_builders_match_their_oracles():
+    # every builder that skips Graph's check builds the oracle's graph, and
+    # the check accepts it
+    rng = random.Random(19)
+    for n in (0, 1, 2, 63, 64, 65, 260):
+        for p in (0, 0.5, 0.93, 1) if n < 260 else (0.5, 0.93):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            host = _graph_on(n, pairs)
+            text = to_graph6(host)
+            _agree(from_graph6(text), from_graph6_brute(text))
+            assert from_graph6(text) == host
+            for half in _triangles(host):
+                _agree(Graph.from_triangle(half), from_triangle_zip(half))
+            shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(shuffled)
+            _agree(Graph.from_edges(n, shuffled + shuffled[:3]), host)
+            some = rng.sample(pairs, len(pairs) // 3)
+            _agree(subgraph_from_edges(host, iter(some)), _graph_on(n, some))
+            for u, v in rng.sample(pairs, min(len(pairs), 3)):
+                _agree(remove_edge(host, v, u), _graph_on(n, set(pairs) - {(u, v)}))
+            for v in rng.sample(range(n), min(n, 3)):
+                keep = [u for u in range(n) if u != v]
+                sub, remap = remove_vertex(host, v)
+                _agree(sub, relabel_brute(host, keep))
+                assert remap == tuple(keep)
+            for size in (0, n // 3, n - 1, n):
+                keep = rng.sample(range(n), max(size, 0))
+                _agree(induced_subgraph(host, keep)[0], relabel_brute(host, keep))
+            for k in (1, 2, 3, 7):
+                part = {v: rng.randrange(k) for v in range(n) if rng.random() < 0.8}
+                _agree(
+                    multipartite_subgraph(host, Partition.of(k, part)),
+                    _graph_on(n, [(u, v) for u, v in pairs
+                                  if u in part and v in part and part[u] != part[v]]),
+                )
+            for seed in (0, 5):
+                _agree(gnp(n, p, seed), gnp_per_pair(n, p, seed))
+        for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1)):
+            _agree(min_degree_random(n, eps, 3), min_degree_random_brute(n, eps, 3))
+        _agree(empty(n), _graph_on(n, []))
+
+
+def _multipartite_brute(sizes) -> Graph:
+    """Complete multipartite graph on consecutive blocks of the given
+    sizes: every pair whose block labels differ."""
+    label = [i for i, s in enumerate(sizes) for _ in range(s)]
+    n = len(label)
+    return _graph_on(n, [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] != label[v]])
+
+
+def test_multipartite_generators_match_brute_pairs():
+    for n in (0, 1, 2, 63, 64, 65, 260):
+        _agree(complete(n), _multipartite_brute([1] * n))
+        for r in (1, 2, 3, 7, 64):
+            q, rem = divmod(n, r)
+            _agree(turan(n, r), _multipartite_brute([q + 1] * rem + [q] * (r - rem)))
+    for m, t in ((1, 1), (2, 1), (1, 2), (3, 21), (8, 8), (13, 5), (4, 65)):
+        _agree(blowup(m, t), _multipartite_brute([t] * m))
+        _agree(coned_blowup(m, t), _multipartite_brute([t] * m + [1]))
+
+
+def test_builders_refuse_a_negative_vertex_count():
+    # the checked constructor refused these rows; the builders that skip it
+    # refuse the count first
+    with pytest.raises(GraphFormatError) as info:
+        Graph.from_edges(-1, [])
+    assert str(info.value) == "adjacency length 0 != n=-1"
+    with pytest.raises(GraphFormatError, match=r"edge \(0,1\) outside"):
+        Graph.from_edges(-2, [(0, 1)])
+    for build in (lambda: empty(-1), lambda: gnp(-1, 0.5, 1), lambda: gnp(-2, 0.5, 1),
+                  lambda: min_degree_random(-1, "1/2", 1)):
+        with pytest.raises(PatternSyntaxError, match="n >= 0"):
+            build()
 
 
 def test_duplicate_edges_collapse():
@@ -280,6 +395,14 @@ def test_subgraph_from_edges_validates():
     assert sub.edge_count() == 1 and sub.n == 4
     with pytest.raises(GraphFormatError):
         subgraph_from_edges(g, [(0, 2)])  # a diagonal, not a host edge
+    # ids are range-checked before a row is read: a negative id would index
+    # from the end, or shift by a negative count
+    for u, v in ((0, 4), (4, 0), (7, 1), (-1, 0), (0, -1), (-4, -3)):
+        with pytest.raises(GraphFormatError) as info:
+            subgraph_from_edges(g, [(0, 1), (u, v)])
+        assert str(info.value) == f"edge ({u},{v}) outside 0..3"
+    # the edges may be any iterable, read once
+    assert subgraph_from_edges(g, iter([(0, 1), (3, 2)])).edges() == [(0, 1), (2, 3)]
 
 
 def test_genspec_literals_round_trip():

@@ -569,6 +569,21 @@ def test_max_partite_partition_is_canonical_and_realizes_count():
     assert count_pattern(sub, K2) == count
 
 
+def test_multipartite_subgraph_refuses_malformed_partitions():
+    # a vertex in two parts would keep an edge in one row only, and the
+    # subgraph is built without the symmetry check, so it is refused first
+    g = complete(4)
+    for part, bad in (
+        (Partition(2, ((0, 0), (1, 1), (1, 0))), "vertex 1 assigned twice"),
+        (Partition(2, ((0, 0), (1, 2))), "part index 2 outside 0..1"),
+        (Partition(2, ((0, -1),)), "part index -1 outside 0..1"),
+        (Partition(2, ((4, 0),)), "vertex 4 not in graph on 4 vertices"),
+    ):
+        with pytest.raises(ValueError) as info:
+            multipartite_subgraph(g, part)
+        assert str(info.value) == bad
+
+
 def test_max_partite_local_search_never_beats_exact():
     rng = random.Random(23)
     for _ in range(15):
