@@ -12,7 +12,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GraphFormatError
-from .graphs import Graph, bits
+from .graphs import Graph, bits, remove_vertex
 from .counting import max_clique_size
 
 YES = "yes"
@@ -285,8 +285,6 @@ def critical_vertex(h: Graph, *, budget: int | None = None) -> int | None:
     of size two, deleting any single vertex leaves the chromatic number at 3.
     Every graph with an edge-critical edge has such a vertex (either endpoint).
     """
-    from .graphs import remove_vertex
-
     if h.n == 0:
         return None
     chi = chromatic_number(h, budget=budget).chromatic_number

@@ -58,6 +58,9 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        # a caller's list of rows becomes a tuple, so the graph hashes and
+        # equals the same graph built any other way
+        object.__setattr__(self, "adj", tuple(self.adj))
         if self.n < 0 or len(self.adj) != self.n:
             raise GraphFormatError(f"adjacency length {len(self.adj)} != n={self.n}")
         full = (1 << self.n) - 1

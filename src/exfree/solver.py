@@ -1,17 +1,18 @@
 """Extremal subgraph search: maximize pattern copies subject to a forbidden graph.
 
-Exact answers come from one depth-first search over include/exclude
-decisions on the host's edges, run in four settings: branch-and-bound with a
-monotone counting bound, the exhaustive engine (the trivial bound, pruning
-only edges that would complete a forbidden copy), tie enumeration (pruning
-only subtrees that cannot reach the best count) and maximal-set enumeration.
-Their independent check is the brute-force oracles of the test suite, not a
-second copy of the search. The heuristic route peels low-degree vertices,
-solves a balanced-partition core, and re-inserts the peeled vertices
-greedily; it gives lower bounds (never claims optimality) but is cheap and
-structurally informative. Peeling, partitioning and reinsertion score a
-vertex by the copies through it (counting.copies_through), for every
-pattern alike.
+Exact answers come from one depth-first search over include/exclude decisions
+on the host's edges. Each of its four settings is one hook that decides
+whether to enter a node: branch-and-bound with a monotone counting bound, the
+exhaustive engine (the trivial bound, pruning only edges that would complete
+a forbidden copy), tie enumeration (pruning only subtrees that cannot reach
+the best count) and maximal-set enumeration (pruning a subtree once an
+excluded edge joins its upper graph without a forbidden copy). Their
+independent check is the brute-force oracles of the test suite, not a second
+copy of the search. The heuristic route peels low-degree vertices, solves a
+balanced-partition core, and re-inserts the peeled vertices greedily; it
+gives lower bounds (never claims optimality) but is cheap and structurally
+informative. Peeling, partitioning and reinsertion score a vertex by the
+copies through it (counting.copies_through), for every pattern alike.
 
 Ties between count-maximal edge sets are always broken toward the
 lexicographically least sorted edge tuple, so results are reproducible.
@@ -203,11 +204,7 @@ def _creates_copy(adj, n: int, u: int, v: int, hk: int | None, plans) -> bool:
     adj2[u] |= 1 << v
     adj2[v] |= 1 << u
     host = (1 << n) - 1
-    lead = (u, v)
-    for plan in plans:
-        if _count_injective_homs(plan, adj2, host, lead, None, 1):
-            return True
-    return False
+    return any(_count_injective_homs(plan, adj2, host, (u, v), None, 1) for plan in plans)
 
 
 # ---------------------------------------------------------------------------
@@ -219,53 +216,61 @@ def _edge_budget(what: str, m: int, limit: int) -> None:
         raise BudgetExceededError(f"{what} limited to {limit} edges, got {m}")
 
 
-def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
+class _Node:
+    """The node _search enters, updated in place (see _search); upper reads
+    its live list and packing, live and pack."""
+
+    __slots__ = ("included", "excluded", "up", "leaf", "upper", "live", "pack")
+
+
+def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     """Depth-first search over include/exclude decisions on g's edges in
     ascending order, include first; returns the number of nodes entered.
 
-    keep(upper, included) decides at each node whether to enter it: included
-    is the list of included edges and upper(floor) returns (bound, term):
-    bound is at least the pattern count of every leaf below the node (see
-    below) and, at a leaf, the leaf's own count; term names what set it,
-    "count", "cap" or "packing". leaf(upper, included, adj) sees each leaf
-    entered, adj being the included edges' masks. t may be None when
-    neither hook counts.
+    enter(node) decides at each node whether to enter it, and records the
+    results: a leaf it accepts is one. node is one _Node, updated in place:
+    included and excluded list the edges included and the live edges
+    excluded by choice on the path, as (u, v); up holds the masks of U, the
+    upper graph (the included edges plus the live ones), which every leaf
+    below lies inside; leaf says every edge is decided. upper(floor) returns
+    (bound, term): bound is at least the count of t in every leaf below and,
+    at a leaf, the leaf's own count; term names what set it, "count", "cap"
+    or "packing". t may be None when enter never calls upper.
 
     Live edges are the undecided edges that may still be included; each
     frame carries their list. The one pruning rule is forbid: an edge stops
     being live once it would complete a copy of h, and including an edge
     kills only survivors, since adding edges only forbids more. So every
-    leaf is h-free. The test is fetched once per search from _forbid_test:
-    a clique test for h = K_k, else one prepared embedding plan per orbit
-    of Aut(h) on directed edges, led by that edge, so no test re-derives a
-    plan. At the root nothing is included, and a single edge holds a copy
-    of h exactly when h has one edge and at most n vertices: then no edge is
-    live, and otherwise every edge is.
+    leaf is h-free, and each host edge outside a leaf is either killed, so
+    that the leaf plus it holds a copy of h, or in excluded. The test is
+    fetched once per search from _forbid_test: a clique test for h = K_k,
+    else one prepared embedding plan per orbit of Aut(h) on directed edges,
+    led by that edge, so no test re-derives a plan. At the root nothing is
+    included, and a single edge holds a copy of h exactly when h has one
+    edge and at most n vertices: then no edge is live, and otherwise every
+    edge is.
 
     Including (u, v) kills a live edge e exactly when the included edges
     plus e hold a copy of h through e. That copy also uses (u, v), since e
     was live before (u, v) was included, and every other edge of it is
     included. So one walk finds every killed edge at once
-    (counting._defect_pairs): each plan's lead edge is pinned to (u, v),
-    the walk runs over U, the upper graph (the included edges plus the live
-    ones), and exactly one edge of h may land on a pair of U outside the
-    included edges; each such pair that completes a copy is killed. Those
-    pairs are exactly the remaining live edges, because decided edges are
-    included or have left U. For a clique h = K_k the clique test is
-    cheaper still: a killed live edge (a, b) lies in a K_k with u and v
-    whose other edges are all included, so it is (u, w) with w in N(v),
-    (v, w) with w in N(u), or has both ends in N(u) & N(v), N being the
-    included neighbourhoods. Edges are decided in ascending order, so
+    (counting._defect_pairs): each plan's lead edge is pinned to (u, v), the
+    walk runs over U, and exactly one edge of h may land on a pair of U
+    outside the included edges; each such pair that completes a copy is
+    killed. Those pairs are exactly the remaining live edges, because
+    decided edges are included or have left U. For a clique h = K_k the
+    clique test is cheaper still: a killed live edge (a, b) lies in a K_k
+    with u and v whose other edges are all included, so it is (u, w) with w
+    in N(v), (v, w) with w in N(u), or has both ends in N(u) & N(v), N being
+    the included neighbourhoods. Edges are decided in ascending order, so
     included edges precede (u, v) and live ones follow it. That leaves the
-    first and last kinds empty, and only the live (w, v) with u < w < v
-    and w in N(u) are re-tested, each by a search for a K_{k-2} in
-    N(w) & N(v).
+    first and last kinds empty, and only the live (w, v) with u < w < v and
+    w in N(u) are re-tested, each by a search for a K_{k-2} in N(w) & N(v).
 
-    upper(floor) is the pattern count of the upper graph U (the included
-    edges plus the live ones), which every leaf below lies inside. For a
-    clique pattern K_m and a clique h = K_k it is tightened twice, each term
-    tried only while the bound so far is at least floor, since a caller that
-    drops the node below floor needs no tighter value:
+    upper(floor) is the pattern count of U. For a clique pattern K_m and a
+    clique h = K_k it is tightened twice, each term tried only while the
+    bound so far is at least floor, since a caller that drops the node below
+    floor needs no tighter value:
       Turan cap: the K_m count of the Turan graph T(n, k-1), the most any
         K_k-free graph on n vertices has (Zykov 1949);
       packing bound, for 2 <= m < k: with nu edge-disjoint copies of K_k in
@@ -298,27 +303,23 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
                 loss = comb(hk - 2, clique_m - 2)
     adj = [0] * n
     included: list[tuple[int, int]] = []
+    excluded: list[tuple[int, int]] = []
     root_live = [] if h.edge_count() == 1 and h.n <= n else list(range(M))
     up = list(g.adj) if root_live else [0] * n
     up_count = count_pattern_masks(up, n, t) if clique_m is not None else 0
     nodes = 0
-    # the current node's live list and packing, the packing as last brought
-    # up to date on the path to the node: (copies, marked edges), each copy
-    # its edge-index mask, vertices and vertex mask
-    node_live, node_pack = root_live, None
 
     def upper(floor: int) -> tuple[int, str]:
-        nonlocal node_pack
         bound = up_count if clique_m is not None else count_pattern_masks(up, n, t)
         # with no live edge left, U is the one leaf below and the count exact
-        if bound < floor or cap is None or not node_live:
+        if bound < floor or cap is None or not node.live:
             return bound, "count"
         term = "count"
         if cap < bound:
             bound, term = cap, "cap"
-        if bound >= floor and node_pack is not None:
-            node_pack = packing(node_pack)
-            packed = up_count - loss * len(node_pack[0])
+        if bound >= floor and node.pack is not None:
+            node.pack = packing(node.pack)
+            packed = up_count - loss * len(node.pack[0])
             if packed < bound:
                 bound, term = packed, "packing"
         return bound, term
@@ -326,7 +327,9 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
     def packing(pack):
         """pack brought up to date with U: each copy that has lost an edge
         leaves it and marks its edges, then copies of K_k in U through
-        the marked edges join it."""
+        the marked edges join it. A packing is (copies, marked edges), each
+        copy its edge-index mask, vertices and vertex mask; node.pack holds
+        it as last brought up to date on the path to the node."""
         copies, marked = pack
         kept = []
         for copy in copies:
@@ -385,16 +388,16 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
             up[b] |= 1 << a
         up_count += lost
 
+    node = _Node()
+    node.included, node.excluded, node.up, node.upper = included, excluded, up, upper
+
     def dfs(idx: int, live: list[int], pack):
-        nonlocal nodes, node_live, node_pack
+        nonlocal nodes
         nodes += 1
-        node_live, node_pack = live, pack
-        if not keep(upper, included):
+        node.live, node.pack, node.leaf = live, pack, idx == M
+        if not enter(node) or idx == M:
             return
-        if idx == M:
-            leaf(upper, included, adj)
-            return
-        pack = node_pack
+        pack = node.pack
         u, v = edges[idx]
         is_live = bool(live) and live[0] == idx
         rest = live[1:] if is_live else live
@@ -427,23 +430,16 @@ def _search(g: Graph, t: Pattern | None, h: Graph, keep, leaf) -> int:
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             lost = drop(idx)
+            excluded.append((u, v))
             dfs(idx + 1, rest, pack)
+            excluded.pop()
             restore([idx], lost)
         else:
             dfs(idx + 1, rest, pack)
 
-    root_pack = None
-    if loss:
-        marked = 0
-        for j in root_live:
-            marked |= 1 << j
-        root_pack = ((), marked)
+    root_pack = ((), sum(1 << j for j in root_live)) if loss else None
     dfs(0, root_live, root_pack)
     return nodes
-
-
-def _enter_all(upper, included) -> bool:
-    return True
 
 
 def _feasible_seed(g: Graph, t: Pattern, h: Graph):
@@ -481,9 +477,10 @@ def _solve(g: Graph, t: Pattern, h: Graph, bounded: bool):
     extends the prefix and so cannot be lexicographically smaller; the
     subtree is dropped and the lex-least witness is kept exactly. With no
     seed the incumbent starts at count -1 and the empty tuple, which no
-    prefix is lex-less than, so the first leaf replaces it. Both settings
-    prune with the search's one rule, forbid, so every leaf is h-free
-    without a further check.
+    prefix is lex-less than, so the first leaf replaces it. At a leaf the
+    bound is the leaf's count, so the same test decides whether the leaf
+    replaces the incumbent. Both settings prune with the search's one rule,
+    forbid, so every leaf is h-free without a further check.
 
     The counters are SolveStats' nodes, pruned_* and seed_*; a subtree
     dropped with its bound equal to the incumbent's count counts as a
@@ -499,23 +496,21 @@ def _solve(g: Graph, t: Pattern, h: Graph, bounded: bool):
             counts["seed_count"] = seed[0]
             best = list(seed)
 
-        def keep(upper, included) -> bool:
-            lex_less = tuple(included) < best[1]
-            # without a lex-smaller prefix only a larger count is worth a visit
-            bound, term = upper(best[0] if lex_less else best[0] + 1)
-            if bound > best[0] or (bound == best[0] and lex_less):
-                return True
+    def enter(node) -> bool:
+        if not (bounded or node.leaf):
+            return True
+        lex_less = tuple(node.included) < best[1]
+        # without a lex-smaller prefix only a larger count is worth a visit
+        bound, term = node.upper(best[0] if lex_less else best[0] + 1)
+        if bound > best[0] or (bound == best[0] and lex_less):
+            if node.leaf:
+                best[0], best[1] = bound, tuple(node.included)
+            return True
+        if bounded:
             counts["pruned_lex" if bound == best[0] else "pruned_" + term] += 1
-            return False
-    else:
-        keep = _enter_all
+        return False
 
-    def leaf(upper, included, adj) -> None:
-        count, cand = upper(0)[0], tuple(included)
-        if count > best[0] or (count == best[0] and cand < best[1]):
-            best[0], best[1] = count, cand
-
-    counts["nodes"] = _search(g, t, h, keep, leaf)
+    counts["nodes"] = _search(g, t, h, enter)
     return best[0], best[1], counts
 
 
@@ -596,20 +591,26 @@ def enumerate_maximal_hfree(
     """All maximal h-free spanning edge subsets of g, lex-sorted.
 
     Maximal means no further host edge can be added without creating a copy
-    of h. Small hosts only (same edge budget as tie enumeration).
+    of h. Small hosts only (same edge budget as tie enumeration). Only the
+    edges excluded by choice can be added, as a killed edge completes a
+    copy. A node is entered only while each excluded edge e has a copy of h
+    through e in U + e, U its upper graph, which every leaf below lies in;
+    at a leaf U is the leaf, so this is the maximality test. Newest edges
+    are tested first: the last exclusion or kill most often breaks a copy.
     """
     _require_forbidden_edges(h)
     _edge_budget("maximal enumeration", g.edge_count(), budgets.ties_edges)
-    edges = g.edges()
     hk, plans = _forbid_test(h)
     out: list[tuple[tuple[int, int], ...]] = []
 
-    def leaf(upper, included, adj) -> None:
-        if all((adj[a] >> b) & 1 or _creates_copy(adj, g.n, a, b, hk, plans)
-               for a, b in edges):
-            out.append(tuple(included))
+    def enter(node) -> bool:
+        up, n = node.up, g.n
+        ok = all(_creates_copy(up, n, a, b, hk, plans) for a, b in reversed(node.excluded))
+        if ok and node.leaf:
+            out.append(tuple(node.included))
+        return ok
 
-    _search(g, None, h, _enter_all, leaf)
+    _search(g, None, h, enter)
     return sorted(out)
 
 
@@ -626,18 +627,17 @@ def enumerate_optima(
     best = -1
     ties: list[tuple[tuple[int, int], ...]] = []
 
-    def keep(upper, included) -> bool:
-        return upper(best)[0] >= best
-
-    def leaf(upper, included, adj) -> None:
+    def enter(node) -> bool:
         nonlocal best
-        count = upper(0)[0]
-        if count > best:
-            best = count
-            ties.clear()
-        ties.append(tuple(included))
+        bound = node.upper(best)[0]
+        if node.leaf and bound >= best:
+            if bound > best:
+                best = bound
+                ties.clear()
+            ties.append(tuple(node.included))
+        return bound >= best
 
-    _search(g, t, h, keep, leaf)
+    _search(g, t, h, enter)
     return best, sorted(ties)
 
 

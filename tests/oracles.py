@@ -175,14 +175,29 @@ def max_hfree_brute(g: Graph, pattern: Graph, h: Graph) -> tuple[int, tuple]:
     return best, best_edges
 
 
+def _copy_masks(g: Graph, h: Graph) -> set[int]:
+    """Every copy of h in g as a bitmask over g.edges(), found by trying
+    every injection of h's vertices into g's."""
+    index = {e: i for i, e in enumerate(g.edges())}
+    out = set()
+    for image in permutations(range(g.n), h.n):
+        pairs = [tuple(sorted((image[a], image[b]))) for a, b in h.edges()]
+        if all(pair in index for pair in pairs):
+            out.add(sum(1 << index[pair] for pair in pairs))
+    return out
+
+
 def _hfree_subsets(g: Graph, h: Graph) -> dict[int, tuple]:
-    """Every h-free edge subset of g: bitmask over g.edges() -> edge tuple."""
+    """Every h-free edge subset of g: bitmask over g.edges() -> edge tuple.
+    An edge subset contains h exactly when it holds one of the copies of h
+    in g, so those copies are listed once and every subset is checked
+    against them."""
     edges = g.edges()
+    copies = _copy_masks(g, h)
     out = {}
     for bits in range(1 << len(edges)):
-        subset = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
-        if not contains_brute(Graph.from_edges(g.n, subset), h):
-            out[bits] = subset
+        if all(copy & bits != copy for copy in copies):
+            out[bits] = tuple(e for i, e in enumerate(edges) if bits >> i & 1)
     return out
 
 

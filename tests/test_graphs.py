@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exfree.coloring import remove_edge
+from exfree.counting import Pattern
 from exfree.errors import GraphFormatError, PatternSyntaxError
 from exfree.graphs import (
     GenSpec,
@@ -31,7 +32,7 @@ from exfree.graphs import (
     turan,
 )
 from exfree.graph6 import from_graph6, to_graph6
-from exfree.solver import Partition, multipartite_subgraph
+from exfree.solver import Partition, max_hfree_subgraph, multipartite_subgraph
 from oracles import (
     complete_rows,
     coned_blowup_apex,
@@ -65,6 +66,20 @@ def test_validation_rejects_bad_graphs():
         Graph(2, (0b10, 0b00))  # asymmetric adjacency
     with pytest.raises(GraphFormatError):
         Graph(1, (0b10,))  # bit outside vertex range
+
+
+def test_a_list_of_rows_becomes_a_tuple():
+    # Graph(n, adj) keeps no caller's list: the graph equals and hashes like
+    # the same graph built from a tuple, later edits to the list leave it
+    # alone, and the solver's cached forbid test can take it as a key
+    rows = [6, 5, 3]
+    g = Graph(3, rows)
+    rows[0] = 0
+    assert g.adj == (6, 5, 3)
+    assert g == complete(3) and hash(g) == hash(complete(3))
+    assert {g: 1}[complete(3)] == 1
+    res = max_hfree_subgraph(complete(5), Pattern.clique(2), Graph(3, [6, 5, 3]))
+    assert res.best_count == 6  # K_{2,3}, the largest triangle-free subgraph of K5
 
 
 def _first_asymmetric_pair(adj):

@@ -533,6 +533,23 @@ def test_enumerate_optima_counts_ties():
         assert count_pattern(w, K3) == 0
 
 
+def test_maximal_enumeration_prunes_on_the_upper_graph(monkeypatch):
+    # a node is entered only while each edge excluded by choice completes a
+    # copy of h in the upper graph plus that edge. On the 7-vertex 15-edge
+    # host g6:Frniw the maximal sets match the oracle's, and the search
+    # enters no more nodes than that prune leaves (filtering only at the
+    # leaves entered 41,117 / 26,811 / 50,928)
+    host = from_graph6("Frniw")
+    assert (host.n, host.edge_count()) == (7, 15)
+    search = solver._search
+    nodes = []
+    monkeypatch.setattr(solver, "_search", lambda *args: nodes.append(search(*args)) or nodes[-1])
+    for h, limit in ((cycle(5), 7_222), (complete(3), 1_346), (ORACLE_FORBIDDEN["K4-e"], 2_571)):
+        nodes.clear()
+        assert enumerate_maximal_hfree(host, h) == maximal_hfree_brute(host, h), h.edges()
+        assert len(nodes) == 1 and nodes[0] <= limit, (h.edges(), nodes)
+
+
 def test_enumerate_maximal_sets_k4():
     found = enumerate_maximal_hfree(complete(4), complete(3))
     # brute force: a triangle-free edge set is maximal iff adding any
