@@ -12,8 +12,8 @@ The backtracker follows a plan (_hom_plan) worked out once per pattern
 graph and lead: the lead vertices come first in its order, either pinned
 to given host vertices, as the forbid test pins an edge of the forbidden
 graph onto a new host edge, or, rooted, with the first sent to a vertex
-outside the host, as copies_through does. |Aut(T)| comes from the same
-backtracker, by orbit-stabilizer over pinned existence tests. The forbid
+outside the host, as copies_through does. |Aut(T)| and its orbits come
+from _orbits, by pinned existence tests on the same backtracker. The forbid
 search's include step walks the same pinned plans in _defect_pairs, which
 finds in one pass every missing edge that would complete a copy.
 
@@ -475,34 +475,30 @@ def _defect_pairs(plans, adj, up, lead) -> list[int]:
 @lru_cache(maxsize=256)
 def _aut_count_cached(g: Graph) -> int:
     """|Aut(g)| by orbit-stabilizer: the product over i of the orbit of
-    vertex i under the automorphisms that fix vertices 0..i-1. Each orbit
-    is found by pinned existence tests, vertices 0..i-1 pinned to
-    themselves and i to a candidate image; an injective edge-preserving
-    self-map of a finite graph is an automorphism. At most n^2 tests."""
-    full = (1 << g.n) - 1
+    vertex i under the automorphisms that fix vertices 0..i-1, read from
+    _orbits on the tuples (0..i-1, w) for w >= i, where (0..i-1, i) comes
+    first and so represents its own orbit."""
     total = 1
     for i in range(g.n):
-        plan = _hom_plan(g, tuple(range(i + 1)))
         fixed = tuple(range(i))
-        total *= sum(
-            1 for w in range(i, g.n)
-            if g.degree(w) == g.degree(i)
-            and _count_injective_homs(plan, g.adj, full, fixed + (w,), None, 1)
-        )
+        total *= _orbits(g, tuple(fixed + (w,) for w in range(i, g.n)))[0][1]
     return total
 
 
 @lru_cache(maxsize=256)
 def _orbits(p: Graph, items: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, int], ...]:
-    """One item per orbit of Aut(p) on items, with the orbit's size; items
-    are tuples of p's vertices, every image of an item under Aut(p) among
-    them.
+    """One item per orbit on items, with the orbit's size; items are tuples
+    of p's vertices, x and y sharing an orbit when some automorphism of p
+    maps x onto y coordinatewise.
 
-    x and y share an orbit when some injective edge-preserving self-map of
-    p sends x to y coordinatewise; on a finite graph such a map is an
-    automorphism. Each item is tried against the representatives found so
-    far, in order, and starts an orbit of its own when none maps onto it, so
-    each orbit is represented by its first item.
+    That relation must be an equivalence on items. It is when items are
+    closed under Aut(p), and when they share a prefix S and hold (S, w) for
+    every w outside S: every map between two of them fixes S pointwise, so
+    the orbits are those of S's pointwise stabilizer. A pinned injective
+    edge-preserving self-map of p decides each pair; on a finite graph such
+    a map is an automorphism. Each item is tried against the representatives
+    found so far, in order, and starts an orbit of its own when none maps
+    onto it, so each orbit is represented by its first item.
     """
     sizes: dict[tuple[int, ...], int] = {}
     for y in items:
@@ -611,9 +607,12 @@ def exists_injective_hom(p: Graph, host_adj, host_n: int, pin: dict | None = Non
 
 
 def contains(g: Graph, h: Graph) -> bool:
-    """Does g contain a copy of h (as a subgraph, not induced)?"""
+    """Does g contain a copy of h (as a subgraph, not induced)? A clique h,
+    by shape, is looked for as a clique, as the solver's forbid test does."""
     if h.n == 0:
         return True
+    if blowup_shape(h) == (h.n, 1):
+        return exists_clique_in_mask(g.adj, (1 << g.n) - 1, h.n)
     return exists_injective_hom(h, g.adj, g.n)
 
 

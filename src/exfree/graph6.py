@@ -94,7 +94,7 @@ def from_graph6(text: str) -> Graph:
     if "1" in bitstr[nbits:]:
         raise GraphFormatError("nonzero padding bits in graph6 body")
     # column j holds rows 0..j-1, padded with zeros to n characters: binary
-    # rows with a zero diagonal, which from_triangle need not check
+    # rows with a zero diagonal, as _from_binary_triangle reads them
     zeros = "0" * n
     cols = [bitstr[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)]
-    return Graph._from_binary_triangle(cols, "".join(cols))
+    return Graph._from_binary_triangle(cols)

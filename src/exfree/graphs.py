@@ -69,19 +69,9 @@ class Graph:
                 raise GraphFormatError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
             if (row >> v) & 1:
                 raise GraphFormatError(f"self-loop at vertex {v}")
-        # Walking the neighbors costs a Python step per edge end; comparing
-        # the rows with their columns, each one strided slice of the joined
-        # rows, costs n*n character steps in C plus a fixed set-up. Dense
-        # graphs take the bulk comparison, and the walk runs only when it
-        # fails or the graph is small or sparse.
-        adj, n = self.adj, self.n
-        if sum(map(int.bit_count, adj)) > n * n // 12 + 25:
-            # rows[c] is vertex n-1-c's row written high bit first, and so is
-            # column c of the rows stacked in this order when adj is symmetric
-            rows = [format(row, f"0{n}b") for row in reversed(adj)]
-            flat = "".join(rows)
-            if [flat[c::n] for c in range(n)] == rows:
-                return
+        # one walk over the neighbors checks symmetry and names the first
+        # asymmetric pair
+        adj = self.adj
         for v, row in enumerate(adj):
             while row:
                 low = row & -row
@@ -94,8 +84,8 @@ class Graph:
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """Graph on rows its builder made valid: n rows of ids in 0..n-1,
         symmetric, zero diagonal. Skips __post_init__, whose symmetry check
-        costs as much as building a dense graph; callers' rows go through
-        Graph(n, adj)."""
+        takes a Python step per edge end, more than building a dense graph
+        costs; callers' rows go through Graph(n, adj)."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
@@ -118,39 +108,17 @@ class Graph:
         return cls._unchecked(n, tuple(adj))
 
     @classmethod
-    def from_triangle(cls, half: list[str]) -> "Graph":
-        """Graph whose edges are read from one triangle of its matrix.
-
-        half[v] is a string of n '0'/'1' characters, character u standing
-        for the pair {u, v}; each pair is set in at most one of its two rows
-        (all u > v, or all u < v). With the rows joined into one n*n string
-        flat, vertex v's other-triangle row is column v, the strided slice
-        flat[v::n], so a vertex's row is its own string or-ed with that
-        slice. A row of another length, a character other than '0' and '1',
-        or a '1' on the diagonal raises GraphFormatError naming the first
-        such row. Entry (u, v) is then half[u][v] | half[v][u], so the
-        graph is symmetric by construction and is not checked again.
-        """
+    def _from_binary_triangle(cls, half: list[str]) -> "Graph":
+        """Graph whose edges are read from one triangle of its matrix: half[v]
+        is a string of n '0'/'1' characters with a '0' at v, character u
+        standing for the pair {u, v}, and each pair is set in at most one of
+        its two rows (all u > v, or all u < v). The builders make rows of
+        this form, so they are not checked. With the rows joined into one
+        n*n string flat, vertex v's other-triangle row is column v, a strided
+        slice of flat, or-ed into its own row; entry (u, v) is then
+        half[u][v] | half[v][u], so the graph is symmetric by construction."""
         n = len(half)
-        for v, row in enumerate(half):
-            if len(row) != n:
-                raise GraphFormatError(f"triangle row {v} has {len(row)} characters, expected {n}")
         flat = "".join(half)
-        # bytes.translate deletes every 0 and 1 in one table pass; str.count
-        # would branch on every character, ten times the cost on random rows
-        if not flat.isascii() or flat.encode("ascii").translate(None, b"01"):
-            v = next(v for v, row in enumerate(half) if row.count("0") + row.count("1") != n)
-            raise GraphFormatError(f"triangle row {v} has a character other than 0 and 1")
-        loop = flat[:: n + 1].find("1")  # the diagonal
-        if loop >= 0:
-            raise GraphFormatError(f"self-loop at vertex {loop}")
-        return cls._from_binary_triangle(half, flat)
-
-    @classmethod
-    def _from_binary_triangle(cls, half: list[str], flat: str) -> "Graph":
-        """from_triangle on rows known to be n binary characters each with
-        a '0' on the diagonal; flat is "".join(half)."""
-        n = len(half)
         # flat[n*n-n+v::-n] is column v read from its last character back
         last = n * n - n
         return cls._unchecked(n, tuple(
@@ -272,8 +240,8 @@ def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
     is kept exactly when x < t = ceil(p * 2**53). The top byte of x is the
     top byte of a, which one translate per chunk compares with t's for
     every pair; only pairs whose top byte ties with t's need the exact
-    comparison. The rows are binary with a zero diagonal, so they are read
-    without from_triangle's checks.
+    comparison. The kept pairs fill each row's later neighbors, the triangle
+    that _from_binary_triangle reads.
     """
     if n < 0:
         raise PatternSyntaxError("gnp needs n >= 0")
@@ -305,7 +273,7 @@ def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
     for u in range(n):
         half.append(zeros[: u + 1] + text[start : start + n - 1 - u])
         start += n - 1 - u
-    return Graph._from_binary_triangle(half, "".join(half))
+    return Graph._from_binary_triangle(half)
 
 
 def min_degree_floor(n: int, eps: Fraction) -> int:

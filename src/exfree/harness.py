@@ -353,6 +353,8 @@ def compare_prediction(
 
 
 def _prediction_table(n_range, k, m, t, forbidden, pattern, budgets):
+    if not n_range:
+        raise ValueError("need at least one host size n")
     def row(n: int) -> dict[str, Any]:
         prediction = (
             predict_ex_clique(n, k, m) if t == 1 else predict_ex_blowup(n, m, t)

@@ -20,9 +20,8 @@ test), color_component_recursive (the
 recursive coloring searches, on the package's budget counter),
 max_partite_recount (the exact partition that recounts every string),
 gnp_per_pair (the G(n, p) generator that calls random() once per pair),
-min_degree_random_brute (the minimum-degree model on a set of pairs),
-from_triangle_zip (the triangle reader that transposes the rows with zip)
-and peel_relabel (the peel that builds a relabelled graph per removal).
+min_degree_random_brute (the minimum-degree model on a set of pairs) and
+peel_relabel (the peel that builds a relabelled graph per removal).
 """
 
 import math
@@ -101,12 +100,19 @@ def automorphisms_brute(g: Graph) -> int:
     return count
 
 
-def vertex_orbits_brute(g: Graph) -> list[set]:
-    """Orbits of the automorphism group on vertices, found by trying every
-    vertex permutation."""
+def vertex_orbits_brute(g: Graph, fixed=()) -> list[set]:
+    """Orbits on vertices of the automorphisms that fix each vertex of
+    fixed (by default, of the whole group), found by trying every
+    permutation of the other vertices."""
     edges = {frozenset(e) for e in g.edges()}
-    auts = [perm for perm in permutations(range(g.n))
-            if {frozenset((perm[a], perm[b])) for a, b in edges} == edges]
+    rest = [v for v in range(g.n) if v not in fixed]
+    auts = []
+    for images in permutations(rest):
+        perm = list(range(g.n))
+        for v, w in zip(rest, images):
+            perm[v] = w
+        if {frozenset((perm[a], perm[b])) for a, b in edges} == edges:
+            auts.append(perm)
     orbits = []
     for a in range(g.n):
         if not any(a in orbit for orbit in orbits):
@@ -712,13 +718,6 @@ def color_component_recursive(g: Graph, comp: list[int], k: int, budget, canonic
         return NO
 
     return rec(set(comp), 0), colors
-
-
-def from_triangle_zip(half: list[str]) -> Graph:
-    """Graph.from_triangle with each vertex's other-triangle row read from
-    the columns that zip(*half) gives."""
-    rows = zip(half, map("".join, zip(*half)))
-    return Graph(len(half), tuple(int(h[::-1], 2) | int(c[::-1], 2) for h, c in rows))
 
 
 def peel_relabel(g: Graph, k: int, t, floor: int = 0) -> tuple[Graph, PeelTrace]:

@@ -333,6 +333,22 @@ def test_verify_prediction_table_output():
     assert "verdict[table-complete]: holds" in out
 
 
+def test_empty_prediction_range_is_refused(tmp_path):
+    # n-max below n-min leaves no row: exit 1, not "holds" over an empty
+    # table; a record whose n_range was emptied is refused on replay too
+    args = ("verify", "--claim", "prediction", "--k", "3", "--m", "2",
+            "--forbid", "gen:complete:3")
+    code, out, err = run(*args, "--n-min", "5", "--n-max", "4")
+    assert (code, out, err) == (1, "", "error: need at least one host size n\n")
+    recfile = tmp_path / "prediction.jsonl"
+    assert run(*args, "--n-min", "4", "--n-max", "4", "--out", str(recfile))[0] == 0
+    blob = json.loads(recfile.read_text())
+    blob["spec"]["n_range"] = []
+    recfile.write_text(json.dumps(blob) + "\n")
+    code, out, err = run("replay", "--record", str(recfile))
+    assert (code, out, err) == (1, "", "error: need at least one host size n\n")
+
+
 def test_scan_replay_round_trip(tmp_path):
     recfile = str(tmp_path / "runs.jsonl")
     scan_argv = (

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exfree import counting
 from exfree.counting import (
     GENERIC_VERTEX_BUDGET,
     Pattern,
     _count_injective_homs,
     _hom_plan,
     _orbit_roots,
+    _orbits,
     _vertex_orbits,
     blowup_shape,
     contains,
@@ -36,6 +38,7 @@ from exfree.graphs import (
     coned_blowup,
     cycle,
     empty,
+    gnp,
     induced_subgraph,
     turan,
 )
@@ -361,24 +364,64 @@ def test_copies_through_counts_blowups_past_the_generic_budget():
         assert copies_through(g.adj, within, g.adj[v], big) == want
 
 
+_ORBIT_GRAPHS = [
+    Graph(0, ()),
+    complete(1),
+    Graph.from_edges(3, [(0, 1), (1, 2)]),
+    Graph.from_edges(3, [(0, 1)]),
+    Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]),
+    cycle(5),
+    blowup(2, 2),
+    coned_blowup(2, 2),
+    coned_blowup(2, 1),
+]
+
+
 def test_vertex_orbits_meet_each_orbit_once():
-    graphs = [
-        Graph(0, ()),
-        complete(1),
-        Graph.from_edges(3, [(0, 1), (1, 2)]),
-        Graph.from_edges(3, [(0, 1)]),
-        Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
-        Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
-        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-        Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]),
-        cycle(5),
-        blowup(2, 2),
-        coned_blowup(2, 2),
-        coned_blowup(2, 1),
-    ]
-    for g in graphs:
+    for g in _ORBIT_GRAPHS:
         orbits = vertex_orbits_brute(g)
         assert _vertex_orbits(g) == tuple(sorted((min(o), len(o)) for o in orbits)), g.edges()
+
+
+def test_orbits_on_prefix_tuples_are_the_stabilizer_orbits():
+    # the tuples (0..i-1, w), w >= i, share a prefix that every map between
+    # two of them fixes, so their orbits are those of the automorphisms
+    # fixing 0..i-1 pointwise, from which |Aut| is read
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert _orbits(p4, ((1,), (2,))) == (((1,), 2),)
+    assert _orbits(p4, ((0, 1), (0, 2), (0, 3))) == (((0, 1), 1), ((0, 2), 1), ((0, 3), 1))
+    rng = random.Random(23)
+    graphs = _ORBIT_GRAPHS + [random_graph(rng, n, p) for n in range(8) for p in (0.3, 0.6)]
+    for g in graphs:
+        for i in range(g.n):
+            fixed = tuple(range(i))
+            items = tuple(fixed + (w,) for w in range(i, g.n))
+            orbits = [o for o in vertex_orbits_brute(g, fixed) if min(o) >= i]
+            want = tuple((fixed + (min(o),), len(o)) for o in orbits)
+            assert _orbits(g, items) == want, (g.edges(), i)
+
+
+def test_contains_looks_for_a_clique_as_a_clique(monkeypatch):
+    # a clique h, however spelled, takes the clique search: K12 in a
+    # G(200, 1/2) host of clique number 11 is answered at once, where the
+    # embedding walk tries every injective map of K12
+    for seed in (1, 2):
+        g = gnp(200, 0.5, seed)
+        omega = max_clique_size(g)
+        for k in (omega, omega + 1):
+            assert contains(g, complete(k)) == (k <= omega), (seed, k)
+    monkeypatch.setattr(counting, "exists_injective_hom", None)
+    triangle = from_graph6("Bw")
+    k4 = Graph.from_edges(4, [(3, 1), (2, 0), (1, 2), (0, 3), (3, 2), (1, 0)])
+    rng = random.Random(31)
+    for _ in range(20):
+        g = random_graph(rng, rng.randrange(0, 12), rng.choice((0.3, 0.6)))
+        omega = max_clique_size(g)
+        assert contains(g, triangle) == contains(g, complete(3)) == (omega >= 3)
+        assert contains(g, k4) == contains(g, complete(4)) == (omega >= 4)
 
 
 def test_count_injective_homs_equals_count_times_aut():

@@ -37,7 +37,6 @@ from oracles import (
     complete_rows,
     coned_blowup_apex,
     from_graph6_brute,
-    from_triangle_zip,
     gnp_per_pair,
     min_degree_random_brute,
     random_graph,
@@ -94,8 +93,7 @@ def _first_asymmetric_pair(adj):
 def test_asymmetric_adjacency_names_the_first_pair():
     rng = random.Random(11)
     checked = 0
-    # the dense hosts take the bulk row/column comparison, the sparse ones
-    # go straight to the neighbor walk
+    # sparse and dense hosts alike go through the one neighbor walk
     cases = []
     for n, p in ((5, 0.5), (9, 1.0), (30, 0.2), (64, 0.9), (70, 0.5), (130, 0.8)):
         for _ in range(4):
@@ -104,8 +102,8 @@ def test_asymmetric_adjacency_names_the_first_pair():
                 u, v = rng.sample(range(n), 2)
                 adj[u] ^= 1 << v
             cases.append(adj)
-    # a dense 600-vertex host with one pair flipped in vertex 0's bit, which
-    # the bulk check reads in the last column, its last strided slice
+    # a dense 600-vertex host with one pair flipped: vertex 417's bit for
+    # vertex 0
     adj = list(gnp(600, 0.5, 5).adj)
     adj[417] ^= 1
     cases.append(adj)
@@ -118,73 +116,6 @@ def test_asymmetric_adjacency_names_the_first_pair():
         assert str(info.value) == f"asymmetric adjacency between {pair[0]} and {pair[1]}"
         checked += 1
     assert checked >= 21
-
-
-def _triangles(g: Graph) -> list[list[str]]:
-    """g's rows cut to the pairs above the diagonal, and to those below it,
-    each row written lowest id first."""
-    n = g.n
-    rows = [format(row, f"0{n}b")[::-1] for row in g.adj]
-    return [
-        ["0" * (v + 1) + row[v + 1 :] for v, row in enumerate(rows)],
-        [row[:v] + "0" * (n - v) for v, row in enumerate(rows)],
-    ]
-
-
-def test_from_triangle_matches_zip_transpose():
-    rng = random.Random(17)
-    for n in (0, 1, 2, 5, 62, 63, 64, 100, 260, 600):
-        for p in (0, 0.3, 0.5, 1):
-            g = random_graph(rng, n, p)
-            for half in _triangles(g):
-                assert Graph.from_triangle(half) == from_triangle_zip(half) == g, (n, p)
-
-
-def test_from_triangle_refuses_malformed_rows():
-    for half, bad in (
-        (["00", "000", "0000"], "row 0 has 2 characters, expected 3"),
-        (["000", "0000", "00"], "row 1 has 4 characters, expected 3"),
-        (["000", "000", "00"], "row 2 has 2 characters, expected 3"),
-        ([""], "row 0 has 0 characters, expected 1"),
-        (["00"], "row 0 has 2 characters, expected 1"),
-        (["011", "002", "000"], "row 1 has a character other than 0 and 1"),
-        # int() would read these: an underscore, a blank, a sign
-        (["0_1", "000", "000"], "row 0 has a character other than 0 and 1"),
-        (["001", "000", " 00"], "row 2 has a character other than 0 and 1"),
-        (["0+", "00"], "row 0 has a character other than 0 and 1"),
-        (["2"], "row 0 has a character other than 0 and 1"),
-        # outside ASCII: a letter, and a digit one that int() reads as 1
-        (["00", "0\u00e9"], "row 1 has a character other than 0 and 1"),
-        (["0\u0661", "00"], "row 0 has a character other than 0 and 1"),
-    ):
-        with pytest.raises(GraphFormatError) as info:
-            Graph.from_triangle(half)
-        assert str(info.value) == "triangle " + bad, half
-    assert Graph.from_triangle([]) == Graph(0, ())
-    assert Graph.from_triangle(["0"]) == Graph(1, (0,))
-    with pytest.raises(GraphFormatError, match="self-loop"):
-        Graph.from_triangle(["1"])
-    assert Graph.from_triangle(["01", "00"]) == Graph.from_triangle(["00", "10"]) == complete(2)
-
-
-def test_from_triangle_refuses_a_diagonal_one():
-    # a '1' on the diagonal is a self-loop, named as the checked constructor
-    # names it, the first one when there are several
-    rng = random.Random(29)
-    for n in (1, 2, 5, 64, 65, 260):
-        g = random_graph(rng, n, 0.5)
-        for half in _triangles(g):
-            for loops in ([0], [n // 2], [n - 1], [n - 1, n // 2, 0]):
-                bad = list(half)
-                for v in loops:
-                    bad[v] = bad[v][:v] + "1" + bad[v][v + 1 :]
-                want = f"self-loop at vertex {min(loops)}"
-                with pytest.raises(GraphFormatError) as info:
-                    Graph.from_triangle(bad)
-                assert str(info.value) == want, (n, loops)
-                with pytest.raises(GraphFormatError) as info:
-                    from_triangle_zip(bad)
-                assert str(info.value) == want, (n, loops)
 
 
 def _graph_on(n: int, pairs) -> Graph:
@@ -214,8 +145,6 @@ def test_unchecked_builders_match_their_oracles():
             text = to_graph6(host)
             _agree(from_graph6(text), from_graph6_brute(text))
             assert from_graph6(text) == host
-            for half in _triangles(host):
-                _agree(Graph.from_triangle(half), from_triangle_zip(half))
             shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
             rng.shuffle(shuffled)
             _agree(Graph.from_edges(n, shuffled + shuffled[:3]), host)

@@ -158,6 +158,13 @@ def test_compare_prediction_table():
     assert all(row["status"] == "ok" for row in rows)
 
 
+def test_compare_prediction_refuses_an_empty_range():
+    # a table with no rows would record "holds" for nothing
+    for n_range in ([], range(5, 5)):
+        with pytest.raises(ValueError, match="need at least one host size n"):
+            compare_prediction(n_range, 3, 2, 1, TRIANGLE)
+
+
 def test_compare_prediction_degrades_to_unknown_past_budget():
     tiny = dataclasses.replace(
         DEFAULT_BUDGETS, exhaustive_edges=3, bnb_edges=3, ties_edges=0
