@@ -1,4 +1,4 @@
-"""Exact graph coloring by backtracking with saturation-degree ordering.
+"""Exact graph coloring by backtracking in saturation-degree or lex-least order.
 
 Decisions are exact only: a yes answer always carries a verified proper
 coloring, a no answer means an exhaustive refutation. Running out of the
@@ -91,18 +91,13 @@ def _components(g: Graph) -> list[list[int]]:
 def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonical: bool):
     """Color one connected component; returns (status, {vertex: color}).
 
-    Both backtracking searches keep an explicit stack of open vertices,
-    each with the colors still to try, so a long component cannot exhaust
-    the interpreter's recursion limit. Every vertex opened spends one budget
-    node, in the order a recursive depth-first search would open it; the
-    component itself spends one first.
+    A canonical 2-coloring is one breadth-first parity pass; all else runs
+    one backtracking search, whose vertex order alone depends on canonical,
+    on an explicit stack that spares the interpreter's recursion limit.
+    Every vertex opened spends one budget node, in the order a recursive
+    depth-first search would open it; the component itself spends one first.
     """
     colors: dict[int, int] = {}
-
-    def free_colors(v: int, top: int):
-        used_nb = {colors[u] for u in bits(g.adj[v]) if u in colors}
-        return iter([c for c in range(top) if c not in used_nb])
-
     if not budget.spend():
         return UNKNOWN, colors
 
@@ -111,6 +106,7 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
         # its colors swapped. The least gives comp[0] color 0 and every vertex
         # the parity of its distance from comp[0], and it is proper exactly
         # when some 2-coloring is. Each vertex colored spends one node.
+        # The search below is linear here too, but slower on small graphs.
         colors[comp[0]] = 0
         order = [comp[0]]
         for v in order:  # breadth-first: order grows as vertices are colored
@@ -123,35 +119,26 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
         proper = all(colors[u] != colors[v] for v in comp for u in bits(g.adj[v]))
         return (YES if proper else NO), colors
 
-    if canonical:
-        # fixed ascending vertex order, colors tried ascending: the first
-        # solution found is the lexicographically least proper coloring
-        stack = [free_colors(comp[0], k)]
-        while stack:
-            v = comp[len(stack) - 1]
-            c = next(stack[-1], None)
-            if c is None:
-                stack.pop()
-                colors.pop(v, None)
-                continue
-            colors[v] = c
-            if not budget.spend():
-                return UNKNOWN, colors
-            if len(stack) == len(comp):
-                return YES, colors
-            stack.append(free_colors(comp[len(stack)], k))
-        return NO, colors
-
-    # saturation-degree ordering with symmetry breaking on fresh colors: the
-    # next vertex is the open one of most colors among its colored
-    # neighbours, then of highest degree, then of lowest id. Each vertex
-    # keeps a count per neighbour color, updated as colors come and go, and
-    # a heap holds (-saturation, -degree, vertex) entries; an entry whose
-    # vertex is closed or whose saturation has changed is skipped when it
-    # surfaces, and every change pushes a fresh one.
+    # Each vertex counts its colored neighbours per color; its saturation is
+    # the number of colors among them. A heap holds a key tuple per open
+    # vertex; every change of a key pushes a fresh entry, and a stale one
+    # is skipped when it surfaces. Colors are tried ascending, with one
+    # fresh color at most, as higher fresh colors are symmetric. Saturation
+    # order (Brélaz) opens the vertex of highest saturation, then degree,
+    # then lowest id. Canonical order opens a vertex with one color left or
+    # none first (it sees k - 1 colors, so the fresh-color cap hides none),
+    # else the lowest open vertex: all below it are colored, a forced color
+    # holds in every completion and no color ends the branch, so the first
+    # coloring found is the lexicographically least, which uses its colors
+    # in order of first occurrence.
     remaining = set(comp)
     seen = {w: {} for w in comp}  # w -> {color: colored neighbours of w with it}
-    heap = [(0, -g.degree(w), w) for w in comp]
+
+    def key(w: int) -> tuple:
+        sat = len(seen[w])
+        return (sat < k - 1, w) if canonical else (-sat, -g.degree(w), w)
+
+    heap = [key(w) for w in comp]
     heapq.heapify(heap)
 
     def recolor(v: int, c: int, step: int) -> None:
@@ -164,18 +151,20 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
                 counts[c] = left
             else:
                 del counts[c]
-            if w in remaining and len(counts) != was:
-                heapq.heappush(heap, (-len(counts), -g.degree(w), w))
+            # a canonical key changes only as w reaches or leaves k - 1 colors
+            changed = len(counts) != was and (not canonical or k - 1 in (was, len(counts)))
+            if changed and w in remaining:
+                heapq.heappush(heap, key(w))
 
     def open_vertex(max_used: int):
         while True:
-            sat, _, v = heap[0]
-            if v in remaining and -sat == len(seen[v]):
+            v = heap[0][-1]
+            if v in remaining and heap[0] == key(v):
                 break
             heapq.heappop(heap)
         remaining.remove(v)
-        # trying one fresh color is enough: higher fresh colors are symmetric
-        return v, free_colors(v, min(k, max_used + 1)), max_used
+        nb = seen[v]  # colors stay below len(comp), whatever k is
+        return v, iter([c for c in range(min(k, max_used + 1)) if c not in nb]), max_used
 
     stack = [open_vertex(0)]
     while stack:
@@ -186,7 +175,7 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
         if c is None:
             stack.pop()
             remaining.add(v)
-            heapq.heappush(heap, (-len(seen[v]), -g.degree(v), v))
+            heapq.heappush(heap, key(v))
             continue
         colors[v] = c
         recolor(v, c, 1)
@@ -203,10 +192,12 @@ def is_k_colorable(
 ) -> ColorOutcome:
     """Decide k-colorability; components are handled independently.
 
-    canonical=True returns the lexicographically least witness (ascending
-    vertex ids, colors tried in ascending order) at some extra search cost;
-    for k = 2 it is the breadth-first parity coloring, found in linear time.
+    canonical=True returns the lexicographically least witness (for k = 2
+    the breadth-first parity coloring). budget caps the search nodes of
+    either vertex order; a negative one is refused before any search.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     if k < 0:
         return ColorOutcome(NO, None, 0)
     if g.n == 0:
@@ -230,6 +221,8 @@ def is_k_colorable(
 
 def chromatic_number(g: Graph, *, budget: int | None = None) -> ColorResult:
     """Exact chromatic number with witness; raises BudgetExceededError if undecided."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     if g.n == 0:
         return ColorResult(0, (), 0)
     spent = 0

@@ -17,7 +17,9 @@ test that pins every directed edge of h, on the package's pinned
 backtracker), defect_pairs_by_retest (the search's include step for a
 non-clique h, which re-tests every live edge with the package's forbid
 test), color_component_recursive (the
-recursive coloring searches, on the package's budget counter),
+recursive coloring search, on the package's budget counter),
+lex_least_coloring (the fixed-order search behind canonical colorings
+before they shared the saturation search's loop),
 max_partite_recount (the exact partition that recounts every string),
 gnp_per_pair (the G(n, p) generator that calls random() once per pair),
 min_degree_random_brute (the minimum-degree model on a set of pairs) and
@@ -27,7 +29,7 @@ peel_relabel (the peel that builds a relabelled graph per removal).
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from exfree.coloring import NO, UNKNOWN, YES, is_k_colorable
 from exfree.counting import (
@@ -229,15 +231,18 @@ def maximal_hfree_brute(g: Graph, h: Graph) -> list[tuple]:
     )
 
 
-def colorable_brute(g: Graph, k: int) -> bool:
+def lex_least_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     """Try colors 0..k-1 on vertices 0, 1, ... in turn, and give up a
     partial assignment at its first vertex that shares a color with an
     earlier neighbour. Every proper k-coloring extends only conflict-free
-    partial ones, so all of them are still reached."""
+    partial ones, so all of them are still reached, in lexicographic order:
+    the first one found is the least, or None if there is none. (This
+    fixed-order search is the one the package's canonical coloring used
+    before it shared the saturation search's loop.)"""
     if g.n == 0:
-        return True
+        return ()
     if k <= 0:
-        return False
+        return None
     earlier = [[u for u in g.neighbors(v) if u < v] for v in range(g.n)]
     colors: list[int] = []
 
@@ -253,7 +258,21 @@ def colorable_brute(g: Graph, k: int) -> bool:
                 colors.pop()
         return False
 
-    return extend()
+    return tuple(colors) if extend() else None
+
+
+def lex_least_coloring_brute(g: Graph, k: int) -> tuple[int, ...] | None:
+    """The first of all k^n colorings, in lexicographic order, that gives
+    every edge two colors; None if none does."""
+    edges = list(g.edges())
+    for colors in product(range(max(k, 0)), repeat=g.n):
+        if all(colors[u] != colors[v] for u, v in edges):
+            return colors
+    return None
+
+
+def colorable_brute(g: Graph, k: int) -> bool:
+    return lex_least_coloring(g, k) is not None
 
 
 def chromatic_brute(g: Graph) -> int:
@@ -662,46 +681,30 @@ def defect_pairs_by_retest(plans, adj, up, lead) -> list[int]:
 
 
 def color_component_recursive(g: Graph, comp: list[int], k: int, budget, canonical: bool):
-    """The coloring searches as recursive functions, one call per opened
+    """The coloring search as a recursive function, one call per opened
     vertex; returns (status, {vertex: color}) and spends budget nodes like
-    coloring._color_component."""
-    order_pool = comp
+    coloring._color_component. It opens, in saturation order, the open
+    vertex of most colors among its colored neighbours, then of highest
+    degree, then of lowest id; in canonical order, a vertex with at most
+    one color left, else the lowest open vertex. Colors are tried
+    ascending, with at most one that no vertex has yet."""
     colors: dict[int, int] = {}
 
-    if canonical:
-        def rec_canon(i: int):
-            if not budget.spend():
-                return UNKNOWN
-            if i == len(order_pool):
-                return YES
-            v = order_pool[i]
-            used_nb = {colors[u] for u in g.neighbors(v) if u in colors}
-            for c in range(k):
-                if c in used_nb:
-                    continue
-                colors[v] = c
-                res = rec_canon(i + 1)
-                if res != NO:
-                    return res
-                del colors[v]
-            return NO
+    def seen(w: int) -> set[int]:
+        return {colors[u] for u in g.neighbors(w) if u in colors}
 
-        return rec_canon(0), colors
+    def pick(remaining: set[int]) -> int:
+        if canonical:
+            return min(remaining, key=lambda w: (len(seen(w)) < k - 1, w))
+        return max(remaining, key=lambda w: (len(seen(w)), g.degree(w), -w))
 
     def rec(remaining: set[int], max_used: int):
         if not budget.spend():
             return UNKNOWN
         if not remaining:
             return YES
-        v = max(
-            remaining,
-            key=lambda w: (
-                len({colors[u] for u in g.neighbors(w) if u in colors}),
-                g.degree(w),
-                -w,
-            ),
-        )
-        used_nb = {colors[u] for u in g.neighbors(v) if u in colors}
+        v = pick(remaining)
+        used_nb = seen(v)
         remaining.remove(v)
         for c in range(min(k, max_used + 1)):
             if c in used_nb:

@@ -96,6 +96,52 @@ def test_color_long_cycle_at_default_recursion_limit():
     assert out == "yes\ncoloring: " + " ".join(str(v % 2) for v in range(3000)) + "\n"
 
 
+def test_color_forced_vertices_and_huge_color_counts():
+    # vertices 1..16 joined only to the last one, beside a triangle that it
+    # touches twice: the canonical search settles the last vertex once it
+    # has one color left, instead of trying every coloring of 1..16
+    code, out, _ = run("color", "--graph", "g6:S??????????????????????A??C??J~~{", "--colors", "3")
+    assert (code, out) == (0, "yes\ncoloring: 0" + " 1" * 17 + " 2 0\n")
+    # no structure grows with the number of colors
+    code, out, err = run("color", "--graph", "gen:complete:3", "--colors", "100000000")
+    assert (code, out, err) == (0, "yes\ncoloring: 0 1 2\n", "")
+
+
+def test_color_refuses_a_negative_budget():
+    for argv in (("--colors", "3", "--budget", "-5"), ("--chromatic", "--budget", "-1")):
+        code, out, err = run("color", "--graph", "gen:complete:4", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: node budget must be >= 0, got {argv[-1]}\n"
+    # a budget of 0 is spent by the first node
+    code, out, _ = run("color", "--graph", "gen:complete:4", "--colors", "4", "--budget", "0")
+    assert (code, out) == (2, "unknown\n")
+    code, _, err = run("color", "--graph", "gen:complete:4", "--chromatic", "--budget", "0")
+    assert (code, err) == (2, "budget exceeded: chromatic number undecided within budget\n")
+
+
+def test_solve_edge_budget_flags():
+    k5 = ("solve", "--graph", "gen:complete:5", "--pattern", "K2", "--forbid", "gen:complete:3")
+    code, out, err = run(*k5, "--engine", "branch-and-bound", "--bnb-edges", "9")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: branch-and-bound engine limited to 9 edges, got 10\n"
+    code, out, _ = run(*k5, "--engine", "branch-and-bound", "--bnb-edges", "10")
+    assert code == 0
+    assert out.splitlines()[0] == "count: 6"
+    code, out, err = run(*k5, "--engine", "exhaustive", "--exhaustive-edges", "9")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: exhaustive engine limited to 9 edges, got 10\n"
+    # the solve lines come first, then the tie budget stops the listing
+    code, out, err = run(*k5, "--ties", "--ties-edges", "9")
+    assert code == 2
+    assert out.splitlines()[0] == "count: 6"
+    assert "optima:" not in out
+    assert err == "budget exceeded: tie enumeration limited to 9 edges, got 10\n"
+    code, out, _ = run("solve", "--graph", "gen:complete:7", "--pattern", "K2",
+                       "--forbid", "gen:complete:3", "--ties", "--ties-edges", "21")
+    assert code == 0
+    assert "optima: 35\n" in out
+
+
 def test_solve_reports_count_proof_witness():
     code, out, _ = run(
         "solve", "--graph", "gen:complete:6", "--pattern", "K2",

@@ -27,6 +27,8 @@ from oracles import (
     color_component_recursive,
     colorable_brute,
     is_bipartite_bfs,
+    lex_least_coloring,
+    lex_least_coloring_brute,
     random_graph,
 )
 
@@ -188,7 +190,7 @@ def _parity_nodes(g: Graph) -> int:
 
 
 def test_iterative_search_matches_recursive_oracle(monkeypatch):
-    # same status, witness and node count as the recursive searches, budget
+    # same status, witness and node count as the recursive search, budget
     # misses included, for both vertex orders. The canonical 2-coloring is a
     # breadth-first parity pass instead: its node count is _parity_nodes, it
     # misses a budget exactly when that count exceeds it, and otherwise its
@@ -211,8 +213,75 @@ def test_iterative_search_matches_recursive_oracle(monkeypatch):
                 assert got == ColorOutcome(full.status, full.witness, nodes)
         else:
             assert got == want
+        if canonical and got.status != UNKNOWN:
+            # the fixed-order search's first find is the least coloring
+            assert got.witness == lex_least_coloring(g, k)
     statuses = {out.status for out in new}
     assert statuses == {YES, NO, UNKNOWN}
+
+
+@given(small_graphs(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_canonical_witness_is_least_of_all_colorings(g, k):
+    out = is_k_colorable(g, k, canonical=True)
+    assert out.witness == lex_least_coloring_brute(g, k)
+    assert out.status == (NO if out.witness is None else YES)
+
+
+def _pendant_triangle(f: int) -> Graph:
+    """Vertices 1..f joined only to z = f+3, plus the triangle 0, f+1, f+2
+    and the edges (f+1, z), (f+2, z). Vertices 1..f have no earlier
+    neighbour, and z sees three colors whenever any of them shares a color
+    with f+1 or f+2, which an ascending search meets only at z."""
+    z = f + 3
+    edges = [(v, z) for v in range(1, f + 1)]
+    edges += [(0, f + 1), (0, f + 2), (f + 1, f + 2), (f + 1, z), (f + 2, z)]
+    return Graph.from_edges(f + 4, edges)
+
+
+def test_canonical_search_opens_forced_vertices_first():
+    # an ascending fixed-order search entered 2,010 nodes at f = 6 and
+    # 1,461,471 at f = 12; opening a vertex left with one color or none
+    # first settles z as soon as it is forced
+    for f in (6, 12, 30):
+        g = _pendant_triangle(f)
+        out = is_k_colorable(g, 3, canonical=True, budget=8 * f + 1)
+        assert (out.status, out.witness) == (YES, (0,) + (1,) * f + (1, 2, 0))
+        if f <= 6:
+            assert out.witness == lex_least_coloring_brute(g, 3)
+    assert is_k_colorable(_pendant_triangle(6), 2, canonical=True).status == NO
+
+
+def test_huge_color_counts_color_at_once():
+    # no structure grows with k: a component never uses more colors than
+    # it has vertices
+    for canonical in (True, False):
+        out = is_k_colorable(complete(40), 3_000_000, canonical=canonical)
+        assert (out.status, out.witness) == (YES, tuple(range(40)))
+    out = is_k_colorable(cycle(3000), 3000, canonical=True)
+    assert out.witness == tuple(v % 2 for v in range(3000))
+
+
+def test_negative_budget_is_refused_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(coloring, "_color_component", no_search)
+    monkeypatch.setattr(coloring, "max_clique_size", no_search)
+    for budget in (-1, -5):
+        with pytest.raises(ValueError, match=f"node budget must be >= 0, got {budget}"):
+            is_k_colorable(complete(4), 3, budget=budget)
+        with pytest.raises(ValueError, match="node budget"):
+            is_k_colorable(empty(0), 2, budget=budget, canonical=True)
+        with pytest.raises(ValueError, match="node budget"):
+            chromatic_number(complete(4), budget=budget)
+        with pytest.raises(ValueError, match="node budget"):
+            critical_vertex(complete(4), budget=budget)
+    monkeypatch.undo()
+    # a budget of 0 still means: undecided after the first node
+    assert is_k_colorable(complete(4), 3, budget=0) == ColorOutcome(UNKNOWN, None, 1)
+    with pytest.raises(BudgetExceededError):
+        chromatic_number(complete(4), budget=0)
 
 
 def _planted(f: int, odd: bool = False) -> Graph:

@@ -28,6 +28,7 @@ from exfree import (
     verify_extremal_colorable,
     verify_near_colorable,
 )
+from exfree.graph6 import to_graph6
 from exfree.solver import DEFAULT_BUDGETS
 from oracles import solve_and_color_two_searches
 
@@ -126,6 +127,60 @@ def test_validate_failure_accepts_genuine_and_detects_tampering():
 
     ok3, _ = validate_failure(tamper(rec, add_triangle))
     assert not ok3
+
+
+def test_validate_failure_rejects_forged_counterexamples():
+    # the fails record of K5 under a forbidden C5, whose witness is three
+    # triangles on one edge
+    c5 = cycle(5)
+    rec = verify_extremal_colorable(complete(5), c5, K2, 3)
+    assert rec.verdicts == {"witness-colorable": "fails", "all-optima-colorable": "fails"}
+    assert validate_failure(rec) == (True, ["solve: validated"])
+
+    def forge(g: Graph):
+        def mutate(blob):
+            ce = blob["results"]["solve"]["counterexample"]
+            ce.update(graph6=to_graph6(g), edges=[list(e) for e in g.edges()],
+                      count=g.edge_count())
+        return tamper(rec, mutate)
+
+    # C5 itself: the forbidden graph, and not 2-colorable
+    assert validate_failure(forge(c5)) == (
+        False, ["solve: counterexample contains the forbidden graph"])
+    # C4: C5-free, but 2-colorable
+    assert validate_failure(forge(cycle(4))) == (
+        False, ["solve: graph is 2-colorable after all"])
+
+
+def test_budget_stops_replay_as_unknown():
+    # every unknown a small Budgets can cause is recorded so that it
+    # replays as a match
+    tiny = Budgets(exhaustive_edges=3, bnb_edges=3, ties_edges=3)
+    scan = threshold_scan(TRIANGLE, K2, 3, 5, [0], trials=2, seed=0, budgets=tiny)
+    assert scan.verdicts == {"completed": "unknown"}
+    rows = scan.results["fractions"][0]["trials"]
+    assert [row["verdict"] for row in rows] == ["unknown", "unknown"]
+    assert [row["reason"] for row in rows] == [
+        "exhaustive engine limited to 3 edges, got 6",
+        "exhaustive engine limited to 3 edges, got 4",
+    ]
+    near = verify_near_colorable(complete(5), TRIANGLE, K2, 3, budgets=tiny)
+    assert near.verdicts == {"deletion-distance": "unknown", "within-edge-bound": "unknown"}
+    # a witness past the exact partition's size is measured by local search
+    local = verify_near_colorable(complete(5), TRIANGLE, K2, 3, budgets=Budgets(partite_exact_n=4))
+    assert local.verdicts == {"deletion-distance": "unknown", "within-edge-bound": "holds"}
+    assert local.results["partite_exact"] is False
+    # a host past the tie budget: the witness is decided, its ties are not
+    no_ties = Budgets(ties_edges=9)
+    ext = verify_extremal_colorable(complete(5), TRIANGLE, K2, 3, budgets=no_ties)
+    assert ext.verdicts == {"witness-colorable": "holds", "all-optima-colorable": "unknown"}
+    dich = verify_dichotomy(complete(5), 3, K2, "9/10", budgets=no_ties)
+    assert dich.verdicts == {"frontier-complete": "unknown"}
+    assert dich.results == {
+        "n": 5, "reason": "maximal enumeration limited to 9 edges, got 10"}
+    for rec in (scan, near, local, ext, dich):
+        ok, _ = replay(ExperimentRecord.from_json_line(rec.to_json_line()))
+        assert ok, rec.kind
 
 
 def test_near_colorable_zero_deletions_for_bipartite_witness():
