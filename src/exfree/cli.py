@@ -13,21 +13,22 @@ subcommands can additionally append their machine-readable record (one JSON
 line, versioned schema) to a file given with --out; `replay` re-executes such
 records and verifies they reproduce field-for-field.
 
-Exit status: 0 success, 1 bad input (including a usage error and a record or
-output file that cannot be read or written), 2 a size budget stopped the
-exact machinery (result unknown; partial output may still be printed).
+Exit status: 0 success, also after a reader closed stdout early; 1 bad input
+(a usage error, an unreadable record or an unwritable output file); 2 a size
+budget stopped the exact machinery (result unknown, output maybe partial).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
 from . import harness
 from .coloring import UNKNOWN, YES, chromatic_number, is_k_colorable
 from .counting import Pattern, contains, count_pattern, parse_pattern
-from .errors import BudgetExceededError, GraphFormatError, InfeasibleError, PatternSyntaxError
+from .errors import BudgetExceededError, GraphFormatError
 from .formulas import (
     aes_threshold,
     es_threshold,
@@ -515,14 +516,17 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # a reader closed stdout early; the exit-time flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (GraphFormatError, PatternSyntaxError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # input errors are ValueErrors (errors.py)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -133,6 +133,7 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
     # in order of first occurrence.
     remaining = set(comp)
     seen = {w: {} for w in comp}  # w -> {color: colored neighbours of w with it}
+    nbrs = {w: bits(g.adj[w]) for w in comp}  # walked at every color change
 
     def key(w: int) -> tuple:
         sat = len(seen[w])
@@ -143,7 +144,7 @@ def _color_component(g: Graph, comp: list[int], k: int, budget: _Budget, canonic
 
     def recolor(v: int, c: int, step: int) -> None:
         """Add (step 1) or take away (step -1) color c at v."""
-        for w in bits(g.adj[v]):
+        for w in nbrs[v]:
             counts = seen[w]
             was = len(counts)
             left = counts.get(c, 0) + step

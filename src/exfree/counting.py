@@ -53,11 +53,12 @@ class Pattern:
     """A counting target: K_m(t) (K_m is K_m(1)), K_m(t) plus an apex, or any graph.
 
     kind follows the shape, not the spelling: K2, K2(1), K1+(1) and g6:A_
-    are one clique, and a graph6 K_m(t) is a blow-up (blowup_shape). text is
-    the literal that records keep. Only kind "arbitrary" holds a graph, so a
-    K... literal builds none."""
+    are one clique, and a graph6 K_m(t) is a blow-up (blowup_shape). K_m(t)
+    plus an apex, t >= 2, has no counter of its own: it is the arbitrary
+    pattern on coned_blowup(m, t). text is the literal that records keep.
+    Only kind "arbitrary" holds a graph, so a clique or blow-up builds none."""
 
-    kind: str  # "clique" (t = 1) | "blowup" | "coned" (both t >= 2) | "arbitrary"
+    kind: str  # "clique" (t = 1) | "blowup" (t >= 2) | "arbitrary"
     m: int
     t: int
     graph: Graph | None
@@ -85,25 +86,22 @@ class Pattern:
     def vertex_count(self) -> int:
         if self.kind == "arbitrary":
             return self.graph.n
-        return self.m * self.t + (self.kind == "coned")
+        return self.m * self.t
 
     def realize(self) -> Graph:
         """The pattern as a concrete Graph."""
         if self.kind == "arbitrary":
             return self.graph
-        if self.kind == "coned":
-            return coned_blowup(self.m, self.t)
         return blowup(self.m, self.t)
 
     def aut_count(self) -> int:
         """Order of the automorphism group: m! * (t!)^m for K_m(t), else
         counted by search (orbit-stabilizer, see _aut_count_cached) up to
         the generic path's vertex budget."""
-        if self.kind in ("clique", "blowup"):
+        if self.kind != "arbitrary":
             return factorial(self.m) * factorial(self.t) ** self.m
-        g = self.realize()
-        _require_generic(g)
-        return _aut_count_cached(g)
+        _require_generic(self.graph.n)
+        return _aut_count_cached(self.graph)
 
     def literal(self) -> str:
         return self.text
@@ -113,9 +111,10 @@ def _shaped(text: str, m: int, t: int, coned: bool = False) -> Pattern:
     """K_m(t), plus an apex when coned, written text; K_m+(1) is K_{m+1}."""
     if m < 1 or t < 1:
         raise PatternSyntaxError(f"pattern {text} needs m >= 1 and t >= 1")
-    if coned and t == 1:
-        m, coned = m + 1, False
-    return Pattern("coned" if coned else "blowup" if t > 1 else "clique", m, t, None, text)
+    if coned and t > 1:  # counted as its graph, built only within the generic budget
+        _require_generic(m * t + 1)
+        return Pattern("arbitrary", 0, 1, coned_blowup(m, t), text)
+    return Pattern("blowup" if t > 1 else "clique", m + coned, t, None, text)
 
 
 _PATTERN_RE = re.compile(r"^K(\d+)(?:(\+)?\((\d+)\))?$")
@@ -517,16 +516,16 @@ def _vertex_orbits(p: Graph) -> tuple[tuple[int, int], ...]:
     return tuple((x, size) for (x,), size in _orbits(p, tuple((v,) for v in range(p.n))))
 
 
-def _require_generic(p: Graph) -> None:
-    if p.n > GENERIC_VERTEX_BUDGET:
+def _require_generic(n: int) -> None:
+    if n > GENERIC_VERTEX_BUDGET:
         raise BudgetExceededError(
-            f"generic counting limited to {GENERIC_VERTEX_BUDGET} pattern vertices, got {p.n}"
+            f"generic counting limited to {GENERIC_VERTEX_BUDGET} pattern vertices, got {n}"
         )
 
 
 def count_injective_homs(g: Graph, p: Graph) -> int:
     """Injective edge-preserving maps from p into g (the generic oracle path)."""
-    _require_generic(p)
+    _require_generic(p.n)
     return _count_injective_homs(_hom_plan(p), g.adj, (1 << g.n) - 1)
 
 
@@ -552,7 +551,7 @@ def count_pattern_masks(adj, n: int, t: Pattern) -> int:
     if t.kind == "blowup":
         return _count_blowup_masks(adj, (1 << n) - 1, t.m, t.t)
     p = t.realize()
-    _require_generic(p)
+    _require_generic(p.n)
     return _count_injective_homs(_hom_plan(p), adj, (1 << n) - 1) // t.aut_count()
 
 
@@ -561,7 +560,7 @@ def _orbit_roots(t: Pattern) -> tuple[tuple, int]:
     """A generic pattern's rooted plans, one per _vertex_orbits entry with
     the orbit's size, and |Aut|, worked out once per pattern."""
     p = t.realize()
-    _require_generic(p)
+    _require_generic(p.n)
     return tuple((_hom_plan(p, (a,), True), size) for a, size in _vertex_orbits(p)), t.aut_count()
 
 

@@ -218,37 +218,38 @@ def _edge_budget(what: str, m: int, limit: int) -> None:
 
 class _Node:
     """The node _search enters, updated in place (see _search); upper reads
-    its live list and packing, live and pack."""
+    its leaf flag and its packing, pack."""
 
-    __slots__ = ("included", "excluded", "up", "leaf", "upper", "live", "pack")
+    __slots__ = ("included", "excluded", "up", "leaf", "upper", "pack")
 
 
 def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
-    """Depth-first search over include/exclude decisions on g's edges in
-    ascending order, include first; returns the number of nodes entered.
+    """Depth-first search over include/exclude decisions on g's edges,
+    include first; returns the number of nodes entered. Live edges are the
+    undecided edges that may still be included; each frame carries their
+    ascending list. Each node decides the lowest one, and a node with no
+    live edge left is a leaf: its included edges are the leaf.
 
     enter(node) decides at each node whether to enter it, and records the
     results: a leaf it accepts is one. node is one _Node, updated in place:
     included and excluded list the edges included and the live edges
     excluded by choice on the path, as (u, v); up holds the masks of U, the
     upper graph (the included edges plus the live ones), which every leaf
-    below lies inside; leaf says every edge is decided. upper(floor) returns
+    below lies inside; leaf says no live edge is left. upper(floor) returns
     (bound, term): bound is at least the count of t in every leaf below and,
     at a leaf, the leaf's own count; term names what set it, "count", "cap"
     or "packing". t may be None when enter never calls upper.
 
-    Live edges are the undecided edges that may still be included; each
-    frame carries their list. The one pruning rule is forbid: an edge stops
-    being live once it would complete a copy of h, and including an edge
-    kills only survivors, since adding edges only forbids more. So every
-    leaf is h-free, and each host edge outside a leaf is either killed, so
-    that the leaf plus it holds a copy of h, or in excluded. The test is
-    fetched once per search from _forbid_test: a clique test for h = K_k,
-    else one prepared embedding plan per orbit of Aut(h) on directed edges,
-    led by that edge, so no test re-derives a plan. At the root nothing is
-    included, and a single edge holds a copy of h exactly when h has one
-    edge and at most n vertices: then no edge is live, and otherwise every
-    edge is.
+    The one pruning rule is forbid: an edge stops being live once it would
+    complete a copy of h, and including an edge kills only survivors, since
+    adding edges only forbids more. So every leaf is h-free, and each host
+    edge outside a leaf is either killed, so that the leaf plus it holds a
+    copy of h, or in excluded. The test is fetched once per search from
+    _forbid_test: a clique test for h = K_k, else one prepared embedding
+    plan per orbit of Aut(h) on directed edges, led by that edge, so no test
+    re-derives a plan. At the root nothing is included, and a single edge
+    holds a copy of h exactly when h has one edge and at most n vertices:
+    then no edge is live, and otherwise every edge is.
 
     Including (u, v) kills a live edge e exactly when the included edges
     plus e hold a copy of h through e. That copy also uses (u, v), since e
@@ -262,7 +263,7 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     clique test is cheaper still: a killed live edge (a, b) lies in a K_k
     with u and v whose other edges are all included, so it is (u, w) with w
     in N(v), (v, w) with w in N(u), or has both ends in N(u) & N(v), N being
-    the included neighbourhoods. Edges are decided in ascending order, so
+    the included neighbourhoods. The lowest live edge is decided first, so
     included edges precede (u, v) and live ones follow it. That leaves the
     first and last kinds empty, and only the live (w, v) with u < w < v and
     w in N(u) are re-tested, each by a search for a K_{k-2} in N(w) & N(v).
@@ -287,7 +288,6 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     backtrack; other patterns are recounted when asked.
     """
     edges = g.edges()
-    M = len(edges)
     n = g.n
     hk, plans = _forbid_test(h)
     clique_m = t.m if t is not None and t.kind == "clique" else None
@@ -304,15 +304,15 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     adj = [0] * n
     included: list[tuple[int, int]] = []
     excluded: list[tuple[int, int]] = []
-    root_live = [] if h.edge_count() == 1 and h.n <= n else list(range(M))
+    root_live = [] if h.edge_count() == 1 and h.n <= n else list(range(len(edges)))
     up = list(g.adj) if root_live else [0] * n
     up_count = count_pattern_masks(up, n, t) if clique_m is not None else 0
     nodes = 0
 
     def upper(floor: int) -> tuple[int, str]:
         bound = up_count if clique_m is not None else count_pattern_masks(up, n, t)
-        # with no live edge left, U is the one leaf below and the count exact
-        if bound < floor or cap is None or not node.live:
+        # at a leaf U is the leaf and the count exact
+        if bound < floor or cap is None or node.leaf:
             return bound, "count"
         term = "count"
         if cap < bound:
@@ -391,54 +391,49 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     node = _Node()
     node.included, node.excluded, node.up, node.upper = included, excluded, up, upper
 
-    def dfs(idx: int, live: list[int], pack):
+    def dfs(live: list[int], pack):
         nonlocal nodes
         nodes += 1
-        node.live, node.pack, node.leaf = live, pack, idx == M
-        if not enter(node) or idx == M:
+        node.pack, node.leaf = pack, not live
+        if not enter(node) or not live:
             return
         pack = node.pack
-        u, v = edges[idx]
-        is_live = bool(live) and live[0] == idx
-        rest = live[1:] if is_live else live
-        if is_live:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            included.append((u, v))
-            if hk is not None:
-                # live (w, v) with u < w < v and (u, w) included: the only
-                # edges a K_k through (u, v) can complete (see above)
-                killed = []
-                cand = adj[u] & up[v] & -(2 << u)
-                while cand:
-                    w = (cand & -cand).bit_length() - 1
-                    cand &= cand - 1
-                    if exists_clique_in_mask(adj, adj[w] & adj[v], hk - 2):
-                        killed.append(eid[w][v])
-                keep_live = [j for j in rest if j not in killed] if killed else rest
-            else:
-                keep_live, killed = [], []
-                if rest:
-                    kill = _defect_pairs(plans, adj, up, (u, v))
-                    for j in rest:
-                        a, b = edges[j]
-                        (killed if kill[a] >> b & 1 else keep_live).append(j)
-            lost = sum(drop(j) for j in killed)
-            dfs(idx + 1, keep_live, pack)
-            restore(killed, lost)
-            included.pop()
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            lost = drop(idx)
-            excluded.append((u, v))
-            dfs(idx + 1, rest, pack)
-            excluded.pop()
-            restore([idx], lost)
+        j, rest = live[0], live[1:]
+        u, v = edges[j]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        included.append((u, v))
+        if hk is not None:
+            # live (w, v) with u < w < v and (u, w) included: the only
+            # edges a K_k through (u, v) can complete (see above)
+            killed = []
+            cand = adj[u] & up[v] & -(2 << u)
+            while cand:
+                w = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                if exists_clique_in_mask(adj, adj[w] & adj[v], hk - 2):
+                    killed.append(eid[w][v])
+            keep_live = [i for i in rest if i not in killed] if killed else rest
         else:
-            dfs(idx + 1, rest, pack)
+            keep_live, killed = [], []
+            if rest:
+                kill = _defect_pairs(plans, adj, up, (u, v))
+                for i in rest:
+                    a, b = edges[i]
+                    (killed if kill[a] >> b & 1 else keep_live).append(i)
+        lost = sum(drop(i) for i in killed)
+        dfs(keep_live, pack)
+        restore(killed, lost)
+        included.pop()
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        lost = drop(j)
+        excluded.append((u, v))
+        dfs(rest, pack)
+        excluded.pop()
+        restore([j], lost)
 
-    root_pack = ((), sum(1 << j for j in root_live)) if loss else None
-    dfs(0, root_live, root_pack)
+    dfs(root_live, ((), sum(1 << j for j in root_live)) if loss else None)
     return nodes
 
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -215,6 +218,27 @@ def test_error_exit_codes_and_messages():
     )
     assert code == 1
     assert "no edges" in err
+
+
+def test_a_reader_closing_stdout_early_is_not_an_error(tmp_path):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write fails with EPIPE: exit 0 and nothing on stderr, not
+    # "error: [Errno 32] Broken pipe" and exit 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "exfree", "solve", "--graph", "gen:complete:7",
+             "--pattern", "K2", "--forbid", "gen:complete:3", "--ties", "--ties-edges", "21"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    # a record file that cannot be written is still bad input
+    code, _, err = run("generate", "--spec", "gen:complete:3", "--out", str(tmp_path))
+    assert code == 1 and err.startswith("error: "), err
 
 
 def test_usage_errors_exit_one():

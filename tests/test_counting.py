@@ -176,7 +176,20 @@ def test_pattern_parsing():
     assert parse_pattern("K2+(2)") == Pattern.coned_blowup(2, 2)
     arb = parse_pattern("g6:" + to_graph6(cycle(5)))
     assert arb.kind == "arbitrary" and arb.graph.adj == cycle(5).adj
-    for bad in ("K", "K0x", "J3", "K3(2", "K3+2)", ""):
+    # a coned blow-up is the arbitrary pattern on its graph, under its own
+    # literal; coning K_m(1) gives the clique K_{m+1}
+    for text, m, t in (("K2+(2)", 2, 2), ("K1+(3)", 1, 3), ("K3+(2)", 3, 2)):
+        p = parse_pattern(text)
+        assert (p.kind, p.graph, p.literal()) == ("arbitrary", coned_blowup(m, t), text)
+        assert p.vertex_count() == m * t + 1
+    k4 = parse_pattern("K3+(1)")
+    assert (k4.kind, k4.m, k4.t, k4.literal()) == ("clique", 4, 1, "K3+(1)")
+    # its graph is built only within the generic budget, so a huge literal
+    # is refused at once instead of building it
+    for text in (f"K{GENERIC_VERTEX_BUDGET // 2}+(2)", "K99999999+(2)"):
+        with pytest.raises(BudgetExceededError):
+            parse_pattern(text)
+    for bad in ("K", "K0x", "J3", "K3(2", "K3+2)", "", "K0+(2)", "K0+(1)", "K2+(0)"):
         with pytest.raises(PatternSyntaxError):
             parse_pattern(bad)
 

@@ -538,16 +538,41 @@ def test_maximal_enumeration_prunes_on_the_upper_graph(monkeypatch):
     # copy of h in the upper graph plus that edge. On the 7-vertex 15-edge
     # host g6:Frniw the maximal sets match the oracle's, and the search
     # enters no more nodes than that prune leaves (filtering only at the
-    # leaves entered 41,117 / 26,811 / 50,928)
+    # leaves entered 41,117 / 26,811 / 50,928, and the prune with a node
+    # per edge position, killed ones included, 7,222 / 1,346 / 2,571)
     host = from_graph6("Frniw")
     assert (host.n, host.edge_count()) == (7, 15)
     search = solver._search
     nodes = []
     monkeypatch.setattr(solver, "_search", lambda *args: nodes.append(search(*args)) or nodes[-1])
-    for h, limit in ((cycle(5), 7_222), (complete(3), 1_346), (ORACLE_FORBIDDEN["K4-e"], 2_571)):
+    for h, limit in ((cycle(5), 6_615), (complete(3), 1_109), (ORACLE_FORBIDDEN["K4-e"], 2_319)):
         nodes.clear()
         assert enumerate_maximal_hfree(host, h) == maximal_hfree_brute(host, h), h.edges()
         assert len(nodes) == 1 and nodes[0] <= limit, (h.edges(), nodes)
+
+
+def test_every_search_node_decides_one_live_edge():
+    # a killed edge gets no node of its own: with every node accepted, each
+    # non-leaf has exactly two children, and at each leaf no live edge is
+    # left, so the upper graph is the included set and every other host
+    # edge was excluded by choice or completes a copy of h
+    hosts = [complete(6), gnp(7, 0.6, 1), gnp(8, 0.5, 2)]
+    for g, h in itertools.product(hosts, (complete(3), cycle(5))):
+        seen = {"inner": 0, "leaves": 0}
+
+        def enter(node):
+            if not node.leaf:
+                seen["inner"] += 1
+                return True
+            seen["leaves"] += 1
+            leaf = Graph.from_edges(g.n, node.included).adj
+            assert tuple(node.up) == leaf
+            for a, b in set(g.edges()) - set(node.included) - set(node.excluded):
+                assert creates_copy_brute(leaf, g.n, h, a, b), (a, b)
+            return True
+
+        nodes = solver._search(g, None, h, enter)
+        assert nodes == 1 + 2 * seen["inner"] == 2 * seen["leaves"] - 1, (g.edges(), h.edges())
 
 
 def test_enumerate_maximal_sets_k4():
@@ -866,8 +891,8 @@ def test_every_spelling_of_a_clique_searches_as_the_clique():
     # engine and tie enumeration on a host within the tie budget
     small = gnp(7, 0.6, 7)
     assert small.edge_count() <= solver.DEFAULT_BUDGETS.ties_edges
-    for m, host, h, nodes in ((2, complete(9), complete(3), 146),
-                              (3, gnp(9, 0.7, 3), complete(4), 992)):
+    for m, host, h, nodes in ((2, complete(9), complete(3), 127),
+                              (3, gnp(9, 0.7, 3), complete(4), 987)):
         runs = {}
         for text in (f"K{m}", f"K{m}(1)", f"K{m - 1}+(1)", "g6:" + to_graph6(complete(m))):
             t = parse_pattern(text)
