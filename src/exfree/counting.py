@@ -607,11 +607,16 @@ def exists_injective_hom(p: Graph, host_adj, host_n: int, pin: dict | None = Non
 
 def contains(g: Graph, h: Graph) -> bool:
     """Does g contain a copy of h (as a subgraph, not induced)? A clique h,
-    by shape, is looked for as a clique, as the solver's forbid test does."""
+    by shape, is looked for as a clique, as the solver's forbid test does.
+    Any other h is looked for only in a host holding a clique of h's clique
+    number, since every copy of h holds one."""
     if h.n == 0:
         return True
+    host = (1 << g.n) - 1
     if blowup_shape(h) == (h.n, 1):
-        return exists_clique_in_mask(g.adj, (1 << g.n) - 1, h.n)
+        return exists_clique_in_mask(g.adj, host, h.n)
+    if not exists_clique_in_mask(g.adj, host, max_clique_size(h)):
+        return False
     return exists_injective_hom(h, g.adj, g.n)
 
 

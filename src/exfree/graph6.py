@@ -94,7 +94,8 @@ def from_graph6(text: str) -> Graph:
     if "1" in bitstr[nbits:]:
         raise GraphFormatError("nonzero padding bits in graph6 body")
     # column j holds rows 0..j-1, padded with zeros to n characters: binary
-    # rows with a zero diagonal, as _from_binary_triangle reads them
+    # rows of earlier neighbors with a zero diagonal, as
+    # _from_binary_triangle reads them
     zeros = "0" * n
     cols = [bitstr[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)]
-    return Graph._from_binary_triangle(cols)
+    return Graph._from_binary_triangle(cols, later=False)

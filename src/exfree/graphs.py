@@ -108,22 +108,26 @@ class Graph:
         return cls._unchecked(n, tuple(adj))
 
     @classmethod
-    def _from_binary_triangle(cls, half: list[str]) -> "Graph":
+    def _from_binary_triangle(cls, half: list[str], later: bool) -> "Graph":
         """Graph whose edges are read from one triangle of its matrix: half[v]
         is a string of n '0'/'1' characters with a '0' at v, character u
-        standing for the pair {u, v}, and each pair is set in at most one of
-        its two rows (all u > v, or all u < v). The builders make rows of
-        this form, so they are not checked. With the rows joined into one
-        n*n string flat, vertex v's other-triangle row is column v, a strided
-        slice of flat, or-ed into its own row; entry (u, v) is then
-        half[u][v] | half[v][u], so the graph is symmetric by construction."""
+        standing for the pair {u, v}, and only the pairs with u > v (later)
+        or with u < v (not later) are read from it. The builders make rows
+        of this form, so they are not checked. With the rows joined into one
+        n*n string flat, vertex v's other neighbors are column v, a strided
+        slice of flat. Each row is written once, highest vertex first, from
+        the part of half[v] that holds one side of v and the part of column
+        v that holds the other, so entry (u, v) is the one character of
+        the triangle standing for {u, v}: symmetric by construction."""
         n = len(half)
         flat = "".join(half)
-        # flat[n*n-n+v::-n] is column v read from its last character back
-        last = n * n - n
-        return cls._unchecked(n, tuple(
-            int(h[::-1], 2) | int(flat[last + v :: -n], 2) for v, h in enumerate(half)
-        ))
+        if later:
+            rows = (h[:v:-1] + "0" + flat[v : v * n : n][::-1] for v, h in enumerate(half))
+        else:
+            # flat[n*n-n+v : v*n+v : -n] is column v from row n-1 up to row v+1
+            last = n * n - n
+            rows = (flat[last + v : v * n + v : -n] + "0" + h[:v][::-1] for v, h in enumerate(half))
+        return cls._unchecked(n, tuple(int(row, 2) for row in rows))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -273,7 +277,7 @@ def gnp(n: int, p: float, seed: int, rng: random.Random | None = None) -> Graph:
     for u in range(n):
         half.append(zeros[: u + 1] + text[start : start + n - 1 - u])
         start += n - 1 - u
-    return Graph._from_binary_triangle(half)
+    return Graph._from_binary_triangle(half, later=True)
 
 
 def min_degree_floor(n: int, eps: Fraction) -> int:

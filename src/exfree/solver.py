@@ -658,7 +658,12 @@ def max_partite(
     and the scores are summed along the string. Local-search mode does
     seeded single-vertex-move hill climbing with restarts. A move of v
     changes the count only by the copies through v, so each move is scored
-    by that delta on a cross adjacency kept up to date.
+    by that delta on a cross adjacency kept up to date. For a clique
+    pattern a drawn vertex is rescored only if a neighbor has moved since
+    its last scoring: its copies lie in its closed neighborhood, so its
+    scores depend only on its neighbors' parts, and that scoring left it in
+    a part no other part beats strictly, as a move needs. Its draw is still
+    made, so the result is that of rescoring every draw.
     """
     if k < 1:
         raise ValueError("max_partite needs k >= 1")
@@ -713,6 +718,9 @@ def max_partite(
 
     rng = random.Random(seed)
     full = (1 << n) - 1
+    # clique patterns rescore only dirty vertices: those with a neighbor
+    # moved since their last scoring
+    skip_clean = t.kind == "clique"
     best_assign: list[int] | None = None
     best_count = -1
     for _ in range(budgets.ls_restarts):
@@ -722,8 +730,13 @@ def max_partite(
             part_mask[p] |= 1 << v
         cross = [g.adj[v] & ~part_mask[assign[v]] for v in range(n)]
         cur = count_pattern_masks(cross, n, t)
+        dirty = full
         for _ in range(budgets.ls_moves_per_vertex * n):
             v = rng.randrange(n)
+            if skip_clean:
+                if not dirty >> v & 1:
+                    continue
+                dirty ^= 1 << v
             orig = assign[v]
             move_best = (cur, orig)
             # a move changes only the copies through v, which v completes
@@ -739,6 +752,7 @@ def max_partite(
             cur, c = move_best
             assign[v] = c
             if c != orig:
+                dirty |= g.adj[v]
                 bit = 1 << v
                 for u in bits(g.adj[v] & (part_mask[orig] | part_mask[c])):
                     cross[u] ^= bit

@@ -417,13 +417,21 @@ def local_search_recount(g: Graph, k: int, t, seed: int, restarts: int, moves_pe
     """Seeded single-vertex-move hill climbing that recounts the whole
     partition for every candidate move, drawing from the RNG in the same
     order as max_partite's local search. Counts come from the package's
-    count_pattern_masks, which test_counting checks against copies_brute.
+    count_pattern_masks, which test_counting checks against copies_brute,
+    and are kept per partition, since a climb that makes no move recounts
+    the same candidates on every draw.
     Returns (part of each vertex, relabelled by first occurrence; count)."""
+    counts: dict[bytes, int] = {}
+
     def cross_count(assign):
-        part_mask = [0] * k
-        for v, p in enumerate(assign):
-            part_mask[p] |= 1 << v
-        return count_pattern_masks([g.adj[v] & ~part_mask[assign[v]] for v in range(g.n)], g.n, t)
+        key = bytes(assign)
+        if key not in counts:
+            part_mask = [0] * k
+            for v, p in enumerate(assign):
+                part_mask[p] |= 1 << v
+            counts[key] = count_pattern_masks(
+                [g.adj[v] & ~part_mask[assign[v]] for v in range(g.n)], g.n, t)
+        return counts[key]
 
     rng = random.Random(seed)
     if g.n == 0:

@@ -1,5 +1,6 @@
 """Pattern counting: specialized fast paths against brute-force ground truth."""
 
+import itertools
 import random
 from math import comb, factorial
 
@@ -435,6 +436,31 @@ def test_contains_looks_for_a_clique_as_a_clique(monkeypatch):
         omega = max_clique_size(g)
         assert contains(g, triangle) == contains(g, complete(3)) == (omega >= 3)
         assert contains(g, k4) == contains(g, complete(4)) == (omega >= 4)
+
+
+def test_contains_refutes_a_host_without_the_clique_number(monkeypatch):
+    # any copy of K13 - e holds a K12, and the G(200, 1/2) host's clique
+    # number is 11, so the answer is no before any embedding walk
+    k13_minus_e = from_graph6("L^~~~~~~~~~~~~")
+    assert k13_minus_e.edge_count() == 77 and max_clique_size(k13_minus_e) == 12
+    g = gnp(200, 0.5, 1)
+    assert max_clique_size(g) == 11
+    monkeypatch.setattr(counting, "exists_injective_hom", None)
+    assert not contains(g, k13_minus_e)
+
+
+def test_contains_matches_brute_force_on_non_clique_graphs():
+    # every graph on at most 4 vertices that is not a clique, in hosts on
+    # at most 7 vertices: connected and not, with isolated vertices, and of
+    # clique number above, at and below the host's
+    rng = random.Random(43)
+    hs = [h for n in range(1, 5) for h in (Graph.from_edges(n, es)
+          for r in range(n * (n - 1) // 2)
+          for es in itertools.combinations(itertools.combinations(range(n), 2), r))]
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(0, 8), rng.choice((0.3, 0.5, 0.8)))
+        for h in hs:
+            assert contains(g, h) == contains_brute(g, h), (g.edges(), h.edges())
 
 
 def test_count_injective_homs_equals_count_times_aut():

@@ -33,6 +33,7 @@ from exfree import (
     to_graph6,
     turan,
 )
+from exfree.counting import copies_through
 
 from oracles import (
     contains_brute,
@@ -637,7 +638,7 @@ def test_max_partite_local_search_never_beats_exact():
     assert max_partite(complete(6), 3, K3, mode="local-search", seed=1)[1] == 8
 
 
-def test_local_search_matches_full_recount_oracle():
+def test_local_search_matches_full_recount_oracle(monkeypatch):
     # every pattern scores moves by their delta, which must take the same
     # moves as recounting every candidate partition. Non-clique hosts stop
     # at 16 vertices, where the oracle's full recounts stay fast.
@@ -658,6 +659,35 @@ def test_local_search_matches_full_recount_oracle():
     assert (tuple(p for _, p in part.assignment), count) == local_search_recount(
         g, 3, K3, 4, Budgets().ls_restarts, Budgets().ls_moves_per_vertex
     )
+    # the default schedule on 30-70-vertex hosts, where a clique pattern's
+    # drawn vertex is skipped unless a neighbor moved since it was scored;
+    # each scoring makes k copies_through calls, so fewer calls than k per
+    # draw show that draws were skipped
+    calls = []
+    monkeypatch.setattr(solver, "copies_through",
+                        lambda *a: calls.append(None) or copies_through(*a))
+    default = Budgets()
+    for t, density in ((K2, 0.3), (K3, 0.3), (Pattern.clique(4), 0.2)):
+        for k in (2, 3, 4):
+            g = random_graph(rng, rng.randrange(30, 71), density)
+            seed = rng.randrange(100)
+            calls.clear()
+            part, count = max_partite(g, k, t, "local-search", seed=seed)
+            assert (tuple(p for _, p in part.assignment), count) == local_search_recount(
+                g, k, t, seed, default.ls_restarts, default.ls_moves_per_vertex
+            )
+            assert len(calls) < k * default.ls_restarts * default.ls_moves_per_vertex * g.n
+    # a copy of P3 through v can reach past v's neighbors, so a move two
+    # steps away can change v's best part: v is rescored on every draw
+    for _ in range(10):
+        g = random_graph(rng, rng.randrange(8, 17), rng.choice((0.4, 0.6, 0.8)))
+        k, seed = rng.choice((2, 3)), rng.randrange(100)
+        calls.clear()
+        part, count = max_partite(g, k, PATH3, "local-search", seed=seed, budgets=short)
+        assert (tuple(p for _, p in part.assignment), count) == local_search_recount(
+            g, k, PATH3, seed, short.ls_restarts, short.ls_moves_per_vertex
+        )
+        assert len(calls) == k * short.ls_restarts * short.ls_moves_per_vertex * g.n
 
 
 def test_peel_keeps_dense_hosts_intact():
