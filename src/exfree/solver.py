@@ -8,11 +8,13 @@ a forbidden copy), tie enumeration (pruning only subtrees that cannot reach
 the best count) and maximal-set enumeration (pruning a subtree once an
 excluded edge joins its upper graph without a forbidden copy). Their
 independent check is the brute-force oracles of the test suite, not a second
-copy of the search. The heuristic route peels low-degree vertices, solves a
-balanced-partition core, and re-inserts the peeled vertices greedily; it
-gives lower bounds (never claims optimality) but is cheap and structurally
-informative. Peeling, partitioning and reinsertion score a vertex by the
-copies through it (counting.copies_through), for every pattern alike.
+copy of the search. The heuristic route, rebuild, peels low-degree vertices,
+solves a balanced-partition core, and re-inserts the peeled vertices greedily
+on one cross adjacency of the partition; it gives lower bounds (never claims
+optimality) but is cheap and structurally informative. Branch-and-bound's
+incumbent seed and the heuristic mode of max_hfree_subgraph both call
+rebuild. Peeling, partitioning and reinsertion score a vertex by the copies
+through it (counting.copies_through), for every pattern alike.
 
 Ties between count-maximal edge sets are always broken toward the
 lexicographically least sorted edge tuple, so results are reproducible.
@@ -139,27 +141,36 @@ class Partition:
         return Partition.of(self.k, d)
 
 
-def multipartite_subgraph(g: Graph, partition: Partition) -> Graph:
-    """Spanning subgraph keeping exactly the cross-part edges inside the support.
+def _cross(g: Graph, k: int, assignment) -> tuple[list[int], int, list[int]]:
+    """The cross adjacency of a partial k-partition of g, given as a
+    collection of (vertex, part) pairs, read twice: (part masks, support
+    mask, rows), each support vertex's row its edges to other parts inside
+    the support, every other row 0.
 
-    Each support vertex is checked to be in g and in exactly one part, so
-    u and v keep the edge together or lose it together: the rows are valid
+    Each vertex is checked to be in g and in exactly one part, so u and v
+    keep the edge together or lose it together: the rows are symmetric
     without a check."""
-    part_mask = [0] * partition.k
-    support_mask = 0
-    for v, p in partition.assignment:
+    part_mask = [0] * k
+    support = 0
+    for v, p in assignment:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} not in graph on {g.n} vertices")
-        if not 0 <= p < partition.k:
-            raise ValueError(f"part index {p} outside 0..{partition.k - 1}")
-        if (support_mask >> v) & 1:
+        if not 0 <= p < k:
+            raise ValueError(f"part index {p} outside 0..{k - 1}")
+        if (support >> v) & 1:
             raise ValueError(f"vertex {v} assigned twice")
         part_mask[p] |= 1 << v
-        support_mask |= 1 << v
-    adj = [0] * g.n
-    for v, p in partition.assignment:
-        adj[v] = g.adj[v] & support_mask & ~part_mask[p]
-    return Graph._unchecked(g.n, tuple(adj))
+        support |= 1 << v
+    cross = [0] * g.n
+    for v, p in assignment:
+        cross[v] = g.adj[v] & support & ~part_mask[p]
+    return part_mask, support, cross
+
+
+def multipartite_subgraph(g: Graph, partition: Partition) -> Graph:
+    """Spanning subgraph keeping exactly the cross-part edges inside the
+    support; the partition is checked by _cross."""
+    return Graph._unchecked(g.n, tuple(_cross(g, partition.k, partition.assignment)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +452,18 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph):
     """Branch-and-bound's incumbent seed, (count, edges), or None.
 
     With chi = chi(h) >= 3 the seed is the peel-and-repartition heuristic's
-    (chi - 1)-partite edge set, h-free since h is not (chi - 1)-colorable.
-    Otherwise there is none. No greedy set is tried: the search includes
-    first, so its first leaf is the set a greedy pass over the edges would
-    build. For h = K_k, chi = k is read from the cached _forbid_test(h).
+    (chi - 1)-partite edge set from rebuild, h-free since h is not
+    (chi - 1)-colorable. Otherwise there is none. No greedy set is tried:
+    the search includes first, so its first leaf is the set a greedy pass
+    over the edges would build. For h = K_k, chi = k is read from the
+    cached _forbid_test(h). A BudgetExceededError from rebuild, a generic
+    pattern past the counter's vertex budget, is the search's own error.
     """
     hk, _ = _forbid_test(h)
     chi = hk if hk is not None else chromatic_number(h).chromatic_number
     if chi < 3:
         return None
-    try:
-        reb = _rebuild(g, chi, t, h, chi, seed=0, budgets=DEFAULT_BUDGETS)
-    except BudgetExceededError:
-        return None
+    reb = rebuild(g, chi, t, h)
     return reb.best_count, reb.best_edges
 
 
@@ -565,7 +575,7 @@ def max_hfree_subgraph(
     _require_forbidden_edges(h)
     if mode == "heuristic":
         k = chromatic_number(h).chromatic_number
-        reb = _rebuild(g, k, t, h, k, seed=seed, budgets=budgets)
+        reb = rebuild(g, k, t, h, seed=seed, budgets=budgets)
         return SolveResult(reb.best_count, reb.best_edges, "heuristic", reb.stats, reb.notes)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -676,6 +686,14 @@ def max_partite(
         )
     if n == 0:
         return Partition.of(k, {}), count_pattern_masks((), 0, t)
+    if t.kind != "arbitrary" and t.m > k:
+        # a k-partite graph holds no K_m, nor K_m(t), so every partition
+        # counts 0 and the search would keep the first one it meets: exact
+        # mode's all-zero string, or the first restart's draws, which no
+        # move improves
+        rng = random.Random(seed)
+        first = [0] * n if mode == "exact" else [rng.randrange(k) for _ in range(n)]
+        return Partition.of(k, dict(enumerate(_canonical_labels(first, k)))), 0
     if mode == "exact":
         assign = [0] * n
         best = {"count": -1, "assign": None}
@@ -725,10 +743,7 @@ def max_partite(
     best_count = -1
     for _ in range(budgets.ls_restarts):
         assign = [rng.randrange(k) for _ in range(n)]
-        part_mask = [0] * k
-        for v, p in enumerate(assign):
-            part_mask[p] |= 1 << v
-        cross = [g.adj[v] & ~part_mask[assign[v]] for v in range(n)]
+        part_mask, _, cross = _cross(g, k, list(enumerate(assign)))
         cur = count_pattern_masks(cross, n, t)
         dirty = full
         for _ in range(budgets.ls_moves_per_vertex * n):
@@ -851,36 +866,43 @@ def peel(
     return core, PeelTrace(g.n, tuple(steps), reason, remap)
 
 
+def _place(g: Graph, t: Pattern, v: int, part_mask: list[int], support: int, cross: list[int]):
+    """Put v, outside the support, into the part where it completes the most
+    copies on the cross adjacency (part_mask, support, cross) of _cross, ties
+    to the lowest part, and add it to part_mask and cross in place; the
+    caller adds it to support. Returns (part, gain): the gain is exact, the
+    copies through v once it is placed."""
+    row = g.adj[v] & support
+    best_gain, best_part = -1, 0
+    for c, mask in enumerate(part_mask):
+        gain = copies_through(cross, support, row & ~mask, t)
+        if gain > best_gain:
+            best_gain, best_part = gain, c
+    bit = 1 << v
+    row &= ~part_mask[best_part]
+    for u in bits(row):
+        cross[u] |= bit
+    cross[v] = row
+    part_mask[best_part] |= bit
+    return best_part, best_gain
+
+
 def reinsert(g: Graph, part: Partition, v: int, t: Pattern) -> tuple[Partition, int]:
     """Place v into the part where it creates the most new cross-part copies.
 
     The gain is exact: copies of the pattern through v in the multipartite
     subgraph on the partitioned vertices plus v. Ties go to the lowest part
-    index. Each part is scored on the cross adjacency of the partitioned
-    vertices, v joined to its neighbors outside the part.
+    index. The partition is checked as multipartite_subgraph checks it.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} not in graph on {g.n} vertices")
-    if v in part.as_dict():
+    if part.k < 1:
+        raise ValueError("reinsert needs k >= 1")
+    part_mask, support, cross = _cross(g, part.k, part.assignment)
+    if (support >> v) & 1:
         raise ValueError(f"vertex {v} already assigned to a part")
-    part_mask = [0] * part.k
-    support = 0
-    for u, p in part.assignment:
-        if not 0 <= u < g.n:
-            raise ValueError(f"vertex {u} not in graph on {g.n} vertices")
-        part_mask[p] |= 1 << u
-        support |= 1 << u
-    cross = [0] * g.n
-    for u, p in part.assignment:
-        cross[u] = g.adj[u] & support & ~part_mask[p]
-    best_gain = -1
-    best_part = 0
-    for c in range(part.k):
-        gain = copies_through(cross, support, g.adj[v] & support & ~part_mask[c], t)
-        if gain > best_gain:
-            best_gain = gain
-            best_part = c
-    return part.with_vertex(v, best_part), best_gain
+    best_part, gain = _place(g, t, v, part_mask, support, cross)
+    return part.with_vertex(v, best_part), gain
 
 
 @dataclass(frozen=True)
@@ -905,22 +927,19 @@ def rebuild(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> RebuildResult:
     """Peel to a dense core, solve the best (k-1)-partition of the core, then
-    re-insert the peeled vertices in reverse removal order.
+    re-insert the peeled vertices in reverse removal order. Branch-and-bound's
+    incumbent seed and max_hfree_subgraph's heuristic mode are this call.
 
+    The core partition, lifted to g's ids, gives one cross adjacency (_cross);
+    each peeled vertex is placed on it (_place), and its rows are the final
+    multipartite graph. chi(h) is h.n for a clique h, read off its shape.
     When chi(h) == k the result is (k-1)-partite and therefore h-free by
     construction. Otherwise a warning note is attached and h-freeness is
     checked explicitly; if the check fails the result still reports the
     partite subgraph, with a note saying it contains the forbidden graph.
     """
-    chi_h = chromatic_number(h).chromatic_number
-    return _rebuild(g, k, t, h, chi_h, seed=seed, budgets=budgets)
-
-
-def _rebuild(
-    g: Graph, k: int, t: Pattern, h: Graph, chi_h: int, *, seed: int, budgets: Budgets
-) -> RebuildResult:
-    """rebuild, given chi_h, the chromatic number of h."""
     started = time.perf_counter()
+    chi_h = h.n if blowup_shape(h) == (h.n, 1) else chromatic_number(h).chromatic_number
     notes: list[str] = []
     if chi_h != k:
         notes.append(f"forbidden graph has chromatic number {chi_h}, not k={k}")
@@ -929,25 +948,21 @@ def _rebuild(
     if trace.exceeded_half:
         notes.append("peel removed more than half the vertices")
 
-    if core.n <= budgets.partite_exact_n:
-        core_part, core_count = max_partite(core, k - 1, t, "exact", budgets=budgets)
-        engine = "peel+exact-partition"
-    else:
-        core_part, core_count = max_partite(
-            core, k - 1, t, "local-search", seed=seed, budgets=budgets
-        )
-        engine = "peel+local-search-partition"
+    mode = "exact" if core.n <= budgets.partite_exact_n else "local-search"
+    core_part, core_count = max_partite(core, k - 1, t, mode, seed=seed, budgets=budgets)
+    engine = f"peel+{mode}-partition"
 
     # lift the core partition to original vertex ids
-    lifted = {trace.core_vertices[v]: p for v, p in core_part.assignment}
-    part = Partition.of(k - 1, lifted)
-
+    assignment = {trace.core_vertices[v]: p for v, p in core_part.assignment}
+    part_mask, support, cross = _cross(g, k - 1, assignment.items())
     gains: list[int] = []
     for step in reversed(trace.steps):
-        part, gain = reinsert(g, part, step.vertex, t)
+        assignment[step.vertex], gain = _place(g, t, step.vertex, part_mask, support, cross)
+        support |= 1 << step.vertex
         gains.append(gain)
+    part = Partition.of(k - 1, assignment)
 
-    final = multipartite_subgraph(g, part)
+    final = Graph._unchecked(g.n, tuple(cross))
     count = count_pattern(final, t)
     if count != core_count + sum(gains):
         raise RuntimeError(

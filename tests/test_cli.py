@@ -122,6 +122,15 @@ def test_color_refuses_a_negative_budget():
     assert (code, err) == (2, "budget exceeded: chromatic number undecided within budget\n")
 
 
+def test_a_generic_pattern_past_the_counter_budget_exits_2_under_branch_and_bound():
+    # the incumbent seed counts the 13-vertex pattern first and raises the
+    # error the search itself would raise, with its message
+    code, out, err = run("solve", "--graph", "gen:cycle:13", "--pattern", "g6:LhCGGC@?G?_@_@",
+                         "--forbid", "gen:complete:3", "--engine", "branch-and-bound")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: generic counting limited to 12 pattern vertices, got 13\n"
+
+
 def test_solve_edge_budget_flags():
     k5 = ("solve", "--graph", "gen:complete:5", "--pattern", "K2", "--forbid", "gen:complete:3")
     code, out, err = run(*k5, "--engine", "branch-and-bound", "--bnb-edges", "9")

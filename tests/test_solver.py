@@ -612,19 +612,36 @@ def test_max_partite_partition_is_canonical_and_realizes_count():
     assert count_pattern(sub, K2) == count
 
 
+# raw partitions that complete(4) cannot carry, with the error each gets
+MALFORMED_PARTITIONS = (
+    (Partition(2, ((0, 0), (1, 1), (1, 0))), "vertex 1 assigned twice"),
+    (Partition(2, ((0, 0), (1, 2))), "part index 2 outside 0..1"),
+    (Partition(2, ((0, -1),)), "part index -1 outside 0..1"),
+    (Partition(2, ((4, 0),)), "vertex 4 not in graph on 4 vertices"),
+)
+
+
 def test_multipartite_subgraph_refuses_malformed_partitions():
     # a vertex in two parts would keep an edge in one row only, and the
     # subgraph is built without the symmetry check, so it is refused first
-    g = complete(4)
-    for part, bad in (
-        (Partition(2, ((0, 0), (1, 1), (1, 0))), "vertex 1 assigned twice"),
-        (Partition(2, ((0, 0), (1, 2))), "part index 2 outside 0..1"),
-        (Partition(2, ((0, -1),)), "part index -1 outside 0..1"),
-        (Partition(2, ((4, 0),)), "vertex 4 not in graph on 4 vertices"),
+    for part, bad in MALFORMED_PARTITIONS:
+        with pytest.raises(ValueError) as info:
+            multipartite_subgraph(complete(4), part)
+        assert str(info.value) == bad
+
+
+def test_reinsert_refuses_malformed_partitions():
+    # the same checks as multipartite_subgraph: a part index k was an
+    # IndexError, and a vertex in two parts was accepted, one of its entries
+    # lost from the partition returned
+    for part, bad in MALFORMED_PARTITIONS + (
+        (Partition(2, ((0, 0), (0, 1))), "vertex 0 assigned twice"),
     ):
         with pytest.raises(ValueError) as info:
-            multipartite_subgraph(g, part)
+            reinsert(complete(4), part, 3, K2)
         assert str(info.value) == bad
+    with pytest.raises(ValueError, match="reinsert needs k >= 1"):
+        reinsert(complete(4), Partition.of(0, {}), 3, K2)
 
 
 def test_max_partite_local_search_never_beats_exact():
@@ -636,6 +653,31 @@ def test_max_partite_local_search_never_beats_exact():
         assert ls <= exact
     # and it finds the optimum on a clean instance
     assert max_partite(complete(6), 3, K3, mode="local-search", seed=1)[1] == 8
+
+
+def test_max_partite_answers_0_for_more_clique_classes_than_parts(monkeypatch):
+    # a k-partite graph holds no K_m or K_m(t) with m > k: both modes return
+    # 0 without scoring a vertex, with the partition of the full search,
+    # and exact mode still refuses a host past its vertex budget
+    calls = []
+    monkeypatch.setattr(solver, "copies_through",
+                        lambda *a: calls.append(None) or copies_through(*a))
+    default = Budgets()
+    rng = random.Random(94)
+    for t, k in ((Pattern.clique(4), 3), (K3, 2), (Pattern.blowup(3, 2), 2), (Pattern.clique(5), 1)):
+        for n in (0, 1, 5, 9):
+            g = random_graph(rng, n, rng.choice((0.5, 0.9)))
+            seed = rng.randrange(100)
+            part, count = max_partite(g, k, t)
+            assert (tuple(p for _, p in part.assignment), count) == max_partite_recount(g, k, t)
+            part, count = max_partite(g, k, t, "local-search", seed=seed)
+            assert (tuple(p for _, p in part.assignment), count) == local_search_recount(
+                g, k, t, seed, default.ls_restarts, default.ls_moves_per_vertex
+            )
+            assert count == 0
+    assert not calls
+    with pytest.raises(BudgetExceededError):
+        max_partite(complete(15), 3, Pattern.clique(4))
 
 
 def test_local_search_matches_full_recount_oracle(monkeypatch):
@@ -827,11 +869,17 @@ def test_reinsert_rejects_bad_vertices():
         reinsert(complete(3), Partition.of(2, {5: 0}), 1, K2)
 
 
-def _rebuild_reference(g: Graph, k: int, t: Pattern):
+def _rebuild_reference(g: Graph, k: int, t: Pattern, seed: int = 0, budgets=Budgets()):
     """rebuild from the oracles: the package's peel, then the recounting
-    partition of the core and brute-force reinsertion."""
+    partition of the core (exact up to budgets' partite_exact_n vertices,
+    else the local search) and brute-force reinsertion."""
     core, trace = peel(g, k, t)
-    assign, core_count = max_partite_recount(core, k - 1, t)
+    if core.n <= budgets.partite_exact_n:
+        assign, core_count = max_partite_recount(core, k - 1, t)
+    else:
+        assign, core_count = local_search_recount(
+            core, k - 1, t, seed, budgets.ls_restarts, budgets.ls_moves_per_vertex
+        )
     part = Partition.of(k - 1, {trace.core_vertices[v]: p for v, p in enumerate(assign)})
     gains = []
     for step in reversed(trace.steps):
@@ -851,6 +899,26 @@ def test_rebuild_matches_oracle_pipeline():
         rb = rebuild(g, k, t, complete(k))
         got = (rb.best_count, rb.best_edges, rb.partition, rb.core_count, rb.gains)
         assert got == _rebuild_reference(g, k, t), (trial, g.adj)
+
+
+def test_rebuild_matches_oracle_pipeline_past_the_exact_partition():
+    # a dense part of 16-19 vertices plus 2-4 vertices of degree at most 3:
+    # the peel removes those, and the core of more than partite_exact_n
+    # vertices takes the local-search partition before they are reinserted
+    short = Budgets(ls_restarts=3, ls_moves_per_vertex=4)
+    rng = random.Random(96)
+    cases = [(K2, 3), (K2, 4), (K3, 4), (K3, 3), (BLOWUP, 3), (BLOWUP, 4), (PATH3, 3),
+             (PATH3, 4), (EDGE_PLUS_VERTEX, 3), (EDGE_PLUS_VERTEX, 4)]
+    for trial, (t, k) in enumerate(cases):
+        dense, extra = rng.randint(16, 19), rng.randint(2, 4)
+        edges = {e for e in itertools.combinations(range(dense), 2) if rng.random() < 0.9}
+        edges |= {(rng.randrange(dense), v) for v in range(dense, dense + extra) for _ in range(3)}
+        g = Graph.from_edges(dense + extra, sorted(edges))
+        rb = rebuild(g, k, t, complete(k), seed=trial, budgets=short)
+        assert rb.stats.engine == "peel+local-search-partition", (trial, g.adj)
+        assert len(rb.gains) >= extra, (trial, g.adj)
+        got = (rb.best_count, rb.best_edges, rb.partition, rb.core_count, rb.gains)
+        assert got == _rebuild_reference(g, k, t, trial, short), (trial, g.adj)
 
 
 def induced(g: Graph) -> list[tuple[int, int]]:
