@@ -30,6 +30,14 @@ pairs of distinct images, without placing the second-to-last vertex.
 copies_through counts the copies that contain one vertex, the score the
 partition, reinsertion and peel code gives a vertex for every pattern; it
 is the one place that picks a method for that question by pattern kind.
+
+No bit loop negates an int. On a host of hundreds of vertices a mask has
+many digits, and -x builds a new negative int that & must then convert
+from two's complement. A pure count, whose order nothing observes, scans
+from the top bit: v = x.bit_length() - 1, then x ^= 1 << v, and the mask
+it recurses on shrinks with it. A scan whose order matters (a lex-first
+witness, a node count, a first error) reads the low bit: low = x - 1,
+v = (x ^ low).bit_length() - 1, then x &= low.
 """
 
 from __future__ import annotations
@@ -162,24 +170,30 @@ def count_cliques(g: Graph, m: int) -> int:
 
 def cliques_in_mask(adj, mask: int, size: int) -> int:
     """Cliques of the given size inside a candidate bitmask; size 0 counts 1.
-    This is the one clique counter."""
+    This is the one clique counter.
+
+    It scans mask from its top bit and counts each clique once, at its
+    highest vertex, among the common neighbors below it (Chiba and
+    Nishizeki's forward neighborhoods, taken downward). Taking the top bit
+    costs no negation, and each mask it recurses on lies below the vertex
+    taken, so it has fewer digits."""
     if size <= 1:
         if size < 0:
             raise PatternSyntaxError("clique size must be >= 0")
         return mask.bit_count() if size else 1
     total = 0
     if size == 2:
-        # edges inside mask, each counted once at its lower end
+        # edges inside mask, each counted once at its higher end
         while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
+            v = mask.bit_length() - 1
+            mask ^= 1 << v
             total += (mask & adj[v]).bit_count()
         return total
     while mask:
         if mask.bit_count() < size:
             break
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
+        v = mask.bit_length() - 1
+        mask ^= 1 << v
         total += cliques_in_mask(adj, mask & adj[v], size - 1)
     return total
 
@@ -198,12 +212,13 @@ def find_clique_in_mask(adj, mask: int, size: int) -> tuple[int, ...] | None:
     if size <= 0:
         return ()
     if size == 1:
-        return ((mask & -mask).bit_length() - 1,) if mask else None
+        return ((mask ^ (mask - 1)).bit_length() - 1,) if mask else None
     while mask:
         if mask.bit_count() < size:
             return None
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
+        low = mask - 1
+        v = (mask ^ low).bit_length() - 1
+        mask &= low
         rest = find_clique_in_mask(adj, mask & adj[v], size - 1)
         if rest is not None:
             return (v,) + rest
@@ -221,8 +236,9 @@ def max_clique_size(g: Graph) -> int:
         while cand:
             if size + cand.bit_count() <= best:
                 return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
+            low = cand - 1
+            v = (cand ^ low).bit_length() - 1
+            cand &= low
             grow(cand & adj[v], size + 1)
 
     grow((1 << g.n) - 1, 0)
@@ -251,8 +267,9 @@ def _count_blowup_masks(adj, cand: int, m: int, t: int) -> int:
     while cand:
         if cand.bit_count() < m * t:
             break
-        v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
+        low = cand - 1
+        v = (cand ^ low).bit_length() - 1
+        cand &= low
         pool = bits(cand)
         for rest in combinations(pool, t - 1):
             common = cand & adj[v]
@@ -370,8 +387,9 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
             return limit is not None and total >= limit
         deg = need[i]
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
+            low = cand - 1
+            v = (cand ^ low).bit_length() - 1
+            cand &= low
             a = host_adj[v]
             if deg and (a & host).bit_count() < deg:
                 continue
@@ -439,14 +457,16 @@ def _defect_pairs(plans, adj, up, lead) -> list[int]:
             for x, c in defects:
                 kill[x] |= c
                 while c:
-                    y = (c & -c).bit_length() - 1
-                    c &= c - 1
+                    low = c - 1
+                    y = (c ^ low).bit_length() - 1
+                    c &= low
                     kill[y] |= 1 << x
             return False
         deg = need[i] - 1
         while exact:
-            y = (exact & -exact).bit_length() - 1
-            exact &= exact - 1
+            low = exact - 1
+            y = (exact ^ low).bit_length() - 1
+            exact &= low
             if adj[y].bit_count() < deg:
                 continue
             img[i] = y
@@ -454,8 +474,9 @@ def _defect_pairs(plans, adj, up, lead) -> list[int]:
                 return True
         for x, c in defects:
             while c:
-                y = (c & -c).bit_length() - 1
-                c &= c - 1
+                low = c - 1
+                y = (c ^ low).bit_length() - 1
+                c &= low
                 if kill[x] >> y & 1 or adj[y].bit_count() < deg:
                     continue
                 img[i] = y

@@ -41,12 +41,14 @@ def ceil_frac(x: Fraction) -> int:
 
 
 def bits(mask: int) -> list[int]:
-    """Indices of set bits, ascending."""
+    """Indices of set bits, ascending. Each step reads the low bit from
+    mask ^ (mask - 1), which never builds the negative int that mask & -mask
+    does, a cost that grows with the digits of a wide mask."""
     out = []
     while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
+        low = mask - 1
+        out.append((mask ^ low).bit_length() - 1)
+        mask &= low
     return out
 
 
@@ -74,11 +76,11 @@ class Graph:
         adj = self.adj
         for v, row in enumerate(adj):
             while row:
-                low = row & -row
-                u = low.bit_length() - 1
+                low = row - 1
+                u = (row ^ low).bit_length() - 1
                 if not (adj[u] >> v) & 1:
                     raise GraphFormatError(f"asymmetric adjacency between {u} and {v}")
-                row ^= low
+                row &= low
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":

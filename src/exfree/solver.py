@@ -66,6 +66,13 @@ class Budgets:
     ls_restarts: int = 20
     ls_moves_per_vertex: int = 10
 
+    def __post_init__(self):
+        # local search returns the best of its restarts, so it needs one
+        if self.ls_restarts < 1:
+            raise ValueError(f"ls_restarts must be >= 1, got {self.ls_restarts}")
+        if self.ls_moves_per_vertex < 0:
+            raise ValueError(f"ls_moves_per_vertex must be >= 0, got {self.ls_moves_per_vertex}")
+
 
 DEFAULT_BUDGETS = Budgets()
 
@@ -359,8 +366,9 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
                 free[x] &= ~vmask
         copies = kept
         while marked:
-            j = (marked & -marked).bit_length() - 1
-            marked &= marked - 1
+            low = marked - 1
+            j = (marked ^ low).bit_length() - 1
+            marked &= low
             a, b = edges[j]
             if not (free[a] >> b) & 1:
                 continue
@@ -418,10 +426,11 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
             # live (w, v) with u < w < v and (u, w) included: the only
             # edges a K_k through (u, v) can complete (see above)
             killed = []
-            cand = adj[u] & up[v] & -(2 << u)
+            cand = (adj[u] & up[v]) >> (u + 1) << (u + 1)
             while cand:
-                w = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
+                low = cand - 1
+                w = (cand ^ low).bit_length() - 1
+                cand &= low
                 if exists_clique_in_mask(adj, adj[w] & adj[v], hk - 2):
                     killed.append(eid[w][v])
             keep_live = [i for i in rest if i not in killed] if killed else rest

@@ -581,6 +581,26 @@ def test_replay_rejects_bad_records_and_indices(tmp_path):
     assert out.endswith("dichotomy: match\n")
 
 
+def test_replay_refuses_budgets_local_search_cannot_run(tmp_path):
+    # records carry their budgets; with partite_exact_n 0 the rebuild
+    # partitions by local search, which needs a restart and no negative
+    # move count
+    recfile, bad = tmp_path / "extremal.jsonl", tmp_path / "bad.jsonl"
+    assert run(
+        "verify", "--claim", "extremal-colorable", "--graph", "gen:complete:6",
+        "--forbid", "gen:complete:3", "--pattern", "K2", "--k", "3", "--out", str(recfile),
+    )[0] == 0
+    blob = json.loads(recfile.read_text())
+    for field, value in (("ls_restarts", 0), ("ls_moves_per_vertex", -1)):
+        budgets = {**blob["spec"]["budgets"], "partite_exact_n": 0, field: value}
+        bad.write_text(json.dumps({**blob, "spec": {**blob["spec"], "budgets": budgets}}) + "\n")
+        code, out, err = run("replay", "--record", str(bad), "--index", "0")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: record {blob['experiment_id']} spec is malformed: ")
+        assert f"{field} must be >= " in err
+
+
 def test_count_accepts_patterns_at_the_generic_vertex_budget():
     # 11- and 12-vertex patterns: |Aut| comes from orbit-stabilizer
     for n, g6 in ((11, "JhCGGC@?K?_"), (12, "KhCGGC@?G?o@")):

@@ -18,6 +18,7 @@ from exfree.counting import (
     _orbits,
     _vertex_orbits,
     blowup_shape,
+    cliques_in_mask,
     contains,
     copies_through,
     copies_through_vertex,
@@ -26,6 +27,7 @@ from exfree.counting import (
     count_pattern,
     count_pattern_generic,
     exists_injective_hom,
+    find_clique_in_mask,
     max_clique_size,
     parse_pattern,
 )
@@ -281,6 +283,38 @@ def test_max_clique_size():
     assert max_clique_size(cycle(5)) == 2
     assert max_clique_size(turan(9, 3)) == 3
     assert max_clique_size(complete(7)) == 7
+
+
+def _sub_masks(seed: int):
+    """(host rows, sub-mask) pairs: G(n, .6) hosts of 70-130 vertices, so a
+    mask spans several 30-bit digits, and masks of 0-22 vertices drawn from
+    the whole host, so every row carries bits outside its mask."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        g = gnp(rng.randrange(70, 131), 0.6, rng.randrange(1000))
+        for _ in range(5):
+            chosen = rng.sample(range(g.n), rng.randrange(23))
+            yield g.adj, sum(1 << v for v in chosen)
+
+
+def _cliques_brute(adj, mask: int, size: int):
+    """The cliques of the given size in mask, in lexicographic order."""
+    return [c for c in itertools.combinations(bits(mask), size)
+            if all(adj[u] >> v & 1 for u, v in itertools.combinations(c, 2))]
+
+
+def test_clique_counter_on_sub_masks_of_large_hosts():
+    for adj, mask in _sub_masks(5):
+        for size in range(6):
+            assert cliques_in_mask(adj, mask, size) == len(_cliques_brute(adj, mask, size))
+
+
+def test_find_clique_returns_the_lexicographically_least():
+    # a scan from the top bit would find a clique too, but not the least one
+    for adj, mask in _sub_masks(6):
+        for size in range(6):
+            cliques = _cliques_brute(adj, mask, size)
+            assert find_clique_in_mask(adj, mask, size) == (cliques[0] if cliques else None)
 
 
 def test_copies_through_vertex_clique():

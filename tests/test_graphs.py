@@ -400,6 +400,12 @@ def test_as_fraction_refuses_exponent_strings():
 def test_bits_helper():
     assert bits(0b10110) == [1, 2, 4]
     assert bits(0) == []
+    # masks of many 30-bit digits, with bit 0 and the top bit set
+    rng = random.Random(3)
+    for n in (600, 601, 1024, 3001):
+        mask = 1 | 1 << (n - 1) | rng.getrandbits(n - 1)
+        assert bits(mask) == [v for v in range(n) if mask >> v & 1]
+        assert bits(1 << n | 1) == [0, n]
 
 
 @st.composite

@@ -982,6 +982,18 @@ def test_solver_budgets_are_overridable():
         )
 
 
+def test_budgets_refuse_local_search_without_a_restart():
+    # local search keeps the best of its restarts, so it needs one; a
+    # restart may make no moves and keep its first draw
+    for field, value in (("ls_restarts", 0), ("ls_restarts", -3),
+                         ("ls_moves_per_vertex", -1)):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            Budgets(**{field: value})
+    still = Budgets(ls_restarts=1, ls_moves_per_vertex=0, partite_exact_n=0)
+    part, count = max_partite(complete(6), 2, K2, "local-search", budgets=still)
+    assert count == sum(1 for u, v in complete(6).edges() if part.part_of(u) != part.part_of(v))
+
+
 def test_every_spelling_of_a_clique_searches_as_the_clique():
     # K_m(1), K_{m-1}+(1) and the graph6 K_m are the clique K_m: the same
     # count, witness, ties and search nodes as the literal K_m under
