@@ -4,8 +4,8 @@ Given a host graph, a small pattern to count (cliques, their balanced
 blow-ups, coned blow-ups, or arbitrary small graphs), and a forbidden
 subgraph, this package computes the maximum number of pattern copies over all
 spanning subgraphs of the host avoiding the forbidden graph — exactly, by
-one include/exclude search over the host's edges run as branch-and-bound or
-exhaustively, and checked against brute-force oracles in the test suite —
+one include/exclude search over the host's edges run as branch-and-bound,
+and checked against brute-force oracles in the test suite —
 alongside the structural machinery that explains
 the optima: balanced multipartite partitions, a low-degree peel toward a
 dense core, greedy vertex re-insertion, exact coloring, closed-form

@@ -140,8 +140,6 @@ def cmd_color(args) -> int:
 
 def _budgets(args) -> Budgets:
     kwargs = {}
-    if getattr(args, "exhaustive_edges", None) is not None:
-        kwargs["exhaustive_edges"] = args.exhaustive_edges
     if getattr(args, "bnb_edges", None) is not None:
         kwargs["bnb_edges"] = args.bnb_edges
     if getattr(args, "ties_edges", None) is not None:
@@ -154,9 +152,7 @@ def cmd_solve(args) -> int:
     t = parse_pattern(args.pattern)
     h = _graph(args.forbid)
     budgets = _budgets(args)
-    res = max_hfree_subgraph(
-        g, t, h, args.mode, engine=args.engine, budgets=budgets, seed=args.seed
-    )
+    res = max_hfree_subgraph(g, t, h, args.mode, budgets=budgets, seed=args.seed)
     print(f"count: {res.best_count}")
     print(f"proof: {res.proof}")
     print(f"witness: {to_graph6(Graph.from_edges(g.n, res.best_edges))}")
@@ -261,7 +257,6 @@ def cmd_verify(args) -> int:
             parse_pattern(args.pattern),
             args.k,
             eps=args.eps,
-            engine=args.engine,
         )
         bundle = record.results["solve"]
         if bundle["status"] == "ok":
@@ -284,7 +279,6 @@ def cmd_verify(args) -> int:
             _graph(args.forbid),
             parse_pattern(args.pattern),
             args.k,
-            engine=args.engine,
         )
         if record.results["solve"]["status"] == "ok":
             print(f"optimum: {record.results['solve']['optimum']}")
@@ -416,14 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--forbid", required=True)
     p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
-    p.add_argument(
-        "--engine",
-        choices=["auto", "exhaustive", "branch-and-bound"],
-        default="auto",
-    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ties", action="store_true", help="also enumerate all optima")
-    p.add_argument("--exhaustive-edges", type=int)
     p.add_argument("--bnb-edges", type=int)
     p.add_argument("--ties-edges", type=int)
     p.set_defaults(func=cmd_solve)
@@ -478,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int)
     p.add_argument("--eps", type=_fraction)
     p.add_argument("--gamma", type=_fraction)
-    p.add_argument("--engine", default="auto")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", help="append the record (JSON line) to this file")
     p.set_defaults(func=cmd_verify)

@@ -11,11 +11,12 @@ seed and the trial index, never from execution order. Timings are recorded
 but excluded from replay comparison.
 
 One table, _KINDS, holds each record kind's spec format: its fields, each
-with one codec that writes it to JSON and reads it back. An experiment
-function and replay run the same path, _run, so a record replays through the
-code that wrote it. Replay checks every spec field's JSON type (and that a
-rational is "p/q" with q > 0) before it runs anything; a missing or malformed
-field raises ValueError, which the command line reports with exit status 1.
+with one codec that writes it to JSON and reads it back, and the constant
+fields every spec of the kind carries. An experiment function and replay run
+the same path, _run, so a record replays through the code that wrote it.
+Replay checks every spec field's JSON type (and that a rational is "p/q"
+with q > 0) before it runs anything; a missing or malformed field raises
+ValueError, which the command line reports with exit status 1.
 
 A "fails" verdict always carries a concrete counterexample (graph6 plus edge
 list) that validate_failure re-checks from scratch, independent of the solver
@@ -146,17 +147,15 @@ def load_records(path: str) -> list[ExperimentRecord]:
 # shared solve-and-color bundle
 
 
-def _solve_and_color(
-    g: Graph, h: Graph, t: Pattern, k: int, budgets: Budgets, engine: str = "auto"
-) -> dict[str, Any]:
+def _solve_and_color(g: Graph, h: Graph, t: Pattern, k: int, budgets: Budgets) -> dict[str, Any]:
     """Exact optimum, witness colorability and, when the host fits the tie
     budget, colorability of every optimum.
 
     A host within the tie budget is searched once: enumerate_optima gives the
     optimum and every optimal edge set, and the first of them, the lex-least,
-    is the witness max_hfree_subgraph returns. proof still names the engine
-    that engine and budgets resolve to, so a solve past that engine's budget
-    is unknown on either path. Each optimum is colored once, witness first.
+    is the witness max_hfree_subgraph returns. Both paths give the proof
+    "branch-and-bound", and a host past bnb_edges is unknown on both. Each
+    optimum is colored once, witness first.
 
     Returns a JSON-safe dict. On budget exhaustion the dict carries
     status="unknown" plus the reason instead of numbers. ValueError for
@@ -166,11 +165,11 @@ def _solve_and_color(
     ties_checked = g.edge_count() <= budgets.ties_edges
     try:
         if ties_checked:
-            proof = resolve_engine(g.edge_count(), h, engine, budgets)
+            proof = resolve_engine(g.edge_count(), h, budgets)
             optimum, optima = enumerate_optima(g, t, h, budgets=budgets)
             check_witness(g, t, optimum, optima[0])
         else:
-            res = max_hfree_subgraph(g, t, h, "exact", engine=engine, budgets=budgets)
+            res = max_hfree_subgraph(g, t, h, "exact", budgets=budgets)
             optimum, proof, optima = res.best_count, res.proof, [res.best_edges]
     except BudgetExceededError as exc:
         return {"status": "unknown", "reason": str(exc)}
@@ -230,7 +229,6 @@ def verify_extremal_colorable(
     *,
     eps: Fraction | int | str | None = None,
     budgets: Budgets = DEFAULT_BUDGETS,
-    engine: str = "auto",
 ) -> ExperimentRecord:
     """Exact extremal h-free subgraph of g; is the witness (k-1)-colorable?
 
@@ -242,13 +240,13 @@ def verify_extremal_colorable(
     count-maximal subgraph, colorability of all of them is recorded too.
     """
     return _run("extremal-colorable", host=g, forbidden=h, pattern=t, k=k,
-                eps=None if eps is None else _frac(eps), engine=engine, budgets=budgets)
+                eps=None if eps is None else _frac(eps), budgets=budgets)
 
 
-def _extremal_colorable(host, forbidden, pattern, k, eps, engine, budgets):
+def _extremal_colorable(host, forbidden, pattern, k, eps, budgets):
     chi = chromatic_number(forbidden).chromatic_number
     critical, crit_edge = is_edge_critical(forbidden)
-    bundle = _solve_and_color(host, forbidden, pattern, k, budgets, engine)
+    bundle = _solve_and_color(host, forbidden, pattern, k, budgets)
 
     hypothesis_met = None
     if eps is not None and host.n > 0:
@@ -286,7 +284,6 @@ def verify_near_colorable(
     k: int,
     *,
     budgets: Budgets = DEFAULT_BUDGETS,
-    engine: str = "auto",
 ) -> ExperimentRecord:
     """How many edge deletions take the exact extremal witness to
     (k-1)-colorable?
@@ -296,13 +293,12 @@ def verify_near_colorable(
     true minimum; past the size budget a local-search partition gives only an
     upper bound and the verdict degrades to unknown.
     """
-    return _run("near-colorable", host=g, forbidden=h, pattern=t, k=k,
-                engine=engine, budgets=budgets)
+    return _run("near-colorable", host=g, forbidden=h, pattern=t, k=k, budgets=budgets)
 
 
-def _near_colorable(host, forbidden, pattern, k, engine, budgets):
+def _near_colorable(host, forbidden, pattern, k, budgets):
     n = host.n
-    bundle = _solve_and_color(host, forbidden, pattern, k, budgets, engine)
+    bundle = _solve_and_color(host, forbidden, pattern, k, budgets)
     results: dict[str, Any] = {"n": n, "solve": bundle}
     if bundle["status"] != "ok":
         return results, {"deletion-distance": UNKNOWN, "within-edge-bound": UNKNOWN}
@@ -361,8 +357,8 @@ def _prediction_table(n_range, k, m, t, forbidden, pattern, budgets):
         )
         out: dict[str, Any] = {"n": n, "prediction": _frac_str(prediction)}
         try:
-            # K_n's n(n - 1)/2 edges meet the engine's budget before K_n is built
-            resolve_engine(n * (n - 1) // 2, forbidden, "auto", budgets)
+            # K_n's n(n - 1)/2 edges meet the edge budget before K_n is built
+            resolve_engine(n * (n - 1) // 2, forbidden, budgets)
             res = max_hfree_subgraph(complete(n), pattern, forbidden, "exact", budgets=budgets)
         except BudgetExceededError as exc:
             out.update({"status": "unknown", "reason": str(exc)})
@@ -586,10 +582,16 @@ def _spec_frac(value: Any, name: str) -> Fraction:
     raise ValueError(f"{name} must be a rational p/q with q > 0, got {value!r}")
 
 
+# guards of the retired exhaustive engine, written into every spec with their
+# last defaults so that experiment ids stay the same, and ignored when read
+_LEGACY_BUDGETS = {"exhaustive_edges": 28, "auto_exhaustive_max": 14}
+
+
 def _spec_budgets(value: Any, name: str) -> Budgets:
     if not isinstance(value, dict):
         raise TypeError(f"{name} must be an object, got {value!r}")
-    return Budgets(**{key: _spec_int(v, f"{name}.{key}") for key, v in value.items()})
+    fields = {key: _spec_int(v, f"{name}.{key}") for key, v in value.items()}
+    return Budgets(**{key: v for key, v in fields.items() if key not in _LEGACY_BUDGETS})
 
 
 _GRAPH = _Codec(lambda g: to_graph6(g), lambda v, name: from_graph6(_spec_str(v, name)))
@@ -600,37 +602,42 @@ _OPTIONAL_RATIONAL = _Codec(
     lambda v: None if v is None else _frac_str(v),
     lambda v, name: None if v is None else _spec_frac(v, name),
 )
-_ENGINE = _Codec(lambda v: v, _spec_str)
-_BUDGETS = _Codec(lambda b: asdict(b), _spec_budgets)
+_BUDGETS = _Codec(lambda b: {**asdict(b), **_LEGACY_BUDGETS}, _spec_budgets)
 _INTS = _Codec(list, lambda v, name: _spec_list(v, name, _spec_int))
 _RATIONALS = _Codec(lambda vs: [_frac_str(v) for v in vs],
                     lambda v, name: _spec_list(v, name, _spec_frac))
 
-# budgets comes first in every kind, so a spec without it says so first
+# a spec field that names the exact engine, from when a second one could be
+# chosen: every spec writes "auto", so experiment ids stay the same, and
+# replay checks that it is a string and otherwise ignores it
+_ENGINE_FIELD = {"engine": "auto"}
+
+# each kind: its compute, its spec fields in order, and its constant spec
+# fields; budgets comes first in every kind, so a spec without it says so first
 _KINDS = {
     "extremal-colorable": (_extremal_colorable, (
         ("budgets", _BUDGETS), ("host", _GRAPH), ("forbidden", _GRAPH), ("pattern", _PATTERN),
-        ("k", _INT), ("eps", _OPTIONAL_RATIONAL), ("engine", _ENGINE))),
+        ("k", _INT), ("eps", _OPTIONAL_RATIONAL)), _ENGINE_FIELD),
     "near-colorable": (_near_colorable, (
         ("budgets", _BUDGETS), ("host", _GRAPH), ("forbidden", _GRAPH), ("pattern", _PATTERN),
-        ("k", _INT), ("engine", _ENGINE))),
+        ("k", _INT)), _ENGINE_FIELD),
     "prediction-table": (_prediction_table, (
         ("budgets", _BUDGETS), ("n_range", _INTS), ("k", _INT), ("m", _INT), ("t", _INT),
-        ("forbidden", _GRAPH), ("pattern", _PATTERN))),
+        ("forbidden", _GRAPH), ("pattern", _PATTERN)), {}),
     "threshold-scan": (_threshold_scan, (
         ("budgets", _BUDGETS), ("forbidden", _GRAPH), ("pattern", _PATTERN), ("k", _INT),
-        ("n", _INT), ("fractions", _RATIONALS), ("trials", _INT), ("seed", _INT))),
+        ("n", _INT), ("fractions", _RATIONALS), ("trials", _INT), ("seed", _INT)), {}),
     "dichotomy": (_dichotomy, (
         ("budgets", _BUDGETS), ("host", _GRAPH), ("k", _INT), ("pattern", _PATTERN),
-        ("gamma", _RATIONAL))),
+        ("gamma", _RATIONAL)), {}),
 }
 
 
 def _run(kind: str, **fields: Any) -> ExperimentRecord:
     """Write the spec from fields, time the kind's compute and build its record."""
     started = time.perf_counter()
-    compute, codecs = _KINDS[kind]
-    spec = {name: codec.write(fields[name]) for name, codec in codecs}
+    compute, codecs, constants = _KINDS[kind]
+    spec = {**constants, **{name: codec.write(fields[name]) for name, codec in codecs}}
     results, verdicts = compute(**fields)
     timings = {"total_s": time.perf_counter() - started}
     return ExperimentRecord(_experiment_id(kind, spec), kind, spec, results, verdicts, timings)
@@ -648,9 +655,11 @@ def replay(record: ExperimentRecord) -> tuple[bool, ExperimentRecord]:
     is missing or malformed."""
     if not isinstance(record.kind, str) or record.kind not in _KINDS:
         raise ValueError(f"unknown record kind {record.kind!r}")
+    _, codecs, constants = _KINDS[record.kind]
     try:
-        fields = {name: codec.read(record.spec[name], name)
-                  for name, codec in _KINDS[record.kind][1]}
+        fields = {name: codec.read(record.spec[name], name) for name, codec in codecs}
+        for name in constants:
+            _spec_str(record.spec[name], name)
     except KeyError as exc:
         raise ValueError(f"record {record.experiment_id} spec lacks field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -511,12 +511,12 @@ def reinsert_brute(g: Graph, part: Partition, v: int, t) -> tuple[Partition, int
     return best_part, best_gain
 
 
-def solve_and_color_two_searches(g: Graph, h: Graph, t, k: int, budgets, engine: str = "auto"):
+def solve_and_color_two_searches(g: Graph, h: Graph, t, k: int, budgets):
     """The harness bundle as two searches: an exact solve for the optimum
     and witness, then, within the tie budget, enumerate_optima for every
     optimum, the witness among them colored a second time."""
     try:
-        res = max_hfree_subgraph(g, t, h, "exact", engine=engine, budgets=budgets)
+        res = max_hfree_subgraph(g, t, h, "exact", budgets=budgets)
     except BudgetExceededError as exc:
         return {"status": "unknown", "reason": str(exc)}
     witness = Graph.from_edges(g.n, res.best_edges)

@@ -8,7 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from exfree import cli, graphs
+from exfree import cli, graphs, harness
 from exfree.cli import main
 from exfree.graph6 import to_graph6
 
@@ -126,22 +126,27 @@ def test_a_generic_pattern_past_the_counter_budget_exits_2_under_branch_and_boun
     # the incumbent seed counts the 13-vertex pattern first and raises the
     # error the search itself would raise, with its message
     code, out, err = run("solve", "--graph", "gen:cycle:13", "--pattern", "g6:LhCGGC@?G?_@_@",
-                         "--forbid", "gen:complete:3", "--engine", "branch-and-bound")
+                         "--forbid", "gen:complete:3")
     assert (code, out) == (2, "")
     assert err == "budget exceeded: generic counting limited to 12 pattern vertices, got 13\n"
 
 
 def test_solve_edge_budget_flags():
     k5 = ("solve", "--graph", "gen:complete:5", "--pattern", "K2", "--forbid", "gen:complete:3")
-    code, out, err = run(*k5, "--engine", "branch-and-bound", "--bnb-edges", "9")
+    code, out, err = run(*k5, "--bnb-edges", "9")
     assert (code, out) == (2, "")
     assert err == "budget exceeded: branch-and-bound engine limited to 9 edges, got 10\n"
-    code, out, _ = run(*k5, "--engine", "branch-and-bound", "--bnb-edges", "10")
+    code, out, _ = run(*k5, "--bnb-edges", "10")
     assert code == 0
-    assert out.splitlines()[0] == "count: 6"
-    code, out, err = run(*k5, "--engine", "exhaustive", "--exhaustive-edges", "9")
-    assert (code, out) == (2, "")
-    assert err == "budget exceeded: exhaustive engine limited to 9 edges, got 10\n"
+    assert out.splitlines()[:2] == ["count: 6", "proof: branch-and-bound"]
+    # branch-and-bound is the one exact engine: choosing one, or the retired
+    # exhaustive engine's budget, is a usage error
+    for flags in (("--engine", "exhaustive"), ("--engine", "branch-and-bound"),
+                  ("--exhaustive-edges", "9")):
+        code, out, err = run(*k5, *flags)
+        assert (code, out) == (1, ""), flags
+        assert err.startswith("usage: exfree") and f"unrecognized arguments: {flags[0]}" in err
+        assert "Traceback" not in err
     # the solve lines come first, then the tie budget stops the listing
     code, out, err = run(*k5, "--ties", "--ties-edges", "9")
     assert code == 2
@@ -363,7 +368,7 @@ def test_main_reuses_one_parser_without_leaking_state(monkeypatch):
 def test_budget_exhaustion_exits_two():
     code, _, err = run(
         "solve", "--graph", "gen:complete:9", "--pattern", "K2",
-        "--forbid", "gen:complete:3", "--engine", "exhaustive",
+        "--forbid", "gen:complete:3", "--bnb-edges", "35",
     )
     assert code == 2
     assert "budget exceeded" in err
@@ -559,6 +564,14 @@ def test_replay_rejects_bad_records_and_indices(tmp_path):
         (budgets_with(one, ties_edges="x"), "spec is malformed: budgets.ties_edges must be"),
         (budgets_with(one, ties_edges=1.5), "spec is malformed: budgets.ties_edges must be"),
         (budgets_with(one, bnb_edges="9"), "spec is malformed: budgets.bnb_edges must be"),
+        # the retired exhaustive engine's keys are read as integers too
+        (budgets_with(one, exhaustive_edges="28"),
+         "spec is malformed: budgets.exhaustive_edges must be"),
+        (budgets_with(extremal, auto_exhaustive_max=1.5),
+         "spec is malformed: budgets.auto_exhaustive_max must be"),
+        (spec_with(extremal, engine=7), "spec is malformed: engine must be a string"),
+        ({**blobs[extremal], "spec": {key: value for key, value in blobs[extremal]["spec"].items()
+                                      if key != "engine"}}, "spec lacks field 'engine'"),
         (spec_with(scan, fractions=["1/0"]), "spec is malformed: fractions entry must be"),
         (spec_with(scan, fractions=[1]), "spec is malformed: fractions entry must be"),
         (spec_with(scan, fractions="1/2"), "spec is malformed: fractions must be a list"),
@@ -579,6 +592,60 @@ def test_replay_rejects_bad_records_and_indices(tmp_path):
     code, out, _ = run("replay", "--record", str(one), "--index", "0")
     assert code == 0
     assert out.endswith("dichotomy: match\n")
+
+
+# two version-1 records written while auto picked the exhaustive engine up
+# to 14 host edges: K2 under K3 on K7 (21 edges, branch-and-bound) and on
+# K4 (6 edges, whose proof named the exhaustive engine)
+V1_BNB_RECORD = (
+    '{"experiment_id":"932d3bd7c6852586","kind":"near-colorable",'
+    '"results":{"deletion_ratio_to_n2":"0","deletions":0,"n":7,"partite_exact":true,'
+    '"partite_kept_edges":12,"partition":[[0,0],[1,1],[2,1],[3,1],[4,1],[5,0],[6,0]],'
+    '"solve":{"all_optima_colorable":null,"num_optima":null,"optimum":12,'
+    '"proof":"branch-and-bound","status":"ok","ties_checked":false,"witness":{"edges":[[0,'
+    '1],[0,2],[0,3],[0,4],[1,5],[1,6],[2,5],[2,6],[3,5],[3,6],[4,5],[4,6]],'
+    '"graph6":"Fs`zo"},"witness_colorable":true,"witness_coloring":[0,1,1,1,1,0,0]},'
+    '"witness_edges_total":12},"spec":{"budgets":{"auto_exhaustive_max":14,"bnb_edges":60,'
+    '"exhaustive_edges":28,"ls_moves_per_vertex":10,"ls_restarts":20,"partite_exact_n":14,'
+    '"ties_edges":16},"engine":"auto","forbidden":"Bw","host":"F~~~w","k":3,'
+    '"pattern":"K2"},"timings":{"total_s":0.0017846219998318702},'
+    '"verdicts":{"deletion-distance":"holds","within-edge-bound":"holds"},"version":1}'
+)
+V1_EXHAUSTIVE_RECORD = (
+    '{"experiment_id":"8fda557b784f0e8b","kind":"extremal-colorable",'
+    '"results":{"chi_forbidden":3,"chi_matches_k":true,"critical_edge":[0,1],'
+    '"forbidden_edge_critical":true,"host_count":6,"host_edges":6,"hypothesis_met":null,'
+    '"min_degree":3,"n":4,"rebuild_count":4,"rebuild_notes":[],'
+    '"solve":{"all_optima_colorable":true,"num_optima":3,"optimum":4,"proof":"exhaustive",'
+    '"status":"ok","ties_checked":true,"witness":{"edges":[[0,1],[0,2],[1,3],[2,3]],'
+    '"graph6":"Cr"},"witness_colorable":true,"witness_coloring":[0,1,1,0]}},'
+    '"spec":{"budgets":{"auto_exhaustive_max":14,"bnb_edges":60,"exhaustive_edges":28,'
+    '"ls_moves_per_vertex":10,"ls_restarts":20,"partite_exact_n":14,"ties_edges":16},'
+    '"engine":"auto","eps":null,"forbidden":"Bw","host":"C~","k":3,"pattern":"K2"},'
+    '"timings":{"total_s":0.0010621099936543033},'
+    '"verdicts":{"all-optima-colorable":"holds","witness-colorable":"holds"},"version":1}'
+)
+
+
+def test_version_1_records_replay_under_one_exact_engine(tmp_path):
+    # every spec still writes the exhaustive engine's two budget keys and
+    # engine "auto", so a branch-and-bound record keeps its id and matches;
+    # a record whose proof says exhaustive keeps its id but no longer
+    # matches, since its host is now solved by branch-and-bound
+    recfile = tmp_path / "v1.jsonl"
+    recfile.write_text(V1_BNB_RECORD + "\n" + V1_EXHAUSTIVE_RECORD + "\n")
+    code, out, err = run("replay", "--record", str(recfile))
+    assert (code, err) == (1, "")
+    assert out == ("932d3bd7c6852586 near-colorable: match\n"
+                   "8fda557b784f0e8b extremal-colorable: MISMATCH\n")
+    old = harness.ExperimentRecord.from_json_line(V1_EXHAUSTIVE_RECORD)
+    same, fresh = harness.replay(old)
+    assert not same and fresh.experiment_id == old.experiment_id
+    assert (old.results["solve"]["proof"], fresh.results["solve"]["proof"]) == (
+        "exhaustive", "branch-and-bound")
+    # the proof label is the whole difference
+    fresh.results["solve"]["proof"] = "exhaustive"
+    assert fresh.comparable() == old.comparable()
 
 
 def test_replay_refuses_budgets_local_search_cannot_run(tmp_path):

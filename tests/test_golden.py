@@ -21,13 +21,11 @@ P3 = "g6:Bg"
 RECORDS = "golden.jsonl"
 
 SOLVE = [
-    # auto picks exhaustive (10 edges) and branch-and-bound (18 edges)
+    # branch-and-bound on 10 and 18 edges
     ("solve", "--graph", "gen:complete:5", "--pattern", "K2", "--forbid", "gen:complete:3"),
     ("solve", "--graph", "gen:gnp:8:0.6:1", "--pattern", "K3", "--forbid", "gen:complete:4"),
-    ("solve", "--graph", "gen:gnp:7:0.6:1", "--pattern", "K2", "--forbid", "gen:cycle:5",
-     "--engine", "exhaustive"),
-    ("solve", "--graph", "gen:gnp:7:0.6:1", "--pattern", "K3", "--forbid", K4_MINUS_E,
-     "--engine", "branch-and-bound"),
+    ("solve", "--graph", "gen:gnp:7:0.6:1", "--pattern", "K2", "--forbid", "gen:cycle:5"),
+    ("solve", "--graph", "gen:gnp:7:0.6:1", "--pattern", "K3", "--forbid", K4_MINUS_E),
     ("solve", "--graph", "gen:gnp:7:0.6:2", "--pattern", "K2", "--forbid", "gen:cycle:5",
      "--ties"),
     ("solve", "--graph", "gen:complete:6", "--pattern", "K2(2)", "--forbid", "gen:complete:3",
@@ -35,8 +33,9 @@ SOLVE = [
     ("solve", "--graph", "gen:gnp:7:0.6:1", "--pattern", P3, "--forbid", K4_MINUS_E, "--ties"),
     ("solve", "--graph", "gen:gnp:8:0.6:1", "--pattern", "K2", "--forbid", "gen:complete:3",
      "--mode", "heuristic"),
+    # past the edge budget: exit 2 and no stdout
     ("solve", "--graph", "gen:complete:9", "--pattern", "K2", "--forbid", "gen:complete:3",
-     "--engine", "exhaustive"),
+     "--bnb-edges", "35"),
 ]
 
 OTHER = [
@@ -74,13 +73,13 @@ COMMANDS = SOLVE + OTHER + FORMULA
 
 # (exit code, sha256 of stdout) for each entry of COMMANDS, in order
 STDOUT = [
-    (0, 'ab6fd843b4bdbe3c244faf83fc2537eaa4c65d5c101d38c7cddf06b847e572eb'),  # solve --graph
+    (0, '1529570764b10dfb45ef7e696858ad6fb12f9cf790050bd879f4d3ce6765809e'),  # solve --graph
     (0, '7415f652bdb6eac233d736c99f8d9ce63b4ffe9ece1dc197357295edc9937a95'),  # solve --graph
-    (0, '078dc384d19a9f680645c245de3721c078356242cc8ccfc59152902117fa97da'),  # solve --graph
+    (0, '7324aa018fb1b92e3f53038d4114458baf4536fc2bb38dcb18ded20582f9bd18'),  # solve --graph
     (0, '72fe9ff4ad65a778bb3c7afe27f23be2d69625c065265c24b23285b01d2d2909'),  # solve --graph
-    (0, '42590b282c5c0284c2288ef2880f254f0ed4678129d8f0bb753475d189591811'),  # solve --graph
+    (0, 'be8dd634bfe042ebb9cfd9d5ff5a23af5acc28c75de35594c627e83f52d3ab35'),  # solve --graph
     (0, '24d88686752ad900f37ec64a44927d51e8804267ba77d7a1c33d1e0312ad1d5e'),  # solve --graph
-    (0, '30864bb9db5593dfa0e1dfbe410dc340d62180b1035b8860a76f699efc667e7c'),  # solve --graph
+    (0, 'a481bcf9eac23773d9e8c9b1233ac8cfdb606fd130aad380d12a8d6e3316cdbe'),  # solve --graph
     (0, '38f55f7992d1558d4c203a9a3a863f870088bab70303c8c4c07204bded238cf8'),  # solve --graph
     (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),  # solve --graph
     (0, '89e56b272669de11431602f3c77e560ecf6c61512fa8db5ac0006606e88d5282'),  # count --graph
@@ -106,9 +105,9 @@ STDOUT = [
 
 # (experiment_id, sha256 of comparable()) for each record, in file order
 RECORD_DIGESTS = [
-    ('e3b797bf6cdddd3f', 'fe1b5b6c5ef883493c1ec915ecd55e64b6f1f8c4c8933171ed3ffc92f78d1c69'),
-    ('8fca2f0b85d100c1', 'ea6a3acea7fea2ff018c54e85a5a90961884a9a2036c481d99f1c37eecacf726'),
-    ('d3212a3b1a7a9780', '9e57d0751f5ba6a7329b34d23a45d6e4fae2bf8d53bf8b167a946ade333f1f92'),
+    ('e3b797bf6cdddd3f', 'acb260e1b4c2563cea7a5756e903a74a24169091a338396f27b21a7750a7e273'),
+    ('8fca2f0b85d100c1', '382506f93d404899efb2d7145106d2d8f3d29356b6a6384c81bb0ba3e25a1ad3'),
+    ('d3212a3b1a7a9780', '6c75103dd9823d0b1e6d6d0cd849394df27aeac512c5d32bafae40c9659321cc'),
     ('05b297ceed86bc6e', '6908cf2bc7ea3f7219cbb38f8caec38e5d571611bcc1d45a34d3d982f8317038'),
     ('770f681907aae317', '888a3d9d09dab07e75db0aa5add30c479811630fc9b407856e2d315a61ab4721'),
 ]

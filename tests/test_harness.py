@@ -155,14 +155,14 @@ def test_validate_failure_rejects_forged_counterexamples():
 def test_budget_stops_replay_as_unknown():
     # every unknown a small Budgets can cause is recorded so that it
     # replays as a match
-    tiny = Budgets(exhaustive_edges=3, bnb_edges=3, ties_edges=3)
+    tiny = Budgets(bnb_edges=3, ties_edges=3)
     scan = threshold_scan(TRIANGLE, K2, 3, 5, [0], trials=2, seed=0, budgets=tiny)
     assert scan.verdicts == {"completed": "unknown"}
     rows = scan.results["fractions"][0]["trials"]
     assert [row["verdict"] for row in rows] == ["unknown", "unknown"]
     assert [row["reason"] for row in rows] == [
-        "exhaustive engine limited to 3 edges, got 6",
-        "exhaustive engine limited to 3 edges, got 4",
+        "branch-and-bound engine limited to 3 edges, got 6",
+        "branch-and-bound engine limited to 3 edges, got 4",
     ]
     near = verify_near_colorable(complete(5), TRIANGLE, K2, 3, budgets=tiny)
     assert near.verdicts == {"deletion-distance": "unknown", "within-edge-bound": "unknown"}
@@ -221,9 +221,7 @@ def test_compare_prediction_refuses_an_empty_range():
 
 
 def test_compare_prediction_degrades_to_unknown_past_budget():
-    tiny = dataclasses.replace(
-        DEFAULT_BUDGETS, exhaustive_edges=3, bnb_edges=3, ties_edges=0
-    )
+    tiny = dataclasses.replace(DEFAULT_BUDGETS, bnb_edges=3, ties_edges=0)
     rec = compare_prediction([4, 5], 3, 2, 1, TRIANGLE, budgets=tiny)
     assert rec.verdicts == {"table-complete": "unknown"}
     assert [row["status"] for row in rec.results["rows"]] == ["unknown", "unknown"]
@@ -402,7 +400,9 @@ BUNDLE_FORBIDDEN = {
     "pendant-triangle": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
 }
 BUNDLE_PATTERNS = {"K2": K2, "K3": Pattern.clique(3), "K2(2)": Pattern.blowup(2, 2)}
-ENGINES = ("auto", "exhaustive", "branch-and-bound")
+# the bundle's budgets: the defaults, and a branch-and-bound budget that
+# stops hosts past 8 edges on both sides of the tie budget
+BUNDLE_BUDGETS = (DEFAULT_BUDGETS, Budgets(bnb_edges=8))
 
 
 def _host(rng, n_lo: int, edges_lo: int, edges_hi: int) -> Graph:
@@ -414,44 +414,36 @@ def _host(rng, n_lo: int, edges_lo: int, edges_hi: int) -> Graph:
 def test_single_search_bundle_matches_two_searches():
     # the bundle searches a host within the tie budget (16 edges) once; it
     # must equal the solve-then-enumerate bundle on both sides of that
-    # budget, with every engine, under a budget that stops the exhaustive
-    # engine, and for an unknown engine name
+    # budget, and under a budget that stops branch-and-bound
     rng = random.Random(2026)
     bands = ((4, 5, 14), (6, 15, 16), (7, 17, 20))  # (least n, edge range)
     # every forbidden graph and pattern at most 14 edges, one host per
-    # forbidden graph above; the engine rotates independently of the pattern
-    cases = [(hname, pname, 0, ENGINES[(i + i // 3) % 3]) for i, (hname, pname)
+    # forbidden graph above; the budget rotates independently of the pattern
+    cases = [(hname, pname, 0, BUNDLE_BUDGETS[(i + i // 3) % 2]) for i, (hname, pname)
              in enumerate(itertools.product(BUNDLE_FORBIDDEN, BUNDLE_PATTERNS))]
-    cases += [(hname, list(BUNDLE_PATTERNS)[(i + band) % 3], band, ENGINES[(i + band) % 3])
+    cases += [(hname, list(BUNDLE_PATTERNS)[(i + band) % 3], band, BUNDLE_BUDGETS[(i + band) % 2])
               for band in (1, 2) for i, hname in enumerate(BUNDLE_FORBIDDEN)]
-    # the exhaustive engine on 17-20 edges takes up to 40 s per host here, so
-    # outside the 15-16 band it runs under this budget, which stops it past
-    # 8 edges on both sides
-    tight = Budgets(exhaustive_edges=8)
     seen = dict.fromkeys(("ties", "no-ties", "unknown-ties", "unknown-no-ties", "counterexample"), 0)
-    for hname, pname, band, engine in cases:
+    for hname, pname, band, budgets in cases:
         h, t = BUNDLE_FORBIDDEN[hname], BUNDLE_PATTERNS[pname]
         g = _host(rng, *bands[band])
-        budgets = tight if engine == "exhaustive" and band != 1 else DEFAULT_BUDGETS
-        label = (hname, pname, g.n, g.edge_count(), engine, budgets)
-        expected = solve_and_color_two_searches(g, h, t, 3, budgets, engine)
-        assert harness._solve_and_color(g, h, t, 3, budgets, engine) == expected, label
+        label = (hname, pname, g.n, g.edge_count(), budgets)
+        expected = solve_and_color_two_searches(g, h, t, 3, budgets)
+        assert harness._solve_and_color(g, h, t, 3, budgets) == expected, label
         path = "ties" if g.edge_count() <= budgets.ties_edges else "no-ties"
         if expected["status"] == "ok":
+            assert expected["proof"] == "branch-and-bound", label
             seen[path] += 1
             seen["counterexample"] += "counterexample" in expected
         else:
             seen["unknown-" + path] += 1
-        for bundle in (solve_and_color_two_searches, harness._solve_and_color):
-            with pytest.raises(ValueError, match="unknown engine 'bogus'"):
-                bundle(g, h, t, 3, budgets, "bogus")
     # both paths, the unknown branch on each and non-colorable witnesses
     # are all exercised
     assert all(seen.values()), seen
-    # an edgeless forbidden graph is reported ahead of the engine name
+    # an edgeless forbidden graph is reported ahead of the budget
     for bundle in (solve_and_color_two_searches, harness._solve_and_color):
         with pytest.raises(InfeasibleError):
-            bundle(complete(4), empty(2), K2, 3, DEFAULT_BUDGETS, "bogus")
+            bundle(complete(4), empty(2), K2, 3, Budgets(bnb_edges=0))
 
 
 def test_tie_path_witness_recount_mismatch_raises(monkeypatch):
@@ -459,4 +451,4 @@ def test_tie_path_witness_recount_mismatch_raises(monkeypatch):
     # enumeration alone
     monkeypatch.setattr(solver, "count_pattern", lambda g, t: -1)
     with pytest.raises(RuntimeError, match="witness recount mismatch"):
-        verify_extremal_colorable(complete(4), TRIANGLE, K2, 3, engine="exhaustive")
+        verify_extremal_colorable(complete(4), TRIANGLE, K2, 3)

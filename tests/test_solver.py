@@ -1,4 +1,4 @@
-"""Exact/heuristic subgraph optimization: engines, peeling, and rebuilds."""
+"""Exact/heuristic subgraph optimization: branch-and-bound, peeling, and rebuilds."""
 
 import itertools
 import random
@@ -80,27 +80,29 @@ def test_infeasible_forbidden_graph():
 def test_mode_and_engine_validation():
     with pytest.raises(ValueError):
         max_hfree_subgraph(complete(4), K2, complete(3), mode="bogus")
-    with pytest.raises(ValueError):
-        max_hfree_subgraph(complete(4), K2, complete(3), engine="bogus")
+    # branch-and-bound is the one exact engine: there is no engine to choose
+    with pytest.raises(TypeError):
+        max_hfree_subgraph(complete(4), K2, complete(3), engine="branch-and-bound")
 
 
 def test_budget_errors():
+    with pytest.raises(BudgetExceededError, match="limited to 35 edges, got 36"):
+        max_hfree_subgraph(complete(9), K2, complete(3), budgets=Budgets(bnb_edges=35))
     with pytest.raises(BudgetExceededError):
-        max_hfree_subgraph(complete(9), K2, complete(3), engine="exhaustive")
-    with pytest.raises(BudgetExceededError):
-        max_hfree_subgraph(complete(12), K2, complete(3), engine="branch-and-bound")
+        max_hfree_subgraph(complete(12), K2, complete(3))
     with pytest.raises(BudgetExceededError):
         enumerate_optima(complete(7), K2, complete(3))
 
 
 def test_lex_least_witness_on_ties():
-    # K_4 has three optimal triangle-free subgraphs (the 4-cycles); both
-    # engines must return the lexicographically least edge tuple.
+    # K_4 has three optimal triangle-free subgraphs (the 4-cycles); the
+    # search must return the lexicographically least edge tuple.
     want = ((0, 1), (0, 2), (1, 3), (2, 3))
-    for engine in ("exhaustive", "branch-and-bound"):
-        res = max_hfree_subgraph(complete(4), K2, complete(3), engine=engine)
-        assert res.best_count == 4
-        assert res.best_edges == want
+    best, ties = optima_brute(complete(4), complete(2), complete(3))
+    assert (best, len(ties), ties[0]) == (4, 3, want)
+    res = max_hfree_subgraph(complete(4), K2, complete(3))
+    assert res.best_count == 4
+    assert res.best_edges == want
 
 
 def test_engines_agree_with_oracle_small():
@@ -110,22 +112,23 @@ def test_engines_agree_with_oracle_small():
         g = random_graph(rng, n, p=0.7)
         t, h = (K2, complete(3)) if trial % 2 == 0 else (K3, complete(4))
         want = max_hfree_brute(g, t.realize(), h)
-        for engine in ("exhaustive", "branch-and-bound"):
-            res = max_hfree_subgraph(g, t, h, engine=engine)
-            assert (res.best_count, res.best_edges) == want, (trial, engine)
+        res = max_hfree_subgraph(g, t, h)
+        assert (res.best_count, res.best_edges) == want, trial
 
 
-def test_bnb_agrees_with_exhaustive_engine():
+def test_bnb_agrees_with_brute_force():
+    # hosts of 4 to 6 vertices with at most 15 edges, where the oracle
+    # enumerates every edge subset; the least optimal tuple is the witness
     rng = random.Random(1009)
     pairs = [(K2, complete(3)), (K3, complete(4)), (K2, complete(4)),
              (Pattern.blowup(2, 2), complete(3))]
     for trial in range(100):
-        n = rng.randint(4, 7)
+        n = rng.randint(4, 6)
         g = random_graph(rng, n, p=0.75)
         t, h = pairs[trial % len(pairs)]
-        base = max_hfree_subgraph(g, t, h, engine="exhaustive")
-        res = max_hfree_subgraph(g, t, h, engine="branch-and-bound")
-        assert (res.best_count, res.best_edges) == (base.best_count, base.best_edges), trial
+        best, ties = optima_brute(g, t.realize(), h)
+        res = max_hfree_subgraph(g, t, h)
+        assert (res.best_count, res.best_edges) == (best, ties[0]), trial
 
 
 # forbidden graphs beyond cliques: C4, C5, K4 minus an edge, the pendant
@@ -177,9 +180,9 @@ def _oracle_host(rng, hname: str) -> Graph:
 
 
 def test_bnb_matches_oracle_on_general_forbidden_graphs():
-    # every pattern against every forbidden graph, both engines, on seeded
-    # hosts of 4 to 6 vertices with at most 9 edges (the oracle enumerates
-    # every edge subset)
+    # every pattern against every forbidden graph, on seeded hosts of 4 to
+    # 6 vertices with at most 9 edges (the oracle enumerates every edge
+    # subset)
     rng = random.Random(2017)
     pairs = [(p, q) for q in ORACLE_FORBIDDEN for p in ORACLE_PATTERNS]
     for trial in range(2 * len(pairs)):
@@ -188,25 +191,24 @@ def test_bnb_matches_oracle_on_general_forbidden_graphs():
         g = _oracle_host(rng, hname)
         want = max_hfree_brute(g, t.realize(), h)
         case = (trial, pname, hname, g.edges())
-        for engine in ("exhaustive", "branch-and-bound"):
-            res = max_hfree_subgraph(g, t, h, engine=engine)
-            assert (res.best_count, res.best_edges) == want, (case, engine)
+        res = max_hfree_subgraph(g, t, h)
+        assert (res.best_count, res.best_edges) == want, case
 
 
 def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
     # every optimum and every maximal h-free set, against the brute-force
     # oracles, on seeded hosts of 4 to 6 vertices with at most 9 edges; the
     # forbidden graphs add 2K2 and P3 plus a vertex, whose plans have
-    # positions with no earlier neighbour. Both engines' node and prune
+    # positions with no earlier neighbour. The search's node and prune
     # counts equal those of the include step that re-tests every live edge.
     forbidden = {**ORACLE_FORBIDDEN, "2K2": KILL_STEP_FORBIDDEN["2K2"],
                  "P3+K1": KILL_STEP_FORBIDDEN["P3+K1"]}
     one_walk = solver._defect_pairs
 
-    def counters(g, t, h, engine, kill_step):
+    def counters(g, t, h, kill_step):
         with monkeypatch.context() as m:
             m.setattr(solver, "_defect_pairs", kill_step)
-            res = max_hfree_subgraph(g, t, h, engine=engine)
+            res = max_hfree_subgraph(g, t, h)
         stats = res.stats
         return (res.best_count, res.best_edges, stats.nodes, stats.pruned_count,
                 stats.pruned_cap, stats.pruned_packing, stats.pruned_lex, stats.seed_count)
@@ -224,9 +226,7 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
         assert (best, ties) == optima_brute(g, t.realize(), h), case
         assert ties[0] == max_hfree_subgraph(g, t, h).best_edges, case
         assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
-        for engine in ("exhaustive", "branch-and-bound"):
-            assert (counters(g, t, h, engine, one_walk)
-                    == counters(g, t, h, engine, defect_pairs_by_retest)), (case, engine)
+        assert counters(g, t, h, one_walk) == counters(g, t, h, defect_pairs_by_retest), case
 
 
 def test_single_edge_forbidden_graphs_match_oracles():
@@ -234,7 +234,7 @@ def test_single_edge_forbidden_graphs_match_oracles():
     # alone holds a copy exactly when the host has at least h.n vertices.
     # K2, K2 plus a vertex and K2 plus five vertices, on seeded hosts of 2
     # to 7 vertices with at most 9 edges, so each of the last two fits in
-    # some hosts and not in others; both engines, the optima and the
+    # some hosts and not in others; the optimum, the optima and the
     # maximal sets against the brute-force oracles
     forbidden = {"K2": complete(2), "K2+K1": from_graph6("B_"), "K2+5K1": from_graph6("F_???")}
     assert [h.edge_count() for h in forbidden.values()] == [1, 1, 1]
@@ -249,10 +249,8 @@ def test_single_edge_forbidden_graphs_match_oracles():
         for hname, h in forbidden.items():
             fits[hname].add(h.n <= n)
             case = (trial, pname, hname, g.edges())
-            want = max_hfree_brute(g, t.realize(), h)
-            for engine in ("exhaustive", "branch-and-bound"):
-                res = max_hfree_subgraph(g, t, h, engine=engine)
-                assert (res.best_count, res.best_edges) == want, (case, engine)
+            res = max_hfree_subgraph(g, t, h)
+            assert (res.best_count, res.best_edges) == max_hfree_brute(g, t.realize(), h), case
             assert enumerate_optima(g, t, h) == optima_brute(g, t.realize(), h), case
             assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
     assert fits == {"K2": {True}, "K2+K1": {True, False}, "K2+5K1": {True, False}}
@@ -281,7 +279,7 @@ def test_packing_bound_matches_oracles_on_clique_forbids():
         g = _clique_host(rng, k)
         case = (trial, m, k, g.edges())
         best, ties = optima_brute(g, t.realize(), h)
-        res = max_hfree_subgraph(g, t, h, engine="branch-and-bound")
+        res = max_hfree_subgraph(g, t, h)
         assert (res.best_count, res.best_edges) == (best, ties[0]), case
         assert enumerate_optima(g, t, h) == (best, ties), case
 
@@ -299,7 +297,7 @@ def test_include_step_kills_every_completed_clique():
         g, h = _clique_host(rng, k), complete(k)
         case = (trial, k, g.edges())
         assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
-        res = max_hfree_subgraph(g, K2, h, engine="exhaustive")
+        res = max_hfree_subgraph(g, K2, h)
         assert (res.best_count, res.best_edges) == max_hfree_brute(g, complete(2), h), case
 
 
@@ -454,7 +452,7 @@ def test_feasible_seed_is_hfree_without_a_recheck():
                 seeded += 1
     assert seeded and unseeded
     for g in (complete(6), turan(7, 3)):
-        res = max_hfree_subgraph(g, K2, cycle(4), engine="branch-and-bound")
+        res = max_hfree_subgraph(g, K2, cycle(4))
         assert (res.stats.seed_count, res.stats.seed_s) == (None, 0.0)
 
 
@@ -463,7 +461,7 @@ def test_bnb_proves_clique_optima_near_the_root():
     # these where plain bound pruning needed 378,045 and 39,296 nodes
     for n, m, k, want, max_nodes in [(9, 2, 3, 20, 1_000), (7, 3, 4, 12, 2_000)]:
         t = Pattern.clique(m)
-        res = max_hfree_subgraph(complete(n), t, complete(k), engine="branch-and-bound")
+        res = max_hfree_subgraph(complete(n), t, complete(k))
         assert res.best_count == want
         assert res.stats.nodes <= max_nodes, (n, m, k, res.stats.nodes)
         w = subgraph_from_edges(complete(n), res.best_edges)
@@ -477,7 +475,7 @@ def test_packing_bound_settles_a_dense_k4_forbid_host():
     # nodes here, the forbidden-K4 packing bound keeps it under 60,000
     pairs = list(itertools.combinations(range(10), 2))
     g = Graph.from_edges(10, random.Random(5).sample(pairs, 40))
-    res = max_hfree_subgraph(g, K3, complete(4), engine="branch-and-bound")
+    res = max_hfree_subgraph(g, K3, complete(4))
     assert res.best_count == 36
     assert res.best_edges == (
         (0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 8), (0, 9), (1, 3), (1, 5), (1, 6), (1, 7),
@@ -488,9 +486,10 @@ def test_packing_bound_settles_a_dense_k4_forbid_host():
 
 
 def test_witness_recount_mismatch_raises(monkeypatch):
+    # forbidden C4 has no seed, so the recount is the first count_pattern call
     monkeypatch.setattr(solver, "count_pattern", lambda g, t: -1)
     with pytest.raises(RuntimeError, match="witness recount mismatch"):
-        max_hfree_subgraph(complete(4), K2, complete(3), engine="exhaustive")
+        max_hfree_subgraph(complete(4), K2, cycle(4))
 
 
 def test_rebuild_decomposition_mismatch_raises(monkeypatch):
@@ -968,18 +967,18 @@ def test_partition_helpers():
 
 def test_solver_budgets_are_overridable():
     tight = Budgets(
-        exhaustive_edges=5,
-        bnb_edges=60,
-        auto_exhaustive_max=14,
+        bnb_edges=5,
         partite_exact_n=14,
         ties_edges=16,
         ls_restarts=20,
         ls_moves_per_vertex=10,
     )
     with pytest.raises(BudgetExceededError):
-        max_hfree_subgraph(
-            complete(4), K2, complete(3), engine="exhaustive", budgets=tight
-        )
+        max_hfree_subgraph(complete(4), K2, complete(3), budgets=tight)
+    # the retired exhaustive engine's guards are no fields of Budgets
+    for field in ("exhaustive_edges", "auto_exhaustive_max"):
+        with pytest.raises(TypeError):
+            Budgets(**{field: 8})
 
 
 def test_budgets_refuse_local_search_without_a_restart():
@@ -997,8 +996,8 @@ def test_budgets_refuse_local_search_without_a_restart():
 def test_every_spelling_of_a_clique_searches_as_the_clique():
     # K_m(1), K_{m-1}+(1) and the graph6 K_m are the clique K_m: the same
     # count, witness, ties and search nodes as the literal K_m under
-    # branch-and-bound, where the clique bounds apply, and the exhaustive
-    # engine and tie enumeration on a host within the tie budget
+    # branch-and-bound, where the clique bounds apply, on a host past and a
+    # host within the tie budget, and under tie enumeration on the latter
     small = gnp(7, 0.6, 7)
     assert small.edge_count() <= solver.DEFAULT_BUDGETS.ties_edges
     for m, host, h, nodes in ((2, complete(9), complete(3), 127),
@@ -1007,8 +1006,7 @@ def test_every_spelling_of_a_clique_searches_as_the_clique():
         for text in (f"K{m}", f"K{m}(1)", f"K{m - 1}+(1)", "g6:" + to_graph6(complete(m))):
             t = parse_pattern(text)
             assert (t.kind, t.m, t.t, t.literal()) == ("clique", m, 1, text)
-            found = [max_hfree_subgraph(g, t, h, engine=engine)
-                     for g, engine in ((host, "branch-and-bound"), (small, "exhaustive"))]
+            found = [max_hfree_subgraph(g, t, h) for g in (host, small)]
             runs[text] = ([(r.best_count, r.best_edges, r.stats.nodes) for r in found],
                           enumerate_optima(small, t, h))
         assert runs[f"K{m}"][0][0][2] == nodes
@@ -1017,7 +1015,7 @@ def test_every_spelling_of_a_clique_searches_as_the_clique():
 
 def test_stats_report_engine_and_node_counts():
     res = max_hfree_subgraph(turan(6, 3), K2, complete(3))
-    assert res.stats.engine in ("exhaustive", "branch-and-bound")
+    assert res.stats.engine == res.proof == "branch-and-bound"
     assert res.stats.nodes > 0
     assert res.stats.elapsed_s >= 0.0
 
@@ -1025,7 +1023,7 @@ def test_stats_report_engine_and_node_counts():
 def test_stats_report_the_incumbent_seed():
     # on complete(9) the rebuild seed is the Turan graph, an optimum
     for t, h, optimum in ((K2, complete(3), 20), (K3, complete(4), 27)):
-        res = max_hfree_subgraph(complete(9), t, h, engine="branch-and-bound")
+        res = max_hfree_subgraph(complete(9), t, h)
         assert res.best_count == optimum
         assert res.stats.seed_count == optimum
         assert res.stats.seed_s > 0.0
@@ -1033,9 +1031,10 @@ def test_stats_report_the_incumbent_seed():
     for _ in range(12):
         g = random_graph(rng, rng.randint(5, 9), p=0.6)
         for t, h in ((K2, complete(3)), (K3, complete(4)), (K2, cycle(5))):
-            res = max_hfree_subgraph(g, t, h, engine="branch-and-bound")
+            res = max_hfree_subgraph(g, t, h)
             assert 0 <= res.stats.seed_count <= res.best_count
-    res = max_hfree_subgraph(complete(4), K2, complete(3), engine="exhaustive")
+    # chi(C4) = 2, so there is no seed
+    res = max_hfree_subgraph(complete(4), K2, cycle(4))
     assert (res.stats.seed_count, res.stats.seed_s) == (None, 0.0)
 
 
@@ -1043,16 +1042,17 @@ def test_stats_split_prunes_by_rule():
     def pruned(stats):
         return (stats.pruned_count, stats.pruned_cap, stats.pruned_packing, stats.pruned_lex)
 
-    # the exhaustive engine enters every node
-    res = max_hfree_subgraph(complete(4), K2, complete(3), engine="exhaustive")
-    assert pruned(res.stats) == (0, 0, 0, 0)
+    # with no seed (chi(C4) = 2) the first leaf is all of the C4-free K3, and
+    # the count bound cuts each of the three subtrees that exclude an edge
+    res = max_hfree_subgraph(complete(3), K2, cycle(4))
+    assert (res.stats.nodes, pruned(res.stats)) == (7, (3, 0, 0, 0))
     # the Turan cap of complete(9) equals the optimum, so the subtrees it
     # cuts to the incumbent's count count as lex prunes
-    res = max_hfree_subgraph(complete(9), K2, complete(3), engine="branch-and-bound")
+    res = max_hfree_subgraph(complete(9), K2, complete(3))
     assert res.stats.pruned_count > 0 and res.stats.pruned_packing > 0
     assert res.stats.pruned_lex > 0
     assert sum(pruned(res.stats)) < res.stats.nodes
     # a non-clique forbidden graph has neither cap nor packing
-    res = max_hfree_subgraph(complete(6), K2, cycle(4), engine="branch-and-bound")
+    res = max_hfree_subgraph(complete(6), K2, cycle(4))
     assert res.stats.pruned_cap == res.stats.pruned_packing == 0
     assert res.stats.pruned_count + res.stats.pruned_lex > 0
