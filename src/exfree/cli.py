@@ -342,13 +342,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    records = harness.load_records(args.record)
-    if args.index is not None:
-        if not -len(records) <= args.index < len(records):
-            raise ValueError(
-                f"--index {args.index} is out of range: {args.record} holds {len(records)} record(s)"
-            )
-        records = [records[args.index]]
+    try:
+        records = harness.load_records(args.record, args.index)
+    except IndexError as exc:
+        raise ValueError(f"--index {args.index} is out of range: {exc}") from None
     status = 0
     for rec in records:
         same, fresh = harness.replay(rec)

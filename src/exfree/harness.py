@@ -129,17 +129,24 @@ def append_record(path: str, record: ExperimentRecord) -> None:
         fh.write(record.to_json_line() + "\n")
 
 
-def load_records(path: str) -> list[ExperimentRecord]:
-    """Every record in a JSON-lines file; ValueError names the first bad line."""
+def load_records(path: str, index: int | None = None) -> list[ExperimentRecord]:
+    """Every record in a JSON-lines file, or, given an index (negative ones
+    count from the end), a list of the one record there. Only the records
+    returned are decoded and parsed, so a bad line elsewhere goes unread.
+    ValueError names the first bad line parsed; IndexError, an index past
+    the records, says how many the file holds."""
+    with open(path, "rb") as fh:
+        lines = [(number, raw) for number, raw in enumerate(fh, 1) if raw.strip()]
+    if index is not None:
+        if not -len(lines) <= index < len(lines):
+            raise IndexError(f"{path} holds {len(lines)} record(s)")
+        lines = [lines[index]]
     out = []
-    with open(path, encoding="ascii") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    out.append(ExperimentRecord.from_json_line(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {number}: {exc}") from exc
+    for number, raw in lines:
+        try:
+            out.append(ExperimentRecord.from_json_line(raw.decode("ascii").strip()))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from exc
     return out
 
 

@@ -78,7 +78,8 @@ DEFAULT_BUDGETS = Budgets()
 class SolveStats:
     """Search effort. The pruned_* counters split the subtrees an exact
     search dropped by the first rule that sufficed: the upper graph's count,
-    the Turan cap, the packing bound, then the lex-prefix prune. seed_count
+    the Turan cap, the packing bound, the lex-prefix prune, then dominance,
+    tried only at nodes the bound accepts (see _solve). seed_count
     and seed_s are the count of branch-and-bound's incumbent seed and the
     time spent finding it (None and 0.0 when there is no seed, that is
     when chi(h) <= 2). These stay out of stdout and of records."""
@@ -90,6 +91,7 @@ class SolveStats:
     pruned_cap: int = 0
     pruned_packing: int = 0
     pruned_lex: int = 0
+    pruned_dominance: int = 0
     seed_count: int | None = None
     seed_s: float = 0.0
 
@@ -232,17 +234,17 @@ def _edge_budget(what: str, m: int, limit: int) -> None:
 
 class _Node:
     """The node _search enters, updated in place (see _search); upper reads
-    its leaf flag and its packing, pack."""
+    its leaf flag and its packing, pack, and dominated reads U."""
 
-    __slots__ = ("included", "excluded", "up", "leaf", "upper", "pack")
+    __slots__ = ("included", "excluded", "up", "leaf", "upper", "pack", "dominated")
 
 
 def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     """Depth-first search over include/exclude decisions on g's edges,
     include first; returns the number of nodes entered. Live edges are the
-    undecided edges that may still be included; each frame carries their
-    ascending list. Each node decides the lowest one, and a node with no
-    live edge left is a leaf: its included edges are the leaf.
+    undecided edges that may still be included; each frame carries them as
+    a mask of edge indices. Each node decides the lowest one, and a node
+    with no live edge left is a leaf: its included edges are the leaf.
 
     enter(node) decides at each node whether to enter it, and records the
     results: a leaf it accepts is one. node is one _Node, updated in place:
@@ -252,7 +254,12 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     below lies inside; leaf says no live edge is left. upper(floor) returns
     (bound, term): bound is at least the count of t in every leaf below and,
     at a leaf, the leaf's own count; term names what set it, "count", "cap"
-    or "packing". t may be None when enter never calls upper.
+    or "packing". t may be None when enter never calls upper. dominated()
+    says, for h = K_k, whether some edge (a, b) excluded by choice below the
+    last included edge has no K_{k-2} in N_U(a) & N_U(b); it is always
+    False for any other h. Each such edge keeps the edges of the K_k last
+    found through it as its witness, and is searched again only once U has
+    lost one of them.
 
     The one pruning rule is forbid: an edge stops being live once it would
     complete a copy of h, and including an edge kills only survivors, since
@@ -297,7 +304,10 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     the bound is read: a copy that has lost an edge leaves it, its edges
     are marked, and the marked edges still in U are tried as the start of
     new copies. Every copy not yet in the packing uses a marked edge, so the
-    packing is maximal when read. For clique patterns the count of U is
+    packing is maximal when read. A copy has lost an edge when up_edges,
+    the edge-index mask of U that drop and restore keep up to date, lacks
+    one of its edges; while it holds every edge the packing covers, nothing
+    is to be done. For clique patterns the count of U is
     updated from the copies through each edge that leaves U and restored on
     backtrack; other patterns are recounted when asked.
     """
@@ -305,6 +315,9 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     n = g.n
     hk, plans = _forbid_test(h)
     clique_m = t.m if t is not None and t.kind == "clique" else None
+    # the clique size whose copies in N_U(a) & N_U(b) are the copies of K_m
+    # an edge (a, b) leaving U takes with it
+    lost_size = clique_m - 2 if clique_m is not None and clique_m >= 2 else None
     cap = None
     loss = 0
     if hk is not None:
@@ -318,8 +331,14 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     adj = [0] * n
     included: list[tuple[int, int]] = []
     excluded: list[tuple[int, int]] = []
-    root_live = [] if h.edge_count() == 1 and h.n <= n else list(range(len(edges)))
+    # excluded[:armed] lie below the last included edge; witness[j] is
+    # the edge-index mask of a K_k through excluded edge j, less j, last
+    # found in U + j (0: none yet)
+    armed = 0
+    witness = [0] * len(edges)
+    root_live = 0 if h.edge_count() == 1 and h.n <= n else (1 << len(edges)) - 1
     up = list(g.adj) if root_live else [0] * n
+    up_edges = root_live
     up_count = count_pattern_masks(up, n, t) if clique_m is not None else 0
     nodes = 0
 
@@ -341,21 +360,23 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     def packing(pack):
         """pack brought up to date with U: each copy that has lost an edge
         leaves it and marks its edges, then copies of K_k in U through
-        the marked edges join it. A packing is (copies, marked edges), each
-        copy its edge-index mask, vertices and vertex mask; node.pack holds
-        it as last brought up to date on the path to the node."""
-        copies, marked = pack
+        the marked edges join it. A packing is (copies, marked edges,
+        covered edges), each copy its edge-index mask, vertices and vertex
+        mask, and the covered edges those of every copy; node.pack holds it
+        as last brought up to date on the path to the node. A copy has lost
+        an edge exactly when U's edge-index mask up_edges has lost one of
+        its edges, so one test of the covered edges finds every packing
+        still up to date."""
+        copies, marked, covered = pack
+        if not marked and covered & up_edges == covered:
+            return pack
         kept = []
         for copy in copies:
-            _, verts, vmask = copy
-            for x in verts:
-                if (up[x] | 1 << x) & vmask != vmask:
-                    marked |= copy[0]
-                    break
-            else:
+            if copy[0] & up_edges == copy[0]:
                 kept.append(copy)
-        if not marked:
-            return pack
+            else:
+                marked |= copy[0]
+                covered ^= copy[0]
         free = up[:]
         for _, verts, vmask in kept:
             for x in verts:
@@ -375,45 +396,71 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
             vmask = 0
             for x in verts:
                 vmask |= 1 << x
-            copy = 0
-            for x, y in combinations(verts, 2):
-                copy |= 1 << eid[x][y]
             for x in verts:
                 free[x] &= ~vmask
+            copy = clique_edges(verts)
+            covered |= copy
             copies.append((copy, verts, vmask))
-        return tuple(copies), 0
+        return tuple(copies), 0, covered
+
+    def clique_edges(verts) -> int:
+        """The edge-index mask of the clique on verts."""
+        mask = 0
+        for x, y in combinations(verts, 2):
+            mask |= 1 << eid[x][y]
+        return mask
+
+    def dominated() -> bool:
+        """Does some excluded edge (a, b) below the last included edge have
+        no K_k through it in U + (a, b)? Used only when h = K_k. A witness
+        stays good while U keeps its edges, so only an edge whose witness
+        lost one is searched again."""
+        for a, b in excluded[:armed]:
+            j = eid[a][b]
+            w = witness[j]
+            if w and w & up_edges == w:
+                continue
+            rest = find_clique_in_mask(up, up[a] & up[b], hk - 2)
+            if rest is None:
+                return True
+            witness[j] = clique_edges((a, b) + rest) ^ 1 << j
+        return False
 
     def drop(j: int) -> int:
         """Take live edge j out of the upper graph; return the copies lost."""
-        nonlocal up_count
+        nonlocal up_count, up_edges
         a, b = edges[j]
         lost = 0
-        if clique_m is not None and clique_m >= 2:
-            lost = cliques_in_mask(up, up[a] & up[b], clique_m - 2)
+        if lost_size is not None:
+            lost = cliques_in_mask(up, up[a] & up[b], lost_size)
             up_count -= lost
         up[a] &= ~(1 << b)
         up[b] &= ~(1 << a)
+        up_edges ^= 1 << j
         return lost
 
     def restore(dropped: list[int], lost: int) -> None:
-        nonlocal up_count
+        nonlocal up_count, up_edges
         for j in dropped:
             a, b = edges[j]
             up[a] |= 1 << b
             up[b] |= 1 << a
+            up_edges |= 1 << j
         up_count += lost
 
     node = _Node()
     node.included, node.excluded, node.up, node.upper = included, excluded, up, upper
+    node.dominated = dominated if hk is not None else lambda: False
 
-    def dfs(live: list[int], pack):
-        nonlocal nodes
+    def dfs(live: int, pack):
+        nonlocal nodes, armed
         nodes += 1
         node.pack, node.leaf = pack, not live
         if not enter(node) or not live:
             return
         pack = node.pack
-        j, rest = live[0], live[1:]
+        rest = live & (live - 1)
+        j = (live ^ rest).bit_length() - 1
         u, v = edges[j]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
@@ -429,17 +476,27 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
                 cand &= low
                 if exists_clique_in_mask(adj, adj[w] & adj[v], hk - 2):
                     killed.append(eid[w][v])
-            keep_live = [i for i in rest if i not in killed] if killed else rest
         else:
-            keep_live, killed = [], []
-            if rest:
-                kill = _defect_pairs(plans, adj, up, (u, v))
-                for i in rest:
-                    a, b = edges[i]
-                    (killed if kill[a] >> b & 1 else keep_live).append(i)
-        lost = sum(drop(i) for i in killed)
+            killed = []
+            kill = _defect_pairs(plans, adj, up, (u, v)) if rest else None
+            x = rest
+            while x:
+                low = x - 1
+                i = (x ^ low).bit_length() - 1
+                x &= low
+                a, b = edges[i]
+                if kill[a] >> b & 1:
+                    killed.append(i)
+        keep_live = rest
+        lost = 0
+        for i in killed:
+            keep_live ^= 1 << i
+            lost += drop(i)
+        armed, outer = len(excluded), armed
         dfs(keep_live, pack)
-        restore(killed, lost)
+        armed = outer
+        if killed:
+            restore(killed, lost)
         included.pop()
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
@@ -447,9 +504,9 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
         excluded.append((u, v))
         dfs(rest, pack)
         excluded.pop()
-        restore([j], lost)
+        restore((j,), lost)
 
-    dfs(root_live, ((), sum(1 << j for j in root_live)) if loss else None)
+    dfs(root_live, ((), root_live, 0) if loss else None)
     return nodes
 
 
@@ -486,38 +543,53 @@ def _solve(g: Graph, t: Pattern, h: Graph):
     <= the included prefix, every leaf below extends the prefix and so
     cannot be lexicographically smaller; the subtree is dropped and the
     lex-least witness is kept exactly. With no seed the incumbent starts at
-    count -1 and the empty tuple, which no prefix is lex-less than, so the
+    count -1 and no edges, which no prefix is lex-less than, so the
     first leaf replaces it. At a leaf the bound is the leaf's count, so the
     same test decides whether the leaf replaces the incumbent. The search
     prunes with its one rule, forbid, so every leaf is h-free without a
     further check.
 
+    For h = K_k a node the bound accepts is still refused when it is
+    dominated (_search's dominated): some edge e = (a, b), excluded by
+    choice below the last included edge, has no K_{k-2} in N_U(a) & N_U(b).
+    The lex-least optimum L is never refused. L + e would have at least
+    L's count and be lex-smaller, for any e outside L below L's last edge,
+    so L + e holds a K_k through e, and on L's path U contains L. Leaves are
+    not tested, so a dominated leaf may still become the incumbent. The
+    tie and maximal-set enumerations must reach every set and do not use
+    the rule.
+
     The counters are SolveStats' nodes, pruned_* and seed_*; a subtree
     dropped with its bound equal to the incumbent's count counts as a
     lex-prefix prune.
     """
-    best = [-1, ()]
-    counts = dict.fromkeys(("pruned_count", "pruned_cap", "pruned_packing", "pruned_lex"), 0)
+    best = [-1, []]  # the incumbent's count and edges, as a list for cheap comparison
+    counts = dict.fromkeys(
+        ("pruned_count", "pruned_cap", "pruned_packing", "pruned_lex", "pruned_dominance"), 0
+    )
     started = time.perf_counter()
     seed = _feasible_seed(g, t, h)
     if seed is not None:
         counts["seed_s"] = time.perf_counter() - started
         counts["seed_count"] = seed[0]
-        best = list(seed)
+        best = [seed[0], list(seed[1])]
 
     def enter(node) -> bool:
-        lex_less = tuple(node.included) < best[1]
+        lex_less = node.included < best[1]
         # without a lex-smaller prefix only a larger count is worth a visit
         bound, term = node.upper(best[0] if lex_less else best[0] + 1)
         if bound > best[0] or (bound == best[0] and lex_less):
             if node.leaf:
-                best[0], best[1] = bound, tuple(node.included)
+                best[0], best[1] = bound, node.included[:]
+            elif node.dominated():
+                counts["pruned_dominance"] += 1
+                return False
             return True
         counts["pruned_lex" if bound == best[0] else "pruned_" + term] += 1
         return False
 
     counts["nodes"] = _search(g, t, h, enter)
-    return best[0], best[1], counts
+    return best[0], tuple(best[1]), counts
 
 
 def _require_forbidden_edges(h: Graph) -> None:
@@ -654,7 +726,11 @@ def max_partite(
     growth strings with vertex 0 pinned to part 0 (canonical part labels kill
     the relabeling symmetry); first-found maximum is the lexicographically
     least assignment. Each placement is scored by the copies it completes
-    and the scores are summed along the string. Local-search mode does
+    and the scores are summed along the string. The enumeration is a
+    branch-and-bound: a subtree at vertex i is skipped when its running sum
+    plus the host's copies whose last vertex is i or later cannot beat the
+    best string so far. That best starts one below a greedy placement's
+    count, so the lex-least maximum is still the first found. Local-search mode does
     seeded single-vertex-move hill climbing with restarts. A move of v
     changes the count only by the copies through v, so each move is scored
     by that delta on a cross adjacency kept up to date. For a clique
@@ -685,43 +761,66 @@ def max_partite(
         return Partition.of(k, dict(enumerate(_canonical_labels(first, k)))), 0
     if mode == "exact":
         assign = [0] * n
-        best = {"count": -1, "assign": None}
+        empty_count = count_pattern_masks((), 0, t)
+        # a greedy placement's count, less one, is a floor the lex-least
+        # optimum beats
+        greedy_parts, placed, greedy_cross = [0] * k, 0, [0] * n
+        greedy = empty_count
+        for v in range(n):
+            greedy += _place(g, t, v, greedy_parts, placed, greedy_cross)[1]
+            placed |= 1 << v
+        best_count, best_assign = greedy - 1, ()
         # each copy is counted once, when its last vertex is placed: the
         # copies through that vertex among the placed vertices, with its
         # placed neighbors outside its part. The sum starts from the count
-        # in the empty graph. cross is the cross adjacency of the placed
-        # vertices, part_mask their parts; the last vertex is scored without
-        # updating either.
+        # in the empty graph. rest[i] counts the host's copies whose last
+        # vertex is i or later, a cap on what vertices i.. can still add.
+        # cross is the cross adjacency of the placed vertices, part_mask
+        # their parts; the last vertex is scored without updating either,
+        # and K1 and K2 gains, which never read cross, leave it as it is.
+        rest = [0] * (n + 1)
+        for v in range(n - 1, -1, -1):
+            below = (1 << v) - 1
+            rest[v] = rest[v + 1] + copies_through(g.adj, below, g.adj[v] & below, t)
         cross = list(g.adj)
+        keep_cross = t.kind != "clique" or t.m > 2
         part_mask = [0] * k
         last = n - 1
 
         def rec(i: int, used: int, total: int):
+            nonlocal best_count, best_assign
             bit = 1 << i
             row = g.adj[i]
             near = row & (bit - 1)
             for c in range(min(used + 1, k)):
+                if total + rest[i] <= best_count:
+                    return
                 mask = part_mask[c]
-                assign[i] = c
                 gain = copies_through(cross, bit - 1, near & ~mask, t)
-                if i == last:
-                    if total + gain > best["count"]:
-                        best["count"] = total + gain
-                        best["assign"] = tuple(assign)
+                if total + gain + rest[i + 1] <= best_count:
                     continue
-                same = bits(near & mask)
-                for w in same:
+                assign[i] = c
+                if i == last:
+                    best_count, best_assign = total + gain, tuple(assign)
+                    continue
+                same = near & mask if keep_cross else 0
+                x = same
+                while x:
+                    w = x.bit_length() - 1
+                    x ^= 1 << w
                     cross[w] ^= bit
                 cross[i] = row & ~mask
                 part_mask[c] = mask | bit
                 rec(i + 1, max(used, c + 1), total + gain)
                 part_mask[c] = mask
-                for w in same:
-                    cross[w] |= bit
+                x = same
+                while x:
+                    w = x.bit_length() - 1
+                    x ^= 1 << w
+                    cross[w] ^= bit
 
-        rec(0, 0, count_pattern_masks((), 0, t))  # with no part used, vertex 0 goes to part 0
-        chosen = best["assign"]
-        return Partition.of(k, {v: chosen[v] for v in range(n)}), best["count"]
+        rec(0, 0, empty_count)  # with no part used, vertex 0 goes to part 0
+        return Partition.of(k, dict(enumerate(best_assign))), best_count
 
     rng = random.Random(seed)
     full = (1 << n) - 1

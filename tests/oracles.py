@@ -488,6 +488,22 @@ def max_partite_recount(g: Graph, k: int, t) -> tuple[tuple[int, ...], int]:
     return best_assign, best_count
 
 
+def max_partite_brute(g: Graph, k: int, pattern: Graph) -> tuple[tuple[int, ...], int]:
+    """The best k-partition by brute force: every assignment of g's vertices
+    to k parts, relabelled by first occurrence, scored by copies_brute on
+    its cross-part graph. Returns (the least relabelled assignment of the
+    largest count, that count)."""
+    scores = {}
+    for assign in product(range(k), repeat=g.n):
+        labels: dict[int, int] = {}
+        canon = tuple(labels.setdefault(p, len(labels)) for p in assign)
+        if canon not in scores:
+            cross = [(a, b) for a, b in g.edges() if canon[a] != canon[b]]
+            scores[canon] = copies_brute(Graph.from_edges(g.n, cross), pattern)
+    count = max(scores.values())
+    return min(canon for canon, score in scores.items() if score == count), count
+
+
 def reinsert_brute(g: Graph, part: Partition, v: int, t) -> tuple[Partition, int]:
     """Reinsertion that builds, for each candidate part, the multipartite
     graph on the partitioned vertices plus v and takes its copies_brute

@@ -506,6 +506,34 @@ def test_missing_required_verify_argument():
     assert "gamma" in err
 
 
+def test_replay_index_parses_only_the_selected_record(tmp_path):
+    # --index decodes and parses only the record it replays, so corrupt
+    # lines elsewhere, one of them not even ASCII, leave it replayable;
+    # replaying the whole file, or a corrupt record, names the bad line
+    one = tmp_path / "one.jsonl"
+    assert run(
+        "verify", "--claim", "dichotomy", "--graph", "gen:complete:4",
+        "--forbid", "gen:complete:3", "--pattern", "K2", "--k", "3",
+        "--gamma", "1/2", "--out", str(one),
+    )[0] == 0
+    recfile = tmp_path / "runs.jsonl"
+    recfile.write_bytes(b'{"version":\n\n' + one.read_bytes() + b"\xff not a record\n")
+    for index in ("1", "-2"):
+        code, out, err = run("replay", "--record", str(recfile), "--index", index)
+        assert (code, err) == (0, ""), index
+        assert out == run("replay", "--record", str(one))[1], index
+        assert out.endswith(": match\n"), index
+    code, out, err = run("replay", "--record", str(recfile))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {recfile} line 1: ")
+    code, out, err = run("replay", "--record", str(recfile), "--index", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {recfile} line 4: ")
+    code, out, err = run("replay", "--record", str(recfile), "--index", "-4")
+    assert (code, out) == (1, "")
+    assert err == f"error: --index -4 is out of range: {recfile} holds 3 record(s)\n"
+
+
 def test_replay_rejects_bad_records_and_indices(tmp_path):
     recfile, one = tmp_path / "runs.jsonl", tmp_path / "one.jsonl"
     code, out, err = run("replay", "--record", str(recfile))

@@ -44,6 +44,7 @@ from oracles import (
     directed_edge_orbits_brute,
     local_search_recount,
     max_hfree_brute,
+    max_partite_brute,
     max_partite_recount,
     maximal_hfree_brute,
     optima_brute,
@@ -282,6 +283,43 @@ def test_packing_bound_matches_oracles_on_clique_forbids():
         res = max_hfree_subgraph(g, t, h)
         assert (res.best_count, res.best_edges) == (best, ties[0]), case
         assert enumerate_optima(g, t, h) == (best, ties), case
+
+
+def test_dominance_prune_keeps_the_lex_least_optimum():
+    # under a forbidden K_k, branch-and-bound refuses a node once an edge
+    # excluded below its last included edge has no K_k through it in the
+    # upper graph plus that edge; the lex-least optimum L is never refused,
+    # as L plus such an edge holds a copy of K_k. K1 to K3, a blow-up and a
+    # path under forbidden K3 and K4, on the oracle hosts and on hosts
+    # holding the forbidden clique, against the brute-force optima
+    rng = random.Random(2029)
+    patterns = {"K1": Pattern.clique(1), "K2": K2, "K3": K3, "K2(2)": BLOWUP, "P3": PATH3}
+    pruned = 0
+    for trial in range(32):
+        k = 3 + trial % 2
+        h = complete(k)
+        g = _oracle_host(rng, "K3") if trial % 4 < 2 else _clique_host(rng, k)
+        for pname, t in patterns.items():
+            best, ties = optima_brute(g, t.realize(), h)
+            res = max_hfree_subgraph(g, t, h)
+            assert (res.best_count, res.best_edges) == (best, ties[0]), (trial, pname, g.edges())
+            pruned += res.stats.pruned_dominance
+    assert pruned > 0
+    # the lex-least optimum, the triangle 013, plus the edge 24 above its
+    # last edge is K4-free: only edges below the last included edge may
+    # refuse a node, or this optimum would be lost
+    g, h = Graph.from_edges(5, [(0, 1), (0, 3), (1, 3), (2, 4), (3, 4)]), complete(4)
+    res = max_hfree_subgraph(g, K3, h)
+    assert (res.best_count, res.best_edges) == (1, ((0, 1), (0, 3), (1, 3)))
+    # the rebuild seed of this host is an optimum but not the lex-least one,
+    # so the search must still reach the lex-least past a dominance prune
+    g, h = from_graph6("ETjw"), complete(4)
+    best, ties = optima_brute(g, K3.realize(), h)
+    seed = solver._feasible_seed(g, K3, h)
+    assert seed[0] == best and seed[1] != ties[0]
+    res = max_hfree_subgraph(g, K3, h)
+    assert (res.best_count, res.best_edges) == (best, ties[0])
+    assert res.stats.pruned_dominance > 0
 
 
 def test_include_step_kills_every_completed_clique():
@@ -832,6 +870,25 @@ def test_exact_partition_matches_full_recount():
         assert count == count_pattern(multipartite_subgraph(g, part), t)
 
 
+def test_bounded_exact_partition_matches_brute_force():
+    # exact max_partite skips a subtree once the host's copies whose last
+    # vertex is still unplaced cannot lift the count past the best; its
+    # count and string are those of scoring every k-assignment: K1, K2,
+    # K3, a blow-up, a path and an edge plus an isolated vertex, in 1 to 4
+    # parts, on random hosts of up to 8 vertices (7 in four parts, which
+    # leaves the oracle 715 strings to score instead of 2,795)
+    rng = random.Random(2030)
+    patterns = [Pattern.clique(1), K2, K3, BLOWUP, PATH3, EDGE_PLUS_VERTEX]
+    for trial in range(32):
+        k = 1 + trial % 4
+        n = rng.randint(0, 8 if k < 4 else 7)
+        g = random_graph(rng, n, p=rng.choice([0.3, 0.6, 0.9]))
+        for t in patterns:
+            part, count = max_partite(g, k, t)
+            got = (tuple(part.as_dict()[v] for v in range(n)), count)
+            assert got == max_partite_brute(g, k, t.realize()), (t, k, g.adj)
+
+
 def test_reinsert_matches_brute_reinsertion():
     rng = random.Random(92)
     patterns = [Pattern.clique(m) for m in range(1, 5)] + [BLOWUP, PATH3, EDGE_PLUS_VERTEX]
@@ -1001,7 +1058,7 @@ def test_every_spelling_of_a_clique_searches_as_the_clique():
     small = gnp(7, 0.6, 7)
     assert small.edge_count() <= solver.DEFAULT_BUDGETS.ties_edges
     for m, host, h, nodes in ((2, complete(9), complete(3), 127),
-                              (3, gnp(9, 0.7, 3), complete(4), 987)):
+                              (3, gnp(9, 0.7, 3), complete(4), 435)):
         runs = {}
         for text in (f"K{m}", f"K{m}(1)", f"K{m - 1}+(1)", "g6:" + to_graph6(complete(m))):
             t = parse_pattern(text)
@@ -1052,7 +1109,9 @@ def test_stats_split_prunes_by_rule():
     assert res.stats.pruned_count > 0 and res.stats.pruned_packing > 0
     assert res.stats.pruned_lex > 0
     assert sum(pruned(res.stats)) < res.stats.nodes
-    # a non-clique forbidden graph has neither cap nor packing
+    # a non-clique forbidden graph has neither cap, packing nor dominance
     res = max_hfree_subgraph(complete(6), K2, cycle(4))
-    assert res.stats.pruned_cap == res.stats.pruned_packing == 0
+    assert res.stats.pruned_cap == res.stats.pruned_packing == res.stats.pruned_dominance == 0
     assert res.stats.pruned_count + res.stats.pruned_lex > 0
+    # dominance prunes under a forbidden clique
+    assert max_hfree_subgraph(gnp(9, 0.7, 3), K3, complete(4)).stats.pruned_dominance > 0
