@@ -10,14 +10,16 @@ counters; everything else goes through one generic injective-homomorphism
 backtracker divided by |Aut(T)|.
 The backtracker follows a plan (_hom_plan) worked out once per pattern
 graph and lead: the lead vertices come first in its order, either pinned
-to given host vertices, as the forbid test pins an edge of the forbidden
-graph onto a new host edge, or, rooted, with the first sent to a vertex
-outside the host, as copies_through does. |Aut(T)| and its orbits come
-from _orbits, by pinned existence tests on the same backtracker. The forbid
-search's include step walks the same pinned plans in _defect_pairs, which
-finds in one pass every missing edge that would complete a copy.
+to given host vertices, as _orbits pins one tuple of pattern vertices onto
+another, or, rooted, with the first sent to a vertex outside the host, as
+copies_through does. |Aut(T)| and its orbits come from _orbits, by pinned
+existence tests on the same backtracker. Given a visit callback, the
+backtracker hands over each map's images instead of counting them: the
+forbid search (solver._copy_table) lists every copy of the forbidden graph
+in its host that way, once per search.
 
-None of the counters visits copies one leaf at a time at the last level:
+None of the counters visits copies one leaf at a time at the last level
+(only the image-listing mode does):
 the clique counter adds the edges inside its candidates once two vertices
 are left, the blow-up counter adds C(|candidates|, t) for its last class,
 and the backtracker adds the number of candidates for the last vertex of
@@ -322,7 +324,9 @@ def _hom_plan(
     return tuple(order), back, tuple(need)
 
 
-def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=None) -> int:
+def _count_injective_homs(
+    plan, host_adj, host: int, images=(), row=None, limit=None, visit=None
+) -> int:
     """Number of injective maps V(p) -> host preserving every edge of p,
     host being a vertex mask and plan p's _hom_plan; counting stops once it
     reaches limit (existence is limit=1). Bits of host_adj outside host are
@@ -344,12 +348,19 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
     them to a and b number the pairs with a in A, b in B and a != b, that
     is |A|*|B| - |A & B|. Neither needs a degree test, as each has all its
     pattern neighbors among the earlier positions.
+
+    With visit (and no row), the maps are listed as well as counted: visit
+    gets each one as the list of its images in plan order, a list the
+    search reuses, so visit copies what it keeps. The last position then
+    places each candidate in turn, and the last two are not counted
+    together. The maps are visited in the order the search meets them.
     """
     order, back, need = plan
     size = len(order)
     if size > host.bit_count() + (row is not None):
         return 0
     nbr = [row] * size  # the host neighbors of each position's image
+    img = [0] * size  # the image of each position, read only by visit
     used = 0
     for i, x in enumerate(images):
         if not (host & ~used) >> x & 1:
@@ -360,13 +371,16 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
         nbr[i] = a = host_adj[x]
         if (a & host).bit_count() < need[i]:
             return 0
+        img[i] = x
         used |= 1 << x
     start = 1 if row is not None else len(images)
     if start >= size:
+        if visit is not None:
+            visit(img)
         return 1
     last = size - 1
     # the position that counts the last two together, or -1
-    pair = last - 1 if last - 1 not in back[last] else -1
+    pair = last - 1 if visit is None and last - 1 not in back[last] else -1
     total = 0
 
     def rec(i: int, used: int) -> bool:
@@ -378,6 +392,12 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
         if i == last:
             # each candidate already meets need[last] distinct images
             total += cand.bit_count()
+            if visit is not None:
+                while cand:
+                    low = cand - 1
+                    img[i] = (cand ^ low).bit_length() - 1
+                    cand &= low
+                    visit(img)
             return limit is not None and total >= limit
         if i == pair:
             later = host & ~used
@@ -394,102 +414,13 @@ def _count_injective_homs(plan, host_adj, host: int, images=(), row=None, limit=
             if deg and (a & host).bit_count() < deg:
                 continue
             nbr[i] = a
+            img[i] = v
             if rec(i + 1, used | (1 << v)):
                 return True
         return False
 
     rec(start, used)
     return total if limit is None else min(total, limit)
-
-
-def _defect_pairs(plans, adj, up, lead) -> list[int]:
-    """The pairs e of up & ~adj such that adj plus e holds a copy of p
-    that maps an edge onto lead, as symmetric per-vertex masks. plans hold
-    p's _hom_plan for one directed edge per orbit of Aut(p), led by that
-    edge; lead is an edge of adj, and up and adj hold masks of the same
-    host vertices, up containing adj.
-
-    Each plan pins its lead edge to lead and is walked over up with every
-    edge of p landing on an edge of adj except exactly one, the defect,
-    which lands on a pair of up & ~adj. A copy of p through e and lead
-    puts its edges other than e in adj, and an automorphism moves the edge
-    it maps onto lead to a plan's lead, so the walk finds every such e. A
-    defect found to complete a copy is not tried again, and the walk below
-    it stops at its first copy. The last plan position reads its defects
-    from the candidate masks, every pattern neighbor of its vertex being
-    placed by then. An image needs at least its position's need less one
-    neighbors in adj, since one of its edges may be the defect. A position
-    with no earlier neighbor takes any free host vertex.
-    """
-    n = len(adj)
-    host = (1 << n) - 1
-    kill = [0] * n
-    u, v = lead
-    img = [u, v] + [0] * (n - 2)  # the image of each plan position
-    back = need = None
-    last = 0
-
-    def rec(i: int, used: int, da: int, db: int) -> bool:
-        """Extend the partial map at position i, its defect (da, db) or da
-        = -1 while none is placed; True once (da, db) is killed."""
-        cand = host & ~used
-        prev = back[i]
-        exact = cand
-        for j in prev:
-            exact &= adj[img[j]]
-        if da >= 0 and i == last:
-            if not exact:
-                return False
-            kill[da] |= 1 << db
-            kill[db] |= 1 << da
-            return True
-        defects = []  # (x, candidates y) for a defect on the edge (x, y)
-        if da < 0:
-            for j in prev:
-                x = img[j]
-                c = cand & up[x] & ~adj[x] & ~kill[x]
-                for j2 in prev:
-                    if j2 != j:
-                        c &= adj[img[j2]]
-                if c:
-                    defects.append((x, c))
-        if i == last:
-            for x, c in defects:
-                kill[x] |= c
-                while c:
-                    low = c - 1
-                    y = (c ^ low).bit_length() - 1
-                    c &= low
-                    kill[y] |= 1 << x
-            return False
-        deg = need[i] - 1
-        while exact:
-            low = exact - 1
-            y = (exact ^ low).bit_length() - 1
-            exact &= low
-            if adj[y].bit_count() < deg:
-                continue
-            img[i] = y
-            if rec(i + 1, used | 1 << y, da, db):
-                return True
-        for x, c in defects:
-            while c:
-                low = c - 1
-                y = (c ^ low).bit_length() - 1
-                c &= low
-                if kill[x] >> y & 1 or adj[y].bit_count() < deg:
-                    continue
-                img[i] = y
-                rec(i + 1, used | 1 << y, x, y)
-        return False
-
-    du, dv = adj[u].bit_count() + 1, adj[v].bit_count() + 1
-    for order, back, need in plans:
-        if len(order) > n or du < need[0] or dv < need[1]:
-            continue
-        last = len(order) - 1
-        rec(2, 1 << u | 1 << v, -1, -1)
-    return kill
 
 
 @lru_cache(maxsize=256)

@@ -32,9 +32,8 @@ from .coloring import chromatic_number
 from .counting import (
     Pattern,
     _count_injective_homs,
-    _defect_pairs,
     _hom_plan,
-    _orbits,
+    _vertex_orbits,
     blowup_shape,
     cliques_in_mask,
     contains,
@@ -182,45 +181,76 @@ def multipartite_subgraph(g: Graph, partition: Partition) -> Graph:
 # forbidden-copy tests on mutable mask lists
 
 
-def _directed_edges(h: Graph) -> tuple[tuple[int, int], ...]:
-    """One directed edge of h per orbit of Aut(h) on directed edges, the
-    first in h.edges() order, both directions of an edge taken in turn."""
-    directed = tuple(d for u, v in h.edges() for d in ((u, v), (v, u)))
-    return tuple(edge for edge, _ in _orbits(h, directed))
-
-
 @lru_cache(maxsize=256)
-def _forbid_test(h: Graph) -> tuple[int | None, tuple | None]:
-    """_creates_copy's last two arguments for h, built once per h and
-    fetched once per search: (k, None) for h = K_k, else (None, plans),
-    plans holding one embedding plan per _directed_edges representative
-    (a, b), led by a then b. The search's include step walks the same plans
-    (counting._defect_pairs)."""
-    if blowup_shape(h) == (h.n, 1):
-        return h.n, None
-    return None, tuple(_hom_plan(h, edge) for edge in _directed_edges(h))
+def _forbid_test(h: Graph) -> int | None:
+    """k when h is the clique K_k, by shape, else None; worked out once per
+    h and fetched once per search. A clique h is tested by clique searches
+    in the upper graph, any other h through the copies _copy_table lists."""
+    return h.n if blowup_shape(h) == (h.n, 1) else None
 
 
-def _creates_copy(adj, n: int, u: int, v: int, hk: int | None, plans) -> bool:
-    """Would adding edge (u, v) complete a copy of h through that edge?
-    hk and plans are _forbid_test(h).
+def _copy_table(g: Graph, h: Graph) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """Every copy of h in g, as the edge-index mask of its edges over
+    g.edges(): (copies, filed). copies lists each copy once, ascending;
+    filed[j] holds (copy, top) for each copy whose second-highest edge is
+    j, top being the bit of its highest edge. A copy of one edge has no
+    second-highest edge and is filed under none.
 
-    For h = K_k this asks for a K_{k-2} among the common neighbors. Otherwise
-    each plan pins its lead edge (a, b), one per orbit of Aut(h) on directed
-    edges, to (u, v) in turn. A copy that maps some edge onto (u, v) can be
-    composed with an automorphism that moves that edge to its orbit's
-    representative, so one pin per orbit finds every copy the all-edges loop
-    would. The pinned images' degrees must count the new edge, so the test
-    runs on a copy of adj with (u, v) added.
-    """
-    if hk is not None:
-        common = adj[u] & adj[v]
-        return exists_clique_in_mask(adj, common, hk - 2)
-    adj2 = list(adj)
-    adj2[u] |= 1 << v
-    adj2[v] |= 1 << u
-    host = (1 << n) - 1
-    return any(_count_injective_homs(plan, adj2, host, (u, v), None, 1) for plan in plans)
+    The masks come from the embedding backtracker's image-listing mode,
+    which meets each copy at its lowest host vertex: for one vertex r per
+    orbit of Aut(h) and each host vertex x, it lists the maps that send r
+    to x and every other vertex of h above x. A map onto a copy sends some
+    vertex w to the copy's lowest vertex, and composed with an automorphism
+    taking r to w it is one of those maps, with the same edges. So every
+    copy is met, the maps of one copy give one mask, and a host with fewer
+    vertices than h has no copy. Isolated vertices of h land on any free
+    host vertex, so a copy is its edge set."""
+    edges = g.edges()
+    n = g.n
+    eid = [[0] * n for _ in range(n)]
+    for j, (a, b) in enumerate(edges):
+        eid[a][b] = eid[b][a] = 1 << j
+    found = set()
+
+    def visit(img):
+        mask = 0
+        for i, p in pairs:
+            mask |= eid[img[i]][img[p]]
+        found.add(mask)
+
+    for r, _ in _vertex_orbits(h):
+        plan = _hom_plan(h, (r,))
+        # each edge of h once, as the positions of its ends in the plan
+        pairs = [(i, p) for i, back in enumerate(plan[1]) for p in back]
+        for x in range(n - h.n + 1):
+            _count_injective_homs(plan, g.adj, (1 << n) - (1 << x), (x,), visit=visit)
+    copies = sorted(found)
+    filed = [[] for _ in edges]
+    for copy in copies:
+        top = 1 << copy.bit_length() - 1
+        rest = copy ^ top
+        if rest:
+            filed[rest.bit_length() - 1].append((copy, top))
+    return copies, filed
+
+
+def _kills(filed, j: int, up_edges: int) -> int:
+    """The include step for a non-clique h: the edge-index mask of the live
+    edges that including edge j kills, filed being _copy_table's and
+    up_edges the edge-index mask of the upper graph U, j in it.
+
+    The lowest live edge is decided first, so the included edges precede j
+    and the live ones follow it. Including j kills a live edge e exactly
+    when the included edges, j and e hold a copy of h through e; that copy
+    has e as its highest edge and j as its second-highest, since e was live
+    before j was included. So the killed edges are the tops of the copies
+    filed under j whose edges U holds: below j, U holds just the included
+    edges, and above it just the live ones."""
+    kill = 0
+    for copy, top in filed[j]:
+        if copy & up_edges == copy:
+            kill |= top
+    return kill
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +264,10 @@ def _edge_budget(what: str, m: int, limit: int) -> None:
 
 class _Node:
     """The node _search enters, updated in place (see _search); upper reads
-    its leaf flag and its packing, pack, and dominated reads U."""
+    its leaf flag and its packing, pack, and dominated and completes read
+    U."""
 
-    __slots__ = ("included", "excluded", "up", "leaf", "upper", "pack", "dominated")
+    __slots__ = ("included", "excluded", "up", "leaf", "upper", "pack", "dominated", "completes")
 
 
 def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
@@ -254,40 +285,39 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     below lies inside; leaf says no live edge is left. upper(floor) returns
     (bound, term): bound is at least the count of t in every leaf below and,
     at a leaf, the leaf's own count; term names what set it, "count", "cap"
-    or "packing". t may be None when enter never calls upper. dominated()
-    says, for h = K_k, whether some edge (a, b) excluded by choice below the
-    last included edge has no K_{k-2} in N_U(a) & N_U(b); it is always
-    False for any other h. Each such edge keeps the edges of the K_k last
-    found through it as its witness, and is searched again only once U has
-    lost one of them.
+    or "packing". t may be None when enter never calls upper. completes(a,
+    b) says whether U plus a host edge (a, b) outside U holds a copy of h
+    through (a, b). Each such edge keeps the edges of the copy last found
+    through it as its witness, and is searched again only once U has lost
+    one of them. dominated() says, for h = K_k, whether some edge excluded
+    by choice below the last included edge fails completes; it is always
+    False for any other h.
 
     The one pruning rule is forbid: an edge stops being live once it would
     complete a copy of h, and including an edge kills only survivors, since
     adding edges only forbids more. So every leaf is h-free, and each host
     edge outside a leaf is either killed, so that the leaf plus it holds a
-    copy of h, or in excluded. The test is fetched once per search from
-    _forbid_test: a clique test for h = K_k, else one prepared embedding
-    plan per orbit of Aut(h) on directed edges, led by that edge, so no test
-    re-derives a plan. At the root nothing is included, and a single edge
-    holds a copy of h exactly when h has one edge and at most n vertices:
-    then no edge is live, and otherwise every edge is.
+    copy of h, or in excluded. _forbid_test says, once per search, whether
+    h is a clique K_k, tested by clique searches in U; any other h is
+    tested through _copy_table, which lists every copy of h in g once per
+    search as an edge-index mask. At the root nothing is included, and a
+    single edge holds a copy of h exactly when h has one edge and at most n
+    vertices: then no edge is live, and otherwise every edge is.
 
     Including (u, v) kills a live edge e exactly when the included edges
     plus e hold a copy of h through e. That copy also uses (u, v), since e
     was live before (u, v) was included, and every other edge of it is
-    included. So one walk finds every killed edge at once
-    (counting._defect_pairs): each plan's lead edge is pinned to (u, v), the
-    walk runs over U, and exactly one edge of h may land on a pair of U
-    outside the included edges; each such pair that completes a copy is
-    killed. Those pairs are exactly the remaining live edges, because
-    decided edges are included or have left U. For a clique h = K_k the
-    clique test is cheaper still: a killed live edge (a, b) lies in a K_k
-    with u and v whose other edges are all included, so it is (u, w) with w
-    in N(v), (v, w) with w in N(u), or has both ends in N(u) & N(v), N being
-    the included neighbourhoods. The lowest live edge is decided first, so
-    included edges precede (u, v) and live ones follow it. That leaves the
-    first and last kinds empty, and only the live (w, v) with u < w < v and
-    w in N(u) are re-tested, each by a search for a K_{k-2} in N(w) & N(v).
+    included. The lowest live edge is decided first, so included edges
+    precede (u, v) and live ones follow it: the copy's highest edge is e and
+    its second-highest (u, v). For any h but a clique, the table files
+    each copy under its second-highest edge, and _kills tests those filed
+    under (u, v) against up_edges. For h = K_k the clique test is cheaper
+    still: a killed live edge (a, b) lies in a K_k with u and v whose other
+    edges are all included, so it is (u, w) with w in N(v), (v, w) with w
+    in N(u), or has both ends in N(u) & N(v), N being the included
+    neighbourhoods. The edge order leaves the first and last kinds empty,
+    and only the live (w, v) with u < w < v and w in N(u) are re-tested,
+    each by a search for a K_{k-2} in N(w) & N(v).
 
     upper(floor) is the pattern count of U. For a clique pattern K_m and a
     clique h = K_k it is tightened twice, each term tried only while the
@@ -313,27 +343,29 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     """
     edges = g.edges()
     n = g.n
-    hk, plans = _forbid_test(h)
+    hk = _forbid_test(h)
     clique_m = t.m if t is not None and t.kind == "clique" else None
     # the clique size whose copies in N_U(a) & N_U(b) are the copies of K_m
     # an edge (a, b) leaving U takes with it
     lost_size = clique_m - 2 if clique_m is not None and clique_m >= 2 else None
     cap = None
     loss = 0
-    if hk is not None:
-        eid = [[-1] * n for _ in range(n)]
-        for j, (a, b) in enumerate(edges):
-            eid[a][b] = eid[b][a] = j
-        if clique_m is not None:
-            cap = count_pattern_masks(turan(n, hk - 1).adj, n, t)
-            if 2 <= clique_m < hk:
-                loss = comb(hk - 2, clique_m - 2)
+    eid = [[-1] * n for _ in range(n)]
+    for j, (a, b) in enumerate(edges):
+        eid[a][b] = eid[b][a] = j
+    through = None  # the copies through each edge, listed when first asked for
+    if hk is None:
+        copies, filed = _copy_table(g, h)
+    elif clique_m is not None:
+        cap = count_pattern_masks(turan(n, hk - 1).adj, n, t)
+        if 2 <= clique_m < hk:
+            loss = comb(hk - 2, clique_m - 2)
     adj = [0] * n
     included: list[tuple[int, int]] = []
     excluded: list[tuple[int, int]] = []
     # excluded[:armed] lie below the last included edge; witness[j] is
-    # the edge-index mask of a K_k through excluded edge j, less j, last
-    # found in U + j (0: none yet)
+    # the edge-index mask of a copy of h through excluded edge j, less j,
+    # last found in U + j (0: none yet)
     armed = 0
     witness = [0] * len(edges)
     root_live = 0 if h.edge_count() == 1 and h.n <= n else (1 << len(edges)) - 1
@@ -410,20 +442,44 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
             mask |= 1 << eid[x][y]
         return mask
 
-    def dominated() -> bool:
-        """Does some excluded edge (a, b) below the last included edge have
-        no K_k through it in U + (a, b)? Used only when h = K_k. A witness
-        stays good while U keeps its edges, so only an edge whose witness
-        lost one is searched again."""
-        for a, b in excluded[:armed]:
-            j = eid[a][b]
-            w = witness[j]
-            if w and w & up_edges == w:
-                continue
+    def completes(a: int, b: int) -> bool:
+        """Does U + (a, b) hold a copy of h through the host edge (a, b),
+        which U lacks? A witness stays good while U keeps its edges, so
+        only an edge whose witness lost one is searched again: for h = K_k
+        by a search for a K_{k-2} in N_U(a) & N_U(b), else through the
+        copies of h in the host that have the edge."""
+        nonlocal through
+        j = eid[a][b]
+        w = witness[j]
+        if w and w & up_edges == w:
+            return True
+        if hk is not None:
             rest = find_clique_in_mask(up, up[a] & up[b], hk - 2)
             if rest is None:
-                return True
+                return False
             witness[j] = clique_edges((a, b) + rest) ^ 1 << j
+            return True
+        if through is None:
+            through = [[] for _ in edges]
+            for copy in copies:
+                for i in bits(copy):
+                    through[i].append(copy)
+        bit = 1 << j
+        for copy in through[j]:
+            w = copy ^ bit
+            if w & up_edges == w:
+                witness[j] = w
+                return True
+        return False
+
+    def dominated() -> bool:
+        """Does some excluded edge below the last included edge have no
+        copy of h through it in U plus it? Used only when h = K_k; a good
+        witness is read here, and only a stale one costs a call."""
+        for a, b in excluded[:armed]:
+            w = witness[eid[a][b]]
+            if not (w and w & up_edges == w) and not completes(a, b):
+                return True
         return False
 
     def drop(j: int) -> int:
@@ -451,6 +507,7 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
     node = _Node()
     node.included, node.excluded, node.up, node.upper = included, excluded, up, upper
     node.dominated = dominated if hk is not None else lambda: False
+    node.completes = completes
 
     def dfs(live: int, pack):
         nonlocal nodes, armed
@@ -477,16 +534,7 @@ def _search(g: Graph, t: Pattern | None, h: Graph, enter) -> int:
                 if exists_clique_in_mask(adj, adj[w] & adj[v], hk - 2):
                     killed.append(eid[w][v])
         else:
-            killed = []
-            kill = _defect_pairs(plans, adj, up, (u, v)) if rest else None
-            x = rest
-            while x:
-                low = x - 1
-                i = (x ^ low).bit_length() - 1
-                x &= low
-                a, b = edges[i]
-                if kill[a] >> b & 1:
-                    killed.append(i)
+            killed = bits(_kills(filed, j, up_edges))
         keep_live = rest
         lost = 0
         for i in killed:
@@ -521,7 +569,7 @@ def _feasible_seed(g: Graph, t: Pattern, h: Graph):
     cached _forbid_test(h). A BudgetExceededError from rebuild, a generic
     pattern past the counter's vertex budget, is the search's own error.
     """
-    hk, _ = _forbid_test(h)
+    hk = _forbid_test(h)
     chi = hk if hk is not None else chromatic_number(h).chromatic_number
     if chi < 3:
         return None
@@ -661,17 +709,19 @@ def enumerate_maximal_hfree(
     edges excluded by choice can be added, as a killed edge completes a
     copy. A node is entered only while each excluded edge e has a copy of h
     through e in U + e, U its upper graph, which every leaf below lies in;
-    at a leaf U is the leaf, so this is the maximality test. Newest edges
-    are tested first: the last exclusion or kill most often breaks a copy.
+    at a leaf U is the leaf, so this is the maximality test. _search's
+    completes answers it: each excluded edge keeps the copy last found
+    through it as its witness while U holds that copy's other edges, so
+    most tests are one mask test. Newest edges are tested first: the last
+    exclusion or kill most often breaks a copy.
     """
     _require_forbidden_edges(h)
     _edge_budget("maximal enumeration", g.edge_count(), budgets.ties_edges)
-    hk, plans = _forbid_test(h)
     out: list[tuple[tuple[int, int], ...]] = []
 
     def enter(node) -> bool:
-        up, n = node.up, g.n
-        ok = all(_creates_copy(up, n, a, b, hk, plans) for a, b in reversed(node.excluded))
+        completes = node.completes
+        ok = all(completes(a, b) for a, b in reversed(node.excluded))
         if ok and node.leaf:
             out.append(tuple(node.included))
         return ok

@@ -14,9 +14,9 @@ before they shared one multipartite builder),
 count_injective_homs_leafwise (the embedding backtracker that counts one
 leaf at a time, on the package's plan), creates_copy_all_edges (the forbid
 test that pins every directed edge of h, on the package's pinned
-backtracker), defect_pairs_by_retest (the search's include step for a
-non-clique h, which re-tests every live edge with the package's forbid
-test), color_component_recursive (the
+backtracker), kills_by_retest (the search's include step for a non-clique
+h, which re-tests every live edge with creates_copy_all_edges),
+color_component_recursive (the
 recursive coloring search, on the package's budget counter),
 lex_least_coloring (the fixed-order search behind canonical colorings
 before they shared the saturation search's loop),
@@ -46,7 +46,6 @@ from exfree.solver import (
     PeelStep,
     PeelTrace,
     _below_threshold,
-    _creates_copy,
     enumerate_optima,
     max_hfree_subgraph,
 )
@@ -119,20 +118,6 @@ def vertex_orbits_brute(g: Graph, fixed=()) -> list[set]:
     for a in range(g.n):
         if not any(a in orbit for orbit in orbits):
             orbits.append({perm[a] for perm in auts})
-    return orbits
-
-
-def directed_edge_orbits_brute(g: Graph) -> list[set]:
-    """Orbits of the automorphism group on directed edges, found by trying
-    every vertex permutation."""
-    edges = {frozenset(e) for e in g.edges()}
-    auts = [perm for perm in permutations(range(g.n))
-            if {frozenset((perm[a], perm[b])) for a, b in edges} == edges]
-    orbits = []
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            if not any((a, b) in orbit for orbit in orbits):
-                orbits.append({(perm[a], perm[b]) for perm in auts})
     return orbits
 
 
@@ -688,20 +673,40 @@ def creates_copy_all_edges(adj, n: int, h: Graph, u: int, v: int) -> bool:
     return False
 
 
-def defect_pairs_by_retest(plans, adj, up, lead) -> list[int]:
-    """counting._defect_pairs as the search's include step computed it
-    before: every pair of up & ~adj is tested on its own, by whether adding
-    it to adj completes a copy of h through it (plans being h's
-    _forbid_test plans). lead is not used: when every such pair was live
-    before lead was included, a copy through one of them must use lead."""
-    n = len(adj)
-    kill = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (up[a] & ~adj[a]) >> b & 1 and _creates_copy(adj, n, a, b, None, plans):
-                kill[a] |= 1 << b
-                kill[b] |= 1 << a
-    return kill
+def kills_by_retest(g: Graph, h: Graph):
+    """solver._kills for host g as the search's include step computed it
+    before the copy table: every live edge e is tested on its own, by
+    whether adding it to the included edges completes a copy of h through
+    it. The included edges, j among them, are U's edges up to j, and the
+    live ones U's edges past j; the table passed in is not read."""
+    edges = g.edges()
+
+    def kills(filed, j, up_edges):
+        adj = [0] * g.n
+        kill = 0
+        for i, (a, b) in enumerate(edges):
+            if up_edges >> i & 1 and i <= j:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        for i, (a, b) in enumerate(edges):
+            if up_edges >> i & 1 and i > j and creates_copy_all_edges(adj, g.n, h, a, b):
+                kill |= 1 << i
+        return kill
+
+    return kills
+
+
+def copy_masks_brute(g: Graph, h: Graph) -> set[int]:
+    """Every copy of h in g as the mask of its edges' indices in g.edges():
+    the edge sets of every injective edge-preserving map of h into g."""
+    index = {e: i for i, e in enumerate(g.edges())}
+    masks = set()
+    for image in injective_homs_brute(h, g.adj, (1 << g.n) - 1):
+        mask = 0
+        for a, b in h.edges():
+            mask |= 1 << index[tuple(sorted((image[a], image[b])))]
+        masks.add(mask)
+    return masks
 
 
 def color_component_recursive(g: Graph, comp: list[int], k: int, budget, canonical: bool):

@@ -603,6 +603,43 @@ def test_pinned_counts_match_permutation_brute_force():
     assert pairs > 180 and nonzero > 60
 
 
+def test_image_listing_visits_every_map_once():
+    # with visit the backtracker hands over each injective edge-preserving
+    # map as its images in plan order, including the last two positions it
+    # otherwise counts together, and still returns the number of maps.
+    # Patterns of 0-6 vertices, connected or not, on hosts of 0-8 vertices
+    # under a random vertex mask, with 0-2 pinned leads taken from a real
+    # map or drawn at random
+    rng = random.Random(37)
+    pairs = listed = 0
+    for _ in range(600):
+        g = random_graph(rng, rng.randrange(0, 9), rng.choice((0.3, 0.6, 0.9)))
+        host = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        p = random_graph(rng, rng.randrange(0, 7), rng.choice((0.25, 0.5, 0.8)))
+        maps = injective_homs_brute(p, g.adj, host)
+        lead = tuple(rng.sample(range(p.n), rng.randrange(min(p.n, 2) + 1)))
+        if maps and rng.random() < 0.7:
+            images = tuple(rng.choice(maps)[a] for a in lead)
+        else:
+            images = tuple(rng.randrange(g.n + 1) for _ in lead)
+        want = sorted(m for m in maps if all(m[a] == x for a, x in zip(lead, images)))
+        plan = _hom_plan(p, lead)
+        order = plan[0]
+        got = []
+
+        def visit(img):
+            m = [0] * p.n
+            for v, x in zip(order, img):
+                m[v] = x
+            got.append(tuple(m))
+
+        assert _count_injective_homs(plan, g.adj, host, images, visit=visit) == len(want)
+        assert sorted(got) == want, (p.edges(), g.edges(), host, lead, images)
+        pairs += _ends_in_pair(plan, len(lead)) and bool(want)
+        listed += len(want)
+    assert pairs > 40 and listed > 3000
+
+
 def test_blowup_counts_match_brute_force():
     # every m in 1-3 and t in 1-3 on seeded hosts of at most 9 vertices
     rng = random.Random(29)

@@ -39,9 +39,9 @@ from oracles import (
     contains_brute,
     copies_brute,
     creates_copy_all_edges,
+    copy_masks_brute,
     creates_copy_brute,
-    defect_pairs_by_retest,
-    directed_edge_orbits_brute,
+    kills_by_retest,
     local_search_recount,
     max_hfree_brute,
     max_partite_brute,
@@ -154,12 +154,12 @@ ORACLE_PATTERNS = {
 }
 
 
-# the include step's one-walk kill set for every non-clique forbidden graph
-# of the oracle tests, and for three disconnected ones whose plans have
-# positions with no earlier neighbour: 2K2, P3 plus a vertex, and a
-# triangle plus an edge
+# the include step's kill set for every non-clique forbidden graph of the
+# oracle tests, and for three disconnected ones whose plans have positions
+# with no earlier neighbour: 2K2, P3 plus a vertex, and a triangle plus an
+# edge
 KILL_STEP_FORBIDDEN = {
-    **{name: h for name, h in ORACLE_FORBIDDEN.items() if solver._forbid_test(h)[0] is None},
+    **{name: h for name, h in ORACLE_FORBIDDEN.items() if solver._forbid_test(h) is None},
     "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
     "P3+K1": Graph.from_edges(4, [(0, 1), (1, 2)]),
     "K3+K2": Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
@@ -201,14 +201,15 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
     # oracles, on seeded hosts of 4 to 6 vertices with at most 9 edges; the
     # forbidden graphs add 2K2 and P3 plus a vertex, whose plans have
     # positions with no earlier neighbour. The search's node and prune
-    # counts equal those of the include step that re-tests every live edge.
+    # counts equal those of the include step that re-tests every live edge
+    # instead of reading the copy table.
     forbidden = {**ORACLE_FORBIDDEN, "2K2": KILL_STEP_FORBIDDEN["2K2"],
                  "P3+K1": KILL_STEP_FORBIDDEN["P3+K1"]}
-    one_walk = solver._defect_pairs
+    table_kills = solver._kills
 
     def counters(g, t, h, kill_step):
         with monkeypatch.context() as m:
-            m.setattr(solver, "_defect_pairs", kill_step)
+            m.setattr(solver, "_kills", kill_step)
             res = max_hfree_subgraph(g, t, h)
         stats = res.stats
         return (res.best_count, res.best_edges, stats.nodes, stats.pruned_count,
@@ -222,12 +223,12 @@ def test_enumerations_match_oracles_on_general_forbidden_graphs(monkeypatch):
         g = _oracle_host(rng, hname)
         case = (trial, pname, hname, g.edges())
         # the brute-force checks run the shipped include step
-        assert solver._defect_pairs is one_walk
+        assert solver._kills is table_kills
         best, ties = enumerate_optima(g, t, h)
         assert (best, ties) == optima_brute(g, t.realize(), h), case
         assert ties[0] == max_hfree_subgraph(g, t, h).best_edges, case
         assert enumerate_maximal_hfree(g, h) == maximal_hfree_brute(g, h), case
-        assert counters(g, t, h, one_walk) == counters(g, t, h, defect_pairs_by_retest), case
+        assert counters(g, t, h, table_kills) == counters(g, t, h, kills_by_retest(g, h)), case
 
 
 def test_single_edge_forbidden_graphs_match_oracles():
@@ -339,101 +340,118 @@ def test_include_step_kills_every_completed_clique():
         assert (res.best_count, res.best_edges) == max_hfree_brute(g, complete(2), h), case
 
 
-EDGE_ORBIT_GRAPHS = {
-    "C4": (cycle(4), 1),
-    "C5": (cycle(5), 1),
-    "K4-e": (ORACLE_FORBIDDEN["K4-e"], 3),
-    "pendant-triangle": (ORACLE_FORBIDDEN["pendant-triangle"], 5),
-    "P4": (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 3),
-    "W4": (ORACLE_FORBIDDEN["W4"], 3),
-    "K2,3": (Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]), 2),
-}
-
-
-def test_directed_edges_meet_each_orbit_once():
-    for name, (h, orbit_count) in EDGE_ORBIT_GRAPHS.items():
-        reps = solver._directed_edges(h)
-        orbits = directed_edge_orbits_brute(h)
-        assert len(orbits) == orbit_count, name
-        assert [sum(rep in orbit for rep in reps) for orbit in orbits] == [1] * orbit_count, name
-        assert len(reps) == orbit_count, name
-
-
-# disconnected forbidden graphs, whose plans have positions with no earlier
-# neighbour: 2K2, a triangle plus a vertex, and P3 plus an edge
-DISCONNECTED_FORBIDDEN = {
-    "2K2": Graph.from_edges(4, [(0, 1), (2, 3)]),
-    "K3+K1": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
-    "P3+K2": Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
-}
-NON_CLIQUE_FORBIDDEN = [h for h, _ in EDGE_ORBIT_GRAPHS.values()] + list(
-    DISCONNECTED_FORBIDDEN.values())
+# non-clique forbidden graphs: C4, C5, K4 - e, the pendant triangle, P4,
+# W4 and K2,3, then disconnected ones whose plans have positions with no
+# earlier neighbour: 2K2, a triangle plus a vertex, and P3 plus an edge
+NON_CLIQUE_FORBIDDEN = [
+    cycle(4),
+    cycle(5),
+    ORACLE_FORBIDDEN["K4-e"],
+    ORACLE_FORBIDDEN["pendant-triangle"],
+    Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    ORACLE_FORBIDDEN["W4"],
+    Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    Graph.from_edges(4, [(0, 1), (2, 3)]),
+    Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+    Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+]
 
 
 def test_creates_copy_matches_all_edges_loop():
-    # one plan per edge orbit against both directions of every edge, on
-    # seeded hosts of 5 to 10 vertices, every non-edge tried; on hosts of
-    # at most 8 vertices also against the permutation oracle, which shares
-    # no code with the package
+    # the maximality test: at search nodes on seeded hosts of 5 to 10
+    # vertices, node.completes(a, b) says, for every host edge (a, b)
+    # outside the upper graph U, whether U plus that edge holds a copy of h
+    # through it. It answers from the copy table and from the witness each
+    # edge keeps, so the nodes are asked in search order, U shrinking and
+    # growing again. Against the forbid test that pins every directed edge
+    # of h and, on hosts of at most 8 vertices, against the permutation
+    # oracle, which shares no code with the package
     rng = random.Random(2019)
     hits = misses = brute = 0
     for trial in range(100):
         h = NON_CLIQUE_FORBIDDEN[trial % len(NON_CLIQUE_FORBIDDEN)]
         g = random_graph(rng, rng.randint(5, 10), rng.choice((0.2, 0.4, 0.6, 0.8)))
-        adj = list(g.adj)
-        hk, plans = solver._forbid_test(h)
-        assert hk is None
-        for u, v in itertools.combinations(range(g.n), 2):
-            if g.has_edge(u, v):
-                continue
-            want = creates_copy_all_edges(adj, g.n, h, u, v)
-            if g.n <= 8:
-                assert creates_copy_brute(adj, g.n, h, u, v) == want, (trial, u, v)
-                brute += 1
-            assert solver._creates_copy(adj, g.n, u, v, hk, plans) == want, (trial, u, v)
-            hits += want
-            misses += not want
+        entered = 0
+
+        def enter(node):
+            nonlocal hits, misses, brute, entered
+            up = list(node.up)
+            for a, b in g.edges():
+                if up[a] >> b & 1:
+                    continue
+                want = creates_copy_all_edges(up, g.n, h, a, b)
+                if g.n <= 8:
+                    assert creates_copy_brute(up, g.n, h, a, b) == want, (trial, a, b)
+                    brute += 1
+                assert node.completes(a, b) == want, (trial, g.edges(), up, a, b)
+                hits += want
+                misses += not want
+            entered += 1
+            return entered < 12 and rng.random() < 0.8
+
+        solver._search(g, None, h, enter)
     assert hits > 100 and misses > 100 and brute > 300
 
 
 def test_creates_copy_counts_the_new_edge_at_the_pinned_ends():
-    # h minus one edge (a, b) planted with a on u and b on v, u and v
-    # touching nothing else: u has exactly deg_h(a) - 1 neighbours and v
-    # deg_h(b) - 1, so only the new edge (u, v) lifts them to the degrees
-    # the pinned images need. Both directions of every edge of every
-    # non-clique forbidden graph, on hosts of 5 to 10 vertices
+    # h minus one edge (a, b) planted with a on u = 0 and b on v = 1, u and v
+    # touching nothing else, in a host that adds the edge (0, 1). That edge
+    # is the host's lowest, so the root's exclude child has U = the host
+    # less (0, 1), where u has exactly deg_h(a) - 1 neighbours and v
+    # deg_h(b) - 1; completes(0, 1) must still find the planted copy. Both
+    # directions of every edge of every non-clique forbidden graph, on
+    # hosts of 5 to 10 vertices
     rng = random.Random(2020)
     for h in NON_CLIQUE_FORBIDDEN:
-        hk, plans = solver._forbid_test(h)
         for a, b in h.edges():
             for x, y in ((a, b), (b, a)):
                 for _ in range(3):
-                    n = rng.randint(max(5, h.n), 10)
-                    image = rng.sample(range(n), h.n)
-                    u, v = image[x], image[y]
+                    n = rng.randint(max(5, h.n + 2), 10)
+                    image = rng.sample(range(2, n), h.n)
+                    image[x], image[y] = 0, 1
                     edges = {tuple(sorted((image[c], image[d]))) for c, d in h.edges()}
-                    edges.discard(tuple(sorted((u, v))))
-                    others = [e for e in itertools.combinations(range(n), 2)
-                              if u not in e and v not in e]
+                    others = [e for e in itertools.combinations(range(2, n), 2)]
                     edges.update(rng.sample(others, rng.randint(0, len(others) // 2)))
                     g = Graph.from_edges(n, sorted(edges))
-                    assert (g.degree(u), g.degree(v)) == (h.degree(x) - 1, h.degree(y) - 1)
-                    assert solver._creates_copy(list(g.adj), n, u, v, hk, plans), (h.edges(), x, y)
+                    found = []
+
+                    def enter(node):
+                        if not node.excluded:
+                            return not node.included
+                        assert node.excluded == [(0, 1)] and not node.included
+                        up = node.up
+                        assert (up[0].bit_count(), up[1].bit_count()) == (
+                            h.degree(x) - 1, h.degree(y) - 1)
+                        found.append(node.completes(0, 1))
+                        return False
+
+                    solver._search(g, None, h, enter)
+                    assert found == [True], (h.edges(), x, y, g.edges())
 
 
 def test_include_step_kills_exactly_the_live_edges_that_complete_a_copy(monkeypatch):
     # every include of a search records its state; on a sample of them the
-    # kill mask must be the pairs of up & ~adj (the remaining live edges)
-    # that the permutation oracle says complete a copy of h with adj
+    # kill mask must be the live edges (those of U not included) that the
+    # permutation oracle says complete a copy of h with the included edges
     states = []
-    real = solver._defect_pairs
+    real = solver._kills
+    search = solver._search
+    current = []
 
-    def record(plans, adj, up, lead):
-        kill = real(plans, adj, up, lead)
-        states.append((list(adj), list(up), lead, kill))
+    def tracked(g, t, h, enter):
+        def spy(node):
+            current[:] = [node]
+            return enter(node)
+
+        return search(g, t, h, spy)
+
+    def record(filed, j, up_edges):
+        kill = real(filed, j, up_edges)
+        states.append((tuple(current[0].included), j, up_edges, kill))
         return kill
 
-    monkeypatch.setattr(solver, "_defect_pairs", record)
+    monkeypatch.setattr(solver, "_search", tracked)
+    monkeypatch.setattr(solver, "_kills", record)
     rng = random.Random(2022)
     checked = {}
     for name, h in KILL_STEP_FORBIDDEN.items():
@@ -448,21 +466,83 @@ def test_include_step_kills_exactly_the_live_edges_that_complete_a_copy(monkeypa
             states.clear()
             enumerate_maximal_hfree(g, h)
             # a few states whose kill set is not empty, and a few others
-            hit = [state for state in states if any(state[3])]
-            miss = [state for state in states if not any(state[3])]
+            hit = [state for state in states if state[3]]
+            miss = [state for state in states if not state[3]]
             sample = rng.sample(hit, min(len(hit), 5)) + rng.sample(miss, min(len(miss), 3))
-            for adj, up, lead, kill in sample:
-                assert adj[lead[0]] >> lead[1] & 1
-                want = [0] * g.n
-                for a, b in itertools.combinations(range(g.n), 2):
-                    if (up[a] & ~adj[a]) >> b & 1 and creates_copy_brute(adj, g.n, h, a, b):
-                        want[a] |= 1 << b
-                        want[b] |= 1 << a
-                assert kill == want, (name, g.edges(), adj, up, lead)
+            edges = g.edges()
+            for included, j, up_edges, kill in sample:
+                assert included[-1] == edges[j] and up_edges >> j & 1
+                adj = Graph.from_edges(g.n, included).adj
+                want = 0
+                for i, (a, b) in enumerate(edges):
+                    if up_edges >> i & 1 and (a, b) not in included:
+                        if creates_copy_brute(adj, g.n, h, a, b):
+                            want |= 1 << i
+                assert kill == want, (name, g.edges(), included, up_edges)
                 checked[name][0] += 1
-                checked[name][1] += any(want)
+                checked[name][1] += want != 0
     for name, (states_seen, with_kills) in checked.items():
         assert states_seen >= 20 and 10 <= with_kills < states_seen, (name, states_seen, with_kills)
+
+
+def test_copy_table_files_each_copy_once():
+    # _copy_table against every injective map of h: each copy of h in the
+    # host, as its edges' index mask, is listed once and filed once, under
+    # its second-highest edge with its highest edge's bit. Every
+    # KILL_STEP_FORBIDDEN graph on seeded hosts of 4 to 7 vertices (a
+    # planted wheel for W4); K2 plus a vertex, whose one-edge copies have
+    # no second-highest edge and are filed under none; and K2 plus five
+    # vertices, which has no copy in a host of fewer than 7 vertices
+    forbidden = {**KILL_STEP_FORBIDDEN, "K2+K1": from_graph6("B_"), "K2+5K1": from_graph6("F_???")}
+    rng = random.Random(2030)
+    found = dict.fromkeys(forbidden, 0)
+    too_small = 0
+    for trial in range(8 * len(forbidden)):
+        name = list(forbidden)[trial % len(forbidden)]
+        h = forbidden[name]
+        if name == "W4":
+            g = _oracle_host(rng, name)
+        else:
+            n = rng.randint(4, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph.from_edges(n, rng.sample(pairs, rng.randint(len(pairs) // 2, len(pairs))))
+        want = copy_masks_brute(g, h)
+        copies, filed = solver._copy_table(g, h)
+        case = (name, g.edges())
+        assert copies == sorted(want), case
+        assert len(filed) == g.edge_count()
+        listed = []
+        for j, row in enumerate(filed):
+            for copy, top in row:
+                assert top == 1 << copy.bit_length() - 1 and (copy ^ top).bit_length() - 1 == j
+                listed.append(copy)
+        assert sorted(listed) == [c for c in copies if c & (c - 1)], case
+        found[name] += len(want)
+        too_small += h.n > g.n
+    assert all(found.values()) and too_small > 0, (found, too_small)
+
+
+def test_copy_table_keeps_the_search_node_counts(monkeypatch):
+    # the include step and the maximality test read the copy table, and the
+    # searches enter as many nodes as when each include walked the
+    # forbidden graph's embeddings: K2 and K3 under K4 - e on gnp(9, .6, 2),
+    # K3 under C5 on g6:F~~|w, and the maximal C5-free and (K4 - e)-free
+    # subgraphs of g6:Frniw
+    k4e = ORACLE_FORBIDDEN["K4-e"]
+    g = gnp(9, 0.6, 2)
+    for t, count, nodes in ((K2, 17, 17_091), (K3, 4, 407_215)):
+        res = max_hfree_subgraph(g, t, k4e)
+        assert (res.best_count, res.stats.nodes) == (count, nodes), t
+    res = max_hfree_subgraph(from_graph6("F~~|w"), K3, cycle(5))
+    assert (res.best_count, res.stats.nodes) == (8, 8_267)
+    search = solver._search
+    nodes = []
+    monkeypatch.setattr(solver, "_search", lambda *args: nodes.append(search(*args)) or nodes[-1])
+    host = from_graph6("Frniw")
+    for h, sets, limit in ((cycle(5), 439, 6_615), (k4e, 231, 2_319)):
+        nodes.clear()
+        assert len(enumerate_maximal_hfree(host, h)) == sets, h.edges()
+        assert nodes == [limit], h.edges()
 
 
 def test_feasible_seed_is_hfree_without_a_recheck():
